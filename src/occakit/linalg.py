@@ -8,21 +8,15 @@ and repair that invariant.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import lobpcg
 
 from .errors import ContractViolation, SolverFailure
 
 # Orthonormality drift beyond this triggers a thin-QR repair.
 ORTH_TOL = 1e-10
-
-# Largest n for which the symmetric eigensolver uses a full dense
-# decomposition; above it a warm-started block iteration is used.
-DENSE_EIG_CUTOFF = 500
 
 
 def as_matrix(M, what="matrix"):
@@ -102,15 +96,14 @@ class EigenResult:
     gap: float             # lambda_{k+1} - lambda_k, >= 0
 
 
-def k_smallest_eigenbasis(E, k, warm_start=None, dense_cutoff=DENSE_EIG_CUTOFF):
+def k_smallest_eigenbasis(E, k):
     """Eigenbasis for the ``k`` algebraically smallest eigenvalues of ``E``.
 
-    ``E`` must be symmetric within 1e-10 (checked), ``1 <= k < n``.  For
-    n <= ``dense_cutoff`` a full dense symmetric decomposition is used;
-    above it, a locally-optimal block iteration warm-started from
-    ``warm_start`` (falling back to dense when it cannot certify its
-    result).  A zero ``gap`` flags a degenerate eigenvalue at position k;
-    the returned subspace is then only determined up to the tie.
+    ``E`` must be symmetric within 1e-10 (checked), ``1 <= k < n``.  The
+    dense symmetric eigensolver computes the k + 1 smallest eigenpairs,
+    the extra one giving the gap.  A zero ``gap`` flags a degenerate
+    eigenvalue at position k; the returned subspace is then only
+    determined up to the tie.
     """
     E = as_matrix(E, "E")
     n = E.shape[0]
@@ -121,52 +114,10 @@ def k_smallest_eigenbasis(E, k, warm_start=None, dense_cutoff=DENSE_EIG_CUTOFF):
     asym = float(np.max(np.abs(E - E.T)))
     if asym > 1e-10:
         raise ContractViolation(f"E is not symmetric: max|E - E^T| = {asym:.3e}")
-    Es = 0.5 * (E + E.T)
-
-    if n <= dense_cutoff or n - (k + 1) < 3 * (k + 1):
-        return _dense_k_smallest(Es, k)
-
-    res = _lobpcg_k_smallest(Es, k, warm_start)
-    if res is not None:
-        return res
-    return _dense_k_smallest(Es, k)
-
-
-def _dense_k_smallest(Es, k):
     try:
-        vals, vecs = sla.eigh(Es, subset_by_index=(0, k))
+        vals, vecs = sla.eigh(0.5 * (E + E.T), subset_by_index=(0, k))
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise SolverFailure(f"dense symmetric eigensolver failed: {exc}") from exc
-    gap = float(vals[k] - vals[k - 1])
-    return EigenResult(basis=vecs[:, :k], values=vals[:k].copy(), gap=max(gap, 0.0))
-
-
-def _lobpcg_k_smallest(Es, k, warm_start, maxiter=200):
-    n = Es.shape[0]
-    m = k + 1  # one extra pair so the gap can be reported
-    if warm_start is not None and warm_start.shape == (n, k):
-        X0 = np.hstack([warm_start, np.zeros((n, 1))])
-        X0[k % n, k] = 1.0
-        X0 = orthonormalize(X0)
-    else:
-        # deterministic start: leading identity columns
-        X0 = np.eye(n)[:, :m]
-    try:
-        # the residual check below is the real acceptance test, so the
-        # solver's own not-quite-converged warnings are noise
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = lobpcg(Es, X0, largest=False, tol=1e-9, maxiter=maxiter)
-    except Exception:
-        return None
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
-        return None
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = orthonormalize(vecs[:, order])
-    resid = np.max(np.abs(Es @ vecs - vecs * vals))
-    if resid > 1e-6 * max(1.0, float(np.max(np.abs(Es)))):
-        return None
     gap = float(vals[k] - vals[k - 1])
     return EigenResult(basis=vecs[:, :k], values=vals[:k].copy(), gap=max(gap, 0.0))
 

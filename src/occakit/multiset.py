@@ -63,8 +63,8 @@ class OmccaReport:
     ``g_trace`` holds the total correlation (the real objective) after
     each cycle; ``loop_g_trace`` the per-cycle sum of subproblem optima
     that drives the stopping test.  ``ds_terms_per_cycle`` counts the
-    cross-view products assembled for the subproblem right-hand sides
-    (exactly 2(l-1) per cycle under tree weighting).
+    nonzero off-diagonal weights, i.e. one K_sj hatX_j product per ordered
+    pair of selected views (exactly 2(l-1) per cycle under tree weighting).
     """
 
     projections: list
@@ -94,52 +94,72 @@ def reduce_views(views, rank_tol=None):
     return out
 
 
-def _scaled_term(hatX, rv):
-    """V Sigma hatX / sqrt(tr(hatX^T Sigma^2 hatX)) for one neighbor view."""
-    SX = rv.sigma[:, None] * hatX
+def _cross_blocks(reduced, pairs):
+    """Reduced cross blocks K_ij = diag(sigma_i) V_i^T V_j diag(sigma_j)
+    for the unordered ``pairs`` (i < j), keyed by both orders; K_ji is
+    stored as the transpose of K_ij.  This is the only work whose size
+    depends on the sample count q."""
+    blocks = {}
+    for i, j in pairs:
+        ri, rj = reduced[i], reduced[j]
+        blocks[i, j] = ri.sigma[:, None] * (ri.V.T @ rj.V) * rj.sigma
+        blocks[j, i] = blocks[i, j].T
+    return blocks
+
+
+def _scaled_norm(hatX_j, rv):
+    """sqrt(tr(hatX_j^T Sigma_j^2 hatX_j)), the norm of diag(sigma_j) hatX_j."""
+    SX = rv.sigma[:, None] * hatX_j
     den = float(np.sum(SX * SX))
     if den <= 0.0:
         raise DegenerateViewError("projected variance vanished in a reduced view")
-    return (rv.V @ SX) / np.sqrt(den)
+    return np.sqrt(den)
+
+
+def _pull(s, hatX, rho, blocks, reduced):
+    """sum_{j != s} rho_sj K_sj hatX_j / ||diag(sigma_j) hatX_j||_F."""
+    acc = None
+    for j in range(len(reduced)):
+        if j == s or rho[s, j] == 0.0:
+            continue
+        term = (rho[s, j] / _scaled_norm(hatX[j], reduced[j])) * (blocks[s, j] @ hatX[j])
+        acc = term if acc is None else acc + term
+    if acc is None:
+        raise IsolatedViewError(f"view {s} has no nonzero pair weights")
+    return acc
+
+
+def _g(hatX, rho, pairs, blocks, reduced):
+    """sum over selected pairs of 2 rho_ij tr(hatX_i^T K_ij hatX_j)
+    / (||diag(sigma_i) hatX_i||_F ||diag(sigma_j) hatX_j||_F)."""
+    norms = [_scaled_norm(hx, rv) for hx, rv in zip(hatX, reduced)]
+    total = 0.0
+    for i, j in pairs:
+        corr = float(np.sum(hatX[i] * (blocks[i, j] @ hatX[j])))
+        total += 2.0 * rho[i, j] * corr / (norms[i] * norms[j])
+    return total
 
 
 def compute_Ds(s, hatX, weights, reduced):
     """Weighted pull of the other views on view ``s`` in reduced
     coordinates:
 
-        D_s = Sigma_s V_s^T  sum_{j != s} rho_sj V_j Sigma_j hatX_j
-                                              / sqrt(tr(hatX_j^T Sigma_j^2 hatX_j)).
+        D_s = sum_{j != s} rho_sj K_sj hatX_j / ||diag(sigma_j) hatX_j||_F,
+        K_sj = diag(sigma_s) V_s^T V_j diag(sigma_j).
 
     Pairs with zero weight are skipped entirely, so sparse weightings pay
-    only for their selected edges.
+    only for their selected edges.  Builds the blocks of view ``s`` on
+    every call; ``rcomcca`` builds all of them once per solve.
     """
-    rho = weights.rho
-    ell = len(reduced)
-    acc = None
-    for j in range(ell):
-        if j == s or rho[s, j] == 0.0:
-            continue
-        term = rho[s, j] * _scaled_term(hatX[j], reduced[j])
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise IsolatedViewError(f"view {s} has no nonzero pair weights")
-    rv = reduced[s]
-    return rv.sigma[:, None] * (rv.V.T @ acc)
+    pairs = [p for p in weights.selected_pairs() if s in p]
+    return _pull(s, hatX, weights.rho, _cross_blocks(reduced, pairs), reduced)
 
 
 def g_objective(hatX, weights, reduced):
     """Total correlation in reduced coordinates; equals the original-
     coordinate objective through X_i = U_i hatX_i."""
-    rho = weights.rho
-    ell = len(reduced)
-    scaled = [_scaled_term(hatX[i], reduced[i]) for i in range(ell)]
-    total = 0.0
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            if rho[i, j] == 0.0:
-                continue
-            total += 2.0 * rho[i, j] * float(np.sum(scaled[i] * scaled[j]))
-    return total
+    pairs = weights.selected_pairs()
+    return _g(hatX, weights.rho, pairs, _cross_blocks(reduced, pairs), reduced)
 
 
 def total_correlation(projections, views, weights):
@@ -173,16 +193,13 @@ def total_correlation(projections, views, weights):
     return total
 
 
-def _solve_view(s, D_s, reduced, hatX_s, scf_cfg):
-    spec = SubproblemSpec(np.diag(reduced[s].sigma**2), D_s, validate=False)
-    return scf_solve(spec, G0=hatX_s, cfg=scf_cfg)
-
-
 def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     """Range-constrained multiset solver.
 
-    Reduces every view by thin SVD, starts each reduced projection at the
-    leading identity columns and cycles over the views, solving each
+    Reduces every view by thin SVD and builds the reduced cross block of
+    every selected pair once, so a cycle costs nothing that grows with
+    the sample count.  Starts each reduced projection at the leading
+    identity columns and cycles over the views, solving each
     view's trace-fractional subproblem by SCF warm-started at its current
     value.  Stops when the per-cycle sum of subproblem optima changes by
     at most ``eps_outer`` relative, or at the cycle cap.  ``threads``
@@ -209,10 +226,14 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
         raise ContractViolation(f"k={k} exceeds sample count {q}")
 
     ell = len(views)
+    rho = weights.rho
+    pairs = weights.selected_pairs()
+    blocks = _cross_blocks(reduced, pairs)
     hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
-    uniform = all(
-        weights.rho[i, j] != 0.0 for i in range(ell) for j in range(i + 1, ell)
-    ) and np.allclose(weights.rho[~np.eye(ell, dtype=bool)], weights.rho[0, 1])
+
+    def subproblem(s):
+        D_s = _pull(s, hatX, rho, blocks, reduced)
+        return SubproblemSpec(np.diag(reduced[s].sigma**2), D_s, validate=False)
 
     report = OmccaReport(projections=[])
     loop_g_prev = 0.0
@@ -220,32 +241,12 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     gauss_seidel = cfg.scheme == "gauss_seidel"
 
     for cycle in range(1, cfg.max_cycles + 1):
-        term_count = 0
         iters = []
         loop_g = 0.0
 
-        if uniform:
-            # all weights equal: cache each view's scaled term once and
-            # build every D_s by a leave-one-out subtraction
-            rho_val = weights.rho[0, 1]
-            terms = [_scaled_term(hatX[j], reduced[j]) for j in range(ell)]
-            term_count += ell
-            total = sum(terms)
-
-        def d_for(s):
-            nonlocal term_count
-            if uniform:
-                acc = rho_val * (total - terms[s])
-                rv = reduced[s]
-                return rv.sigma[:, None] * (rv.V.T @ acc)
-            edges = int(np.count_nonzero(weights.rho[s]))
-            term_count += edges
-            return compute_Ds(s, hatX, weights, reduced)
-
         if gauss_seidel:
             for s in range(ell):
-                D_s = d_for(s)
-                spec = SubproblemSpec(np.diag(reduced[s].sigma**2), D_s, validate=False)
+                spec = subproblem(s)
                 e_old = eta(hatX[s], spec)
                 rep = scf_solve(spec, G0=hatX[s], cfg=cfg.scf_cfg)
                 if rep.eta_trace[-1] >= e_old:
@@ -256,26 +257,17 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
                     # objective stays monotone
                     loop_g += e_old
                 iters.append(rep.iterations)
-                if uniform:
-                    new_term = _scaled_term(hatX[s], reduced[s])
-                    term_count += 1
-                    total = total + new_term - terms[s]
-                    terms[s] = new_term
         else:
-            ds_list = [d_for(s) for s in range(ell)]
+            specs = [subproblem(s) for s in range(ell)]
+
+            def solve(s):
+                return scf_solve(specs[s], G0=hatX[s], cfg=cfg.scf_cfg)
+
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    reps = list(
-                        pool.map(
-                            lambda s: _solve_view(s, ds_list[s], reduced, hatX[s], cfg.scf_cfg),
-                            range(ell),
-                        )
-                    )
+                    reps = list(pool.map(solve, range(ell)))
             else:
-                reps = [
-                    _solve_view(s, ds_list[s], reduced, hatX[s], cfg.scf_cfg)
-                    for s in range(ell)
-                ]
+                reps = [solve(s) for s in range(ell)]
             for s, rep in enumerate(reps):
                 hatX[s] = rep.solution
                 loop_g += rep.eta_trace[-1]
@@ -286,12 +278,12 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
             # oscillate); one in-subspace realignment sweep against the
             # fresh partners repairs that without moving any subspace
             for s in range(ell):
-                hatX[s] = align(hatX[s], compute_Ds(s, hatX, weights, reduced))
+                hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, reduced))
 
         report.loop_g_trace.append(loop_g)
-        report.g_trace.append(g_objective(hatX, weights, reduced))
+        report.g_trace.append(_g(hatX, rho, pairs, blocks, reduced))
         report.per_cycle_subproblem_iters.append(iters)
-        report.ds_terms_per_cycle.append(term_count)
+        report.ds_terms_per_cycle.append(2 * len(pairs))
 
         if abs(loop_g - loop_g_prev) <= cfg.eps_outer * loop_g:
             reason = "rel_change_tol"

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ContractViolation, UndefinedRatioError
 from .linalg import (
-    DENSE_EIG_CUTOFF,
     align,
     as_matrix,
     dist_tr,
@@ -219,8 +218,7 @@ def scf_solve(spec, G0=None, cfg=None):
     """Run the SCF iteration on one trace-fractional subproblem.
 
     Each sweep builds E at the current iterate, takes the eigenbasis of
-    its k smallest eigenvalues (dense for n <= 500, warm-started block
-    iteration above) and realigns it against D.  Stops when the scaled
+    its k smallest eigenvalues and realigns it against D.  Stops when the scaled
     gradient norm drops below ``eps_scf``, when the relative objective
     change drops below ``eps_scf**1.5``, or after ``max_iter`` sweeps.
 
@@ -250,11 +248,10 @@ def scf_solve(spec, G0=None, cfg=None):
     e_prev = eta(G, spec)
     report = ScfReport(solution=G, eta_trace=[e_prev], zero_ratio_events=zero_events)
 
-    warm = n > DENSE_EIG_CUTOFF
     reason = "max_iter"
     for nu in range(1, cfg.max_iter + 1):
         E = build_E(G, spec)
-        eig = k_smallest_eigenbasis(E, k, warm_start=G if warm else None)
+        eig = k_smallest_eigenbasis(E, k)
         G_new = align(eig.basis, spec.D)
         G_new = ensure_orthonormal(G_new)
         phi_d = float(np.trace(G_new.T @ spec.D))

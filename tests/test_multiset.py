@@ -8,16 +8,19 @@ from occakit import (
     OmccaConfig,
     RankDeficiencyError,
     ScfConfig,
+    SubproblemSpec,
     build_two_view,
     build_weights,
     center,
     compute_Ds,
     dist_tr,
+    eta,
     g_objective,
     occa_alternate,
     orthonormalize,
     rcomcca,
     reduce_views,
+    scf_solve,
     total_correlation,
 )
 from occakit.weighting import WeightMatrix
@@ -305,6 +308,25 @@ class TestRcomcca:
         assert all(c == 2 * 4 for c in rep.ds_terms_per_cycle)
         for X in rep.projections:
             assert np.max(np.abs(X.T @ X - np.eye(2))) <= 1e-9
+
+    def test_one_cycle_replays_through_public_functions(self):
+        # nearly uniform weights: every pair must still pull with its own
+        # weight, not with a shared one
+        views = three_views(seed=26)
+        rho = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0 + 1e-6], [1.0, 1.0 + 1e-6, 0.0]])
+        w = WeightMatrix.custom(rho)
+        cfg = OmccaConfig(max_cycles=1, scheme="gauss_seidel")
+        rep = rcomcca(views, 2, w, cfg=cfg)
+        reduced = reduce_views(views)
+        hats = identity_hats(reduced, 2)
+        for s, rv in enumerate(reduced):
+            spec = SubproblemSpec(np.diag(rv.sigma**2), compute_Ds(s, hats, w, reduced))
+            sub = scf_solve(spec, G0=hats[s], cfg=cfg.scf_cfg)
+            if sub.eta_trace[-1] >= eta(hats[s], spec):
+                hats[s] = sub.solution
+        for X, rv, hx in zip(rep.projections, reduced, hats):
+            assert np.max(np.abs(X - rv.U @ hx)) <= 1e-12
+        assert rep.g_trace[0] == pytest.approx(g_objective(hats, w, reduced), rel=1e-12)
 
     def test_badly_scaled_views_still_solve(self):
         views = three_views(seed=25)

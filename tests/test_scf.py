@@ -286,7 +286,7 @@ class TestScfSolve:
         # with D = e1 and diagonal A the identity start is already optimal
         assert rep.eta_trace[0] == pytest.approx(1.0)
 
-    def test_large_n_uses_warm_started_block_solver(self):
+    def test_large_n_monotone_and_terminates(self):
         rng = np.random.default_rng(11)
         n, k = 520, 2
         M = rng.standard_normal((n, 2 * n))
