@@ -3,9 +3,9 @@
 Commands: ``gen`` (synthetic two-view data), ``occa`` (two-view solver),
 ``omcca`` (multiset solver), ``cca-baseline`` (classical CCA) and
 ``eval`` (re-score stored projections).  Exit codes: 0 success, 2 I/O or
-parse failure, 3 finished at the iteration cap (outputs still written),
-4 domain error (rank deficiency, degenerate or isolated views, bad
-shapes).
+parse failure (including non-finite CSV values), 3 finished at the
+iteration cap (outputs still written), 4 domain error (rank deficiency,
+degenerate or isolated views, bad shapes, a thread count below 1).
 """
 
 from __future__ import annotations
@@ -32,10 +32,14 @@ EXIT_DOMAIN = 4
 
 
 def _threads_default():
+    raw = os.environ.get("OCCA_KIT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("OCCA_KIT_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ContractViolation(f"OCCA_KIT_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def build_parser():

@@ -95,7 +95,8 @@ def load_matrix(path, header=False):
     """Parse a CSV matrix (one row per line, comma separated).
 
     Raises ParseError with the offending line/column for ragged rows,
-    non-numeric tokens or an empty file.
+    non-numeric or non-finite tokens (``nan``, ``inf``, overflow such as
+    ``1e400``) or an empty file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -127,7 +128,13 @@ def load_matrix(path, header=False):
         rows.append(row)
     if not rows:
         raise ParseError("empty file", path=path, line=1)
-    return np.array(rows, dtype=float)
+    M = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        tok = lines[i].split(",")[j].strip()
+        raise ParseError(f"non-finite value {tok!r}", path=path, line=i + offset, column=j + 1)
+    return M
 
 
 def save_matrix(M, path):

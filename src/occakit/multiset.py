@@ -107,37 +107,56 @@ def _cross_blocks(reduced, pairs):
     return blocks
 
 
-def _scaled_norm(hatX_j, rv):
+def _scaled_norm(hatX_j, sigma_j):
     """sqrt(tr(hatX_j^T Sigma_j^2 hatX_j)), the norm of diag(sigma_j) hatX_j."""
-    SX = rv.sigma[:, None] * hatX_j
+    SX = sigma_j[:, None] * hatX_j
     den = float(np.sum(SX * SX))
     if den <= 0.0:
         raise DegenerateViewError("projected variance vanished in a reduced view")
     return np.sqrt(den)
 
 
-def _pull(s, hatX, rho, blocks, reduced):
+def _pull(s, hatX, rho, blocks, sigmas):
     """sum_{j != s} rho_sj K_sj hatX_j / ||diag(sigma_j) hatX_j||_F."""
     acc = None
-    for j in range(len(reduced)):
+    for j in range(len(sigmas)):
         if j == s or rho[s, j] == 0.0:
             continue
-        term = (rho[s, j] / _scaled_norm(hatX[j], reduced[j])) * (blocks[s, j] @ hatX[j])
+        term = (rho[s, j] / _scaled_norm(hatX[j], sigmas[j])) * (blocks[s, j] @ hatX[j])
         acc = term if acc is None else acc + term
     if acc is None:
         raise IsolatedViewError(f"view {s} has no nonzero pair weights")
     return acc
 
 
-def _g(hatX, rho, pairs, blocks, reduced):
+def _g(hatX, rho, pairs, blocks, sigmas):
     """sum over selected pairs of 2 rho_ij tr(hatX_i^T K_ij hatX_j)
     / (||diag(sigma_i) hatX_i||_F ||diag(sigma_j) hatX_j||_F)."""
-    norms = [_scaled_norm(hx, rv) for hx, rv in zip(hatX, reduced)]
+    norms = [_scaled_norm(hx, sig) for hx, sig in zip(hatX, sigmas)]
     total = 0.0
     for i, j in pairs:
         corr = float(np.sum(hatX[i] * (blocks[i, j] @ hatX[j])))
         total += 2.0 * rho[i, j] * corr / (norms[i] * norms[j])
     return total
+
+
+def view_spec(s, hatX, rho, blocks, sigmas):
+    """Subproblem of view ``s``: A = diag(sigma_s^2) and D = its pull."""
+    D = _pull(s, hatX, rho, blocks, sigmas)
+    return SubproblemSpec(np.diag(sigmas[s] ** 2), D, validate=False)
+
+
+def update_view(s, hatX, rho, blocks, sigmas, scf_cfg):
+    """Gauss-Seidel step on view ``s``: SCF from ``hatX[s]``, kept unless it
+    ended lower (tolerance slack only), so the objective never decreases.
+    Returns (subproblem objective at the kept iterate, SCF iterations)."""
+    spec = view_spec(s, hatX, rho, blocks, sigmas)
+    e_old = eta(hatX[s], spec)
+    rep = scf_solve(spec, G0=hatX[s], cfg=scf_cfg)
+    if rep.eta_trace[-1] < e_old:
+        return e_old, rep.iterations
+    hatX[s] = rep.solution
+    return rep.eta_trace[-1], rep.iterations
 
 
 def compute_Ds(s, hatX, weights, reduced):
@@ -152,14 +171,16 @@ def compute_Ds(s, hatX, weights, reduced):
     every call; ``rcomcca`` builds all of them once per solve.
     """
     pairs = [p for p in weights.selected_pairs() if s in p]
-    return _pull(s, hatX, weights.rho, _cross_blocks(reduced, pairs), reduced)
+    sigmas = [rv.sigma for rv in reduced]
+    return _pull(s, hatX, weights.rho, _cross_blocks(reduced, pairs), sigmas)
 
 
 def g_objective(hatX, weights, reduced):
     """Total correlation in reduced coordinates; equals the original-
     coordinate objective through X_i = U_i hatX_i."""
     pairs = weights.selected_pairs()
-    return _g(hatX, weights.rho, pairs, _cross_blocks(reduced, pairs), reduced)
+    sigmas = [rv.sigma for rv in reduced]
+    return _g(hatX, weights.rho, pairs, _cross_blocks(reduced, pairs), sigmas)
 
 
 def total_correlation(projections, views, weights):
@@ -212,6 +233,8 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
         raise ContractViolation("need at least two views")
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
+    if threads < 1:
+        raise ContractViolation(f"threads must be >= 1, got {threads}")
     qs = {np.asarray(v).shape[1] for v in views}
     if len(qs) != 1:
         raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
@@ -229,11 +252,8 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     rho = weights.rho
     pairs = weights.selected_pairs()
     blocks = _cross_blocks(reduced, pairs)
+    sigmas = [rv.sigma for rv in reduced]
     hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
-
-    def subproblem(s):
-        D_s = _pull(s, hatX, rho, blocks, reduced)
-        return SubproblemSpec(np.diag(reduced[s].sigma**2), D_s, validate=False)
 
     report = OmccaReport(projections=[])
     loop_g_prev = 0.0
@@ -246,19 +266,11 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
 
         if gauss_seidel:
             for s in range(ell):
-                spec = subproblem(s)
-                e_old = eta(hatX[s], spec)
-                rep = scf_solve(spec, G0=hatX[s], cfg=cfg.scf_cfg)
-                if rep.eta_trace[-1] >= e_old:
-                    hatX[s] = rep.solution
-                    loop_g += rep.eta_trace[-1]
-                else:
-                    # tolerance slack only; keep the stale iterate so the
-                    # objective stays monotone
-                    loop_g += e_old
-                iters.append(rep.iterations)
+                e_s, it = update_view(s, hatX, rho, blocks, sigmas, cfg.scf_cfg)
+                loop_g += e_s
+                iters.append(it)
         else:
-            specs = [subproblem(s) for s in range(ell)]
+            specs = [view_spec(s, hatX, rho, blocks, sigmas) for s in range(ell)]
 
             def solve(s):
                 return scf_solve(specs[s], G0=hatX[s], cfg=cfg.scf_cfg)
@@ -278,10 +290,10 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
             # oscillate); one in-subspace realignment sweep against the
             # fresh partners repairs that without moving any subspace
             for s in range(ell):
-                hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, reduced))
+                hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, sigmas))
 
         report.loop_g_trace.append(loop_g)
-        report.g_trace.append(_g(hatX, rho, pairs, blocks, reduced))
+        report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
         report.per_cycle_subproblem_iters.append(iters)
         report.ds_terms_per_cycle.append(2 * len(pairs))
 

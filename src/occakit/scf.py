@@ -97,8 +97,9 @@ class ScfConfig:
 class ScfReport:
     """Per-iteration trace of one SCF solve plus final certificates.
 
-    ``eta_trace[0]`` is the objective at the (aligned) starting point;
-    entry ``nu`` corresponds to iterate ``nu``.  The remaining lists have
+    ``eta_trace[0]`` is the objective at the starting point as given
+    (aligned against D only when tr(G^T D) = 0 there); entry ``nu``
+    corresponds to iterate ``nu``.  The remaining lists have
     one entry per completed iteration: the eigengap of E at the previous
     iterate, the scaled gradient norm used in the stopping test, the
     smallest eigenvalue of sym(D^T G) (the PSD certificate) and the
@@ -222,9 +223,12 @@ def scf_solve(spec, G0=None, cfg=None):
     gradient norm drops below ``eps_scf``, when the relative objective
     change drops below ``eps_scf**1.5``, or after ``max_iter`` sweeps.
 
-    The start defaults to the leading identity columns.  A start with
-    G^T D = 0 is first aligned, then nudged by a small deterministic
-    Gaussian perturbation (up to three times) before giving up.
+    The start defaults to the leading identity columns and is used as
+    given: it is aligned against D only when tr(G^T D) = 0, and then also
+    nudged by a small deterministic Gaussian perturbation (up to three
+    times) before giving up.  An unaligned start matters: the sign of
+    tr(G^T D) is the sign of xi in the first E(G), so it decides which
+    eigenbasis the first sweep takes and hence where the solve goes.
     """
     cfg = cfg or ScfConfig()
     k = spec.k

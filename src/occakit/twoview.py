@@ -4,8 +4,9 @@ Maximizes the squared-correlation objective
 
     F(X, Y) = tr^2(X^T C Y) / (tr(X^T A X) tr(Y^T B Y))
 
-over pairs of orthonormal-column matrices by alternating trace-fractional
-solves in X and Y, with a joint realignment after every sweep.  Also
+over pairs of orthonormal-column matrices inside the range of their
+views, by alternating trace-fractional solves in X and Y (the multiset
+engine with two views), with a joint realignment after every sweep.  Also
 provides the classical (whitened) CCA solution and QR post-
 orthogonalization as baselines.
 """
@@ -18,8 +19,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContractViolation, DegenerateViewError, RankDeficiencyError
-from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, pair_align, require_orthonormal
-from .scf import ScfConfig, SubproblemSpec, scf_solve
+from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
+from .linalg import require_orthonormal
+from .multiset import update_view, view_spec
+from .scf import ScfConfig, eta, grad_eta
 
 # Row means above this (relative to the matrix scale) fail the
 # centering contract.
@@ -70,39 +73,21 @@ def build_two_view(S1, S2):
     )
 
 
-def _denominators(X, Y, prob):
+def objective_f(X, Y, prob):
+    """Signed correlation tr(X^T C Y)/sqrt(tr(X^T A X) tr(Y^T B Y)); F = f^2."""
     a = float(np.einsum("ij,ij->", X, prob.A @ X))
     b = float(np.einsum("ij,ij->", Y, prob.B @ Y))
     if a <= 0.0:
         raise DegenerateViewError("view 1 has zero variance in the projected subspace")
     if b <= 0.0:
         raise DegenerateViewError("view 2 has zero variance in the projected subspace")
-    return a, b
-
-
-def objective_F(X, Y, prob):
-    """Squared-correlation objective tr^2(X^T C Y)/(tr(X^T A X) tr(Y^T B Y))."""
-    a, b = _denominators(X, Y, prob)
-    c = float(np.einsum("ij,ij->", X, prob.C @ Y))
-    return c**2 / (a * b)
-
-
-def objective_f(X, Y, prob):
-    """Signed correlation tr(X^T C Y)/sqrt(tr(X^T A X) tr(Y^T B Y)); F = f^2."""
-    a, b = _denominators(X, Y, prob)
     c = float(np.einsum("ij,ij->", X, prob.C @ Y))
     return c / np.sqrt(a * b)
 
 
-def grad_F(X, Y, prob):
-    """Tangent-projected partial gradients of F, stacked as a pair."""
-    a, b = _denominators(X, Y, prob)
-    c = float(np.einsum("ij,ij->", X, prob.C @ Y))
-    gx = (2.0 * c / (a * b)) * (prob.C @ Y) - (2.0 * c**2 / (a**2 * b)) * (prob.A @ X)
-    gy = (2.0 * c / (a * b)) * (prob.C.T @ X) - (2.0 * c**2 / (a * b**2)) * (prob.B @ Y)
-    sx = 0.5 * (X.T @ gx + gx.T @ X)
-    sy = 0.5 * (Y.T @ gy + gy.T @ Y)
-    return gx - X @ sx, gy - Y @ sy
+def objective_F(X, Y, prob):
+    """Squared-correlation objective tr^2(X^T C Y)/(tr(X^T A X) tr(Y^T B Y))."""
+    return objective_f(X, Y, prob) ** 2
 
 
 @dataclass
@@ -138,49 +123,56 @@ class OccaReport:
 
 
 def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
-    """Alternating maximization of F: per outer step, solve the X
-    subproblem (A, C Y / sqrt(tr(Y^T B Y))) by SCF warm-started at the
-    previous X, then the Y subproblem symmetrically, then jointly realign
-    the pair.  Stops on the gradient norm, the relative change of F, or
-    the outer-iteration cap.  F never decreases along the outer steps,
-    and X^T C Y is symmetric PSD after every step.
+    """Alternating maximization of F as the two-view multiset problem:
+    A and B are cut to their numerical range (A = U_A diag(sigma_A^2)
+    U_A^T, rank rule of ``classical_cca``) and C to K = U_A^T C U_B, so
+    q < n needs nothing special.  Per outer step: the Gauss-Seidel update
+    of hatX (warm-started SCF), then of hatY, then a joint realignment.
+    Stops on the gradient norm, the relative change of F, or the outer-
+    iteration cap.  F never decreases, X^T C Y is symmetric PSD after
+    every step, and X = U_A hatX lies in the range of its view.  The start
+    is X0 (default: leading identity columns) projected onto the range and
+    orthonormalized, i.e. X0 itself at full rank; likewise for Y0.
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
     if not (1 <= k < min(prob.n, prob.m)):
         raise ContractViolation(f"need 1 <= k < min(n, m) = {min(prob.n, prob.m)}, got k={k}")
-    X = np.eye(prob.n)[:, :k] if X0 is None else require_orthonormal(np.array(X0, dtype=float), "X0")
-    Y = np.eye(prob.m)[:, :k] if Y0 is None else require_orthonormal(np.array(Y0, dtype=float), "Y0")
+    X0 = np.eye(prob.n)[:, :k] if X0 is None else require_orthonormal(np.array(X0, dtype=float), "X0")
+    Y0 = np.eye(prob.m)[:, :k] if Y0 is None else require_orthonormal(np.array(Y0, dtype=float), "Y0")
+    if X0.shape != (prob.n, k) or Y0.shape != (prob.m, k):
+        want = f"{prob.n}x{k}, {prob.m}x{k}"
+        raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
+    U_A, lam_A = _range_whitener(prob, 1, k)
+    U_B, lam_B = _range_whitener(prob, 2, k)
+    sigmas = [np.sqrt(lam_A), np.sqrt(lam_B)]
+    K = U_A.T @ prob.C @ U_B
+    blocks = {(0, 1): K, (1, 0): K.T}
+    hat = [orthonormalize(U_A.T @ X0), orthonormalize(U_B.T @ Y0)]
+    rho = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    report = OccaReport(X=X, Y=Y)
+    report = OccaReport(X=X0, Y=Y0)
     c_scale = max(1.0, float(np.max(np.abs(prob.C))))
     F_prev = None
     reason = "max_outer"
     for outer in range(1, alt_cfg.max_outer + 1):
-        # definiteness of A and B is validated on the first sweep only
-        check = outer == 1
-        _, b = _denominators(X, Y, prob)
-        spec_x = SubproblemSpec(prob.A, (prob.C @ Y) / np.sqrt(b), validate=check)
-        rx = scf_solve(spec_x, G0=X, cfg=scf_cfg)
-        X = rx.solution
+        _, ix = update_view(0, hat, rho, blocks, sigmas, scf_cfg)
+        _, iy = update_view(1, hat, rho, blocks, sigmas, scf_cfg)
+        hX, hY = pair_align(hat[0], hat[1], K)
+        hat = [ensure_orthonormal(hX), ensure_orthonormal(hY)]
 
-        a, _ = _denominators(X, Y, prob)
-        spec_y = SubproblemSpec(prob.B, (prob.C.T @ X) / np.sqrt(a), validate=check)
-        ry = scf_solve(spec_y, G0=Y, cfg=scf_cfg)
-        Y = ry.solution
-
-        X, Y = pair_align(X, Y, prob.C)
-        X = ensure_orthonormal(X)
-        Y = ensure_orthonormal(Y)
-
-        W = X.T @ prob.C @ Y
+        # X^T C Y = hatX^T K hatY
+        W = hat[0].T @ K @ hat[1]
         report.xcy_asyms.append(float(np.max(np.abs(W - W.T))) / c_scale)
         report.xcy_min_eigs.append(float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]))
-        report.inner_iterations.append((rx.iterations, ry.iterations))
+        report.inner_iterations.append((ix, iy))
 
-        F_val = objective_F(X, Y, prob)
+        # F is eta of either subproblem at the realigned pair, and the
+        # partial gradients of F are the subproblem gradients
+        specs = [view_spec(s, hat, rho, blocks, sigmas) for s in (0, 1)]
+        F_val = eta(hat[0], specs[0])
         report.F_trace.append(F_val)
-        gx, gy = grad_F(X, Y, prob)
+        gx, gy = (grad_eta(h, spec) for h, spec in zip(hat, specs))
         gnorm = float(np.sqrt(np.linalg.norm(gx) ** 2 + np.linalg.norm(gy) ** 2))
 
         if gnorm <= alt_cfg.eps_alt:
@@ -198,17 +190,21 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     else:
         report.outer_iterations = alt_cfg.max_outer
 
-    report.X, report.Y = X, Y
-    report.f_final = objective_f(X, Y, prob)
+    report.X, report.Y = U_A @ hat[0], U_B @ hat[1]
+    report.f_final = objective_f(report.X, report.Y, prob)
     report.grad_norm_final = gnorm
     report.termination_reason = reason
     return report
 
 
-def _range_whitener(Cov, rank_tol, view):
-    """Eigen-based pseudo-inverse square root restricted to the numerical
-    range of a PSD covariance block.  Returns (Q_r, lam_r) with columns
-    ordered by decreasing eigenvalue."""
+def _range_whitener(prob, view, k, rank_tol=None):
+    """Eigen factors of the covariance of ``view`` (1: A, 2: B) restricted
+    to its numerical range: eigenvalues above ``rank_tol`` (default
+    max(n, m, q) eps) times the largest.  Returns (Q_r, lam_r) with columns
+    ordered by decreasing eigenvalue; raises when the rank is below k."""
+    Cov = prob.A if view == 1 else prob.B
+    if rank_tol is None:
+        rank_tol = max(prob.n, prob.m, prob.q) * np.finfo(float).eps
     vals, vecs = sla.eigh(0.5 * (Cov + Cov.T))
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
@@ -216,6 +212,8 @@ def _range_whitener(Cov, rank_tol, view):
     r = int(np.sum(vals > thr))
     if r == 0:
         raise RankDeficiencyError(f"view {view} covariance is numerically zero", view=view)
+    if k > r:
+        raise RankDeficiencyError(f"k={k} exceeds numerical rank {r} of view {view}", view=view)
     return vecs[:, :r], vals[:r]
 
 
@@ -227,18 +225,8 @@ def classical_cca(prob, k, rank_tol=None):
     and maps back.  Returns (X1, X2, correlations) with X1^T A X1 = I,
     X2^T B X2 = I and correlations sorted nonincreasing in [0, 1].
     """
-    if rank_tol is None:
-        rank_tol = max(prob.n, prob.m, prob.q) * np.finfo(float).eps
-    Q1, lam1 = _range_whitener(prob.A, rank_tol, view=1)
-    Q2, lam2 = _range_whitener(prob.B, rank_tol, view=2)
-    if k > lam1.size:
-        raise RankDeficiencyError(
-            f"k={k} exceeds numerical rank {lam1.size} of view 1", view=1
-        )
-    if k > lam2.size:
-        raise RankDeficiencyError(
-            f"k={k} exceeds numerical rank {lam2.size} of view 2", view=2
-        )
+    Q1, lam1 = _range_whitener(prob, 1, k, rank_tol)
+    Q2, lam2 = _range_whitener(prob, 2, k, rank_tol)
     W1 = Q1 / np.sqrt(lam1)
     W2 = Q2 / np.sqrt(lam2)
     T = W1.T @ prob.C @ W2

@@ -76,6 +76,21 @@ class TestOcca:
         x, y = gen_pair(tmp_path, m=4, n=3, q=20)
         assert run("occa", "--x", x, "--y", y, "--k", 3, "--out", tmp_path / "o") == 4
 
+    def test_fewer_samples_than_features(self, tmp_path):
+        x, y = gen_pair(tmp_path, m=30, n=25, q=12, seed=4)
+        out = tmp_path / "run"
+        assert run("occa", "--x", x, "--y", y, "--k", 3, "--out", out) in (0, 3)
+        X = load_matrix(f"{out}_x_proj.csv")
+        assert np.max(np.abs(X.T @ X - np.eye(3))) <= 1e-10
+
+    def test_non_finite_token_is_parse_error(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=4, n=3, q=10)
+        M = load_matrix(x)
+        M[1, 2] = np.nan
+        save_matrix(M, x)
+        assert run("occa", "--x", x, "--y", y, "--k", 1, "--out", tmp_path / "o") == 2
+        assert f"{x}:2:3" in capsys.readouterr().err
+
     def test_no_center_flag_enforces_centering_contract(self, tmp_path):
         # generator output is uncentered, so skipping the centering step
         # must trip the solver's centered-input check
@@ -150,11 +165,22 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert run("omcca", "--views", x, y, "--k", 1, "--scheme", "jacobi",
                "--out", out) in (0, 3)
     assert read_report(f"{out}_report.json")["config"]["threads"] == 3
-    monkeypatch.setenv("OCCA_KIT_THREADS", "not-a-number")
-    out2 = tmp_path / "env2"
+
+
+@pytest.mark.parametrize("value", ["not-a-number", "0", "-3", "1.5"])
+def test_threads_env_rejects_non_positive_or_non_integer(tmp_path, monkeypatch, capsys, value):
+    x, y = gen_pair(tmp_path, m=8, n=7, q=50, seed=30)
+    monkeypatch.setenv("OCCA_KIT_THREADS", value)
     assert run("omcca", "--views", x, y, "--k", 1, "--scheme", "jacobi",
-               "--out", out2) in (0, 3)
-    assert read_report(f"{out2}_report.json")["config"]["threads"] == 1
+               "--out", tmp_path / "env") == 4
+    assert "OCCA_KIT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_flag_below_one_is_domain_error(tmp_path, threads):
+    x, y = gen_pair(tmp_path, m=8, n=7, q=50, seed=30)
+    assert run("omcca", "--views", x, y, "--k", 1, "--threads", threads,
+               "--out", tmp_path / "o") == 4
 
 
 class TestCcaBaseline:

@@ -104,6 +104,15 @@ class TestMatrixIo:
             load_matrix(p)
         assert (exc.value.line, exc.value.column) == (2, 2)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_token_reports_position(self, tmp_path, token):
+        p = tmp_path / "m.csv"
+        p.write_text(f"h,h\n1,2\n3,{token}\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p, header=True)
+        assert (exc.value.line, exc.value.column) == (3, 2)
+        assert token in str(exc.value)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("")

@@ -285,6 +285,13 @@ class TestRcomcca:
             rcomcca(views, 3, w)
         assert exc.value.view == 1
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        views = three_views(seed=19)
+        w = build_weights(views, "uniform")
+        with pytest.raises(ContractViolation, match="threads"):
+            rcomcca(views, 1, w, cfg=OmccaConfig(scheme="jacobi"), threads=threads)
+
     def test_needs_two_views(self):
         views = three_views(seed=19)[:1]
         w = WeightMatrix.custom(np.array([[0.0, 1.0], [1.0, 0.0]]))

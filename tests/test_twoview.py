@@ -18,6 +18,7 @@ from occakit import (
     occa_alternate,
     orthonormalize,
     post_orthogonalize,
+    reduce_views,
 )
 
 import oracles
@@ -143,6 +144,29 @@ class TestOccaAlternate:
         prob = build_two_view(s1, s2)
         with pytest.raises(ContractViolation):
             occa_alternate(prob, k=4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_samples_than_features(self, seed):
+        # q < n: A and B are singular, so the solution must stay inside
+        # the range of each view
+        s1, s2 = synthetic_problem(m=30, n=25, q=12, seed=seed)
+        prob = build_two_view(s1, s2)
+        rep = occa_alternate(prob, k=3)
+        for P, rv in zip((rep.X, rep.Y), reduce_views([s1, s2])):
+            assert np.max(np.abs(P.T @ P - np.eye(3))) <= 1e-10
+            assert np.max(np.abs(P - rv.U @ (rv.U.T @ P))) <= 1e-10
+        tr = np.array(rep.F_trace)
+        assert np.all(np.diff(tr) >= -1e-12 * np.abs(tr[1:]))
+        c_scale = np.max(np.abs(prob.C))
+        assert all(v >= -1e-9 * c_scale for v in rep.xcy_min_eigs)
+        assert all(a <= 1e-10 for a in rep.xcy_asyms)
+
+    def test_k_above_rank_names_view(self):
+        s1, s2 = synthetic_problem(m=12, n=10, q=6, seed=3)
+        prob = build_two_view(s1, s2)
+        with pytest.raises(RankDeficiencyError) as exc:
+            occa_alternate(prob, k=8)
+        assert exc.value.view == 1
 
 
 class TestClassicalCca:
