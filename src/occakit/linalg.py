@@ -8,10 +8,11 @@ and repair that invariant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import ContractViolation, SolverFailure
 
@@ -99,11 +100,11 @@ class EigenResult:
 def k_smallest_eigenbasis(E, k):
     """Eigenbasis for the ``k`` algebraically smallest eigenvalues of ``E``.
 
-    ``E`` must be symmetric within 1e-10 (checked), ``1 <= k < n``.  The
-    dense symmetric eigensolver computes the k + 1 smallest eigenpairs,
-    the extra one giving the gap.  A zero ``gap`` flags a degenerate
-    eigenvalue at position k; the returned subspace is then only
-    determined up to the tie.
+    ``E`` must be symmetric within 1e-10 (checked), ``1 <= k < n``.  LAPACK
+    ``dsyevr``, called as ``scipy.linalg.eigh(subset_by_index=...)`` calls
+    it, computes the k + 1 smallest eigenpairs, the extra one giving the
+    gap.  A zero ``gap`` flags a degenerate eigenvalue at position k; the
+    returned subspace is then only determined up to the tie.
     """
     E = as_matrix(E, "E")
     n = E.shape[0]
@@ -114,12 +115,25 @@ def k_smallest_eigenbasis(E, k):
     asym = float(np.max(np.abs(E - E.T)))
     if asym > 1e-10:
         raise ContractViolation(f"E is not symmetric: max|E - E^T| = {asym:.3e}")
-    try:
-        vals, vecs = sla.eigh(0.5 * (E + E.T), subset_by_index=(0, k))
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise SolverFailure(f"dense symmetric eigensolver failed: {exc}") from exc
+    if asym > 0.0:
+        E = 0.5 * (E + E.T)
+    lwork, liwork = _syevr_workspace(n)
+    # E is symmetric, so E.T is the same matrix, already in Fortran order
+    vals, vecs, found, _, info = lapack.dsyevr(
+        E.T, range="I", il=1, iu=k + 1, lower=1, lwork=lwork, liwork=liwork
+    )
+    if info != 0 or found != k + 1:
+        raise SolverFailure(f"dsyevr failed: info={info}, {found} of {k + 1} eigenpairs")
     gap = float(vals[k] - vals[k - 1])
     return EigenResult(basis=vecs[:, :k], values=vals[:k].copy(), gap=max(gap, 0.0))
+
+
+@functools.cache
+def _syevr_workspace(n):
+    """LAPACK's optimal (lwork, liwork) for ``dsyevr``; a failed query
+    shows as the ``info`` of the call that uses them."""
+    work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    return int(work), int(iwork)
 
 
 def align(G, D):

@@ -226,7 +226,8 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     at most ``eps_outer`` relative, or at the cycle cap.  ``threads``
     parallelizes the subproblem solves of a Jacobi cycle only; results
     are merged in view order, so the outcome is identical at any thread
-    count.
+    count.  Raises ``RankDeficiencyError`` (0-based ``.view``) unless k is
+    below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
     if len(views) < 2:
@@ -241,9 +242,10 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     q = qs.pop()
     reduced = reduce_views(views, rank_tol=rank_tol)
     for idx, rv in enumerate(reduced):
-        if k > rv.r:
+        # a view's SCF subproblem has dimension rank and needs k below it
+        if k >= rv.r:
             raise RankDeficiencyError(
-                f"k={k} exceeds numerical rank {rv.r} of view {idx}", view=idx
+                f"k={k} must be below the numerical rank {rv.r} of view {idx}", view=idx
             )
     if k > q:
         raise ContractViolation(f"k={k} exceeds sample count {q}")

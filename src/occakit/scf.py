@@ -41,7 +41,8 @@ class SubproblemSpec:
 
     ``A`` must be symmetric positive definite and ``D`` nonzero; both are
     checked once at construction (skip with ``validate=False`` when the
-    caller already guarantees them, e.g. in inner solver loops).
+    caller already guarantees them, e.g. in inner solver loops).  A
+    validated ``A`` that is not exactly symmetric becomes (A + A^T)/2.
     """
 
     A: np.ndarray          # n x n symmetric positive definite
@@ -64,6 +65,8 @@ class SubproblemSpec:
             asym = float(np.max(np.abs(self.A - self.A.T)))
             if asym > 1e-10:
                 raise ContractViolation(f"A is not symmetric: max|A - A^T| = {asym:.3e}")
+            if asym > 0.0:
+                self.A = 0.5 * (self.A + self.A.T)
             if not self.D.any():
                 raise ContractViolation("D must be nonzero")
             lam_min = float(np.linalg.eigvalsh(self.A)[0])
@@ -117,71 +120,80 @@ class ScfReport:
     zero_ratio_events: int = 0
 
 
-def _phis(G, spec):
-    phi_d = float(np.trace(G.T @ spec.D))
-    phi_a = float(np.einsum("ij,ij->", G, spec.A @ G))
-    return phi_d, phi_a
+class _Iterate:
+    """One iterate G of a subproblem with the products that every
+    quantity at G is built from, each computed once: A G, G^T D,
+    phi_d = tr(G^T D) and phi_a = tr(G^T A G)."""
+
+    def __init__(self, G, spec):
+        self.G = G
+        self.spec = spec
+        self.AG = spec.A @ G
+        self.GtD = G.T @ spec.D
+        self.phi_d = float(np.trace(self.GtD))
+        self.phi_a = float(np.einsum("ij,ij->", G, self.AG))
+
+    @property
+    def eta(self):
+        return self.phi_d**2 / self.phi_a
+
+    @property
+    def xi(self):
+        if self.phi_d == 0.0:
+            raise UndefinedRatioError("tr(G^T D) = 0: xi(G) undefined; realign or perturb G")
+        return self.phi_a / self.phi_d
+
+    def stationarity(self):
+        """A G - xi D - G M(G) with M(G) = sym(G^T A G - xi G^T D)."""
+        R = self.AG - self.xi * self.spec.D
+        M = self.G.T @ R
+        M = 0.5 * (M + M.T)
+        return R - self.G @ M
+
+    def grad(self):
+        return (-2.0 / self.xi**2) * self.stationarity()
 
 
 def eta(G, spec):
     """Objective value tr^2(G^T D) / tr(G^T A G); invariant under D -> -D."""
-    phi_d, phi_a = _phis(G, spec)
-    return phi_d**2 / phi_a
+    return _Iterate(G, spec).eta
 
 
 def grad_eta(G, spec):
     """Riemannian gradient of eta at G (tangent to the orthonormality
     constraint): -(2/xi^2) ([A G - xi D] - G M(G)) with
     M(G) = sym(G^T A G - xi G^T D).  Undefined when tr(G^T D) = 0."""
-    phi_d, phi_a = _phis(G, spec)
-    if phi_d == 0.0:
-        raise UndefinedRatioError(
-            "tr(G^T D) = 0: gradient undefined; realign or perturb G"
-        )
-    xi = phi_a / phi_d
-    R = spec.A @ G - xi * spec.D
-    M = G.T @ R
-    M = 0.5 * (M + M.T)
-    return (-2.0 / xi**2) * (R - G @ M)
+    return _Iterate(G, spec).grad()
 
 
-def build_E(G, spec):
+def build_E(G, spec, xi=None):
     """The eigenvector-dependent operator E(G) = A - xi(G)(D G^T + G D^T),
-    symmetrized exactly to kill rounding."""
-    phi_d, phi_a = _phis(G, spec)
-    if phi_d == 0.0:
-        raise UndefinedRatioError("tr(G^T D) = 0: E(G) undefined; realign or perturb G")
-    xi = phi_a / phi_d
+    exactly symmetric when A is.  ``xi`` is xi(G) when the caller already
+    has it, else it is computed here."""
+    if xi is None:
+        xi = _Iterate(G, spec).xi
     S = spec.D @ G.T
-    E = spec.A - xi * (S + S.T)
-    return 0.5 * (E + E.T)
+    return spec.A - xi * (S + S.T)
 
 
 def kkt_residual(G, spec):
     """Joint first-order residual: max of the stationarity residual
     max|A G - xi D - G M(G)| and the symmetry residual max|G^T D - D^T G|.
     The first block equals (xi^2/2) * grad_eta(G) entrywise."""
-    phi_d, phi_a = _phis(G, spec)
-    if phi_d == 0.0:
-        raise UndefinedRatioError("tr(G^T D) = 0: KKT residual undefined")
-    xi = phi_a / phi_d
-    R = spec.A @ G - xi * spec.D
-    M = G.T @ R
-    M = 0.5 * (M + M.T)
-    r_stat = float(np.max(np.abs(R - G @ M)))
-    W = G.T @ spec.D
-    r_sym = float(np.max(np.abs(W - W.T)))
+    it = _Iterate(G, spec)
+    r_stat = float(np.max(np.abs(it.stationarity())))
+    r_sym = float(np.max(np.abs(it.GtD - it.GtD.T)))
     return max(r_stat, r_sym)
 
 
-def _scaled_grad_norm(G, spec, norm_a1, norm_d1):
-    """Entrywise-1-norm gradient scaled by xi^2 (|A|_1 + |D|_1); this is
-    the left-hand side of the gradient stopping test."""
-    phi_d, phi_a = _phis(G, spec)
-    if phi_d == 0.0:
+def _scaled_grad_norm(it, norm_a1, norm_d1):
+    """Entrywise-1-norm gradient at the iterate ``it`` scaled by
+    xi^2 (|A|_1 + |D|_1); this is the left-hand side of the gradient
+    stopping test."""
+    if it.phi_d == 0.0:
         return _SCALED_GRAD_CAP
-    xi = phi_a / phi_d
-    g1 = float(np.sum(np.abs(grad_eta(G, spec))))
+    xi = it.xi
+    g1 = float(np.sum(np.abs(it.grad())))
     denom = xi**2 * (norm_a1 + norm_d1)
     if denom == 0.0 or not np.isfinite(denom):
         return _SCALED_GRAD_CAP
@@ -247,34 +259,35 @@ def scf_solve(spec, G0=None, cfg=None):
     rel_tol = cfg.eps_scf**1.5
 
     zero_events = 0
-    if float(np.trace(G.T @ spec.D)) == 0.0:
+    cur = _Iterate(G, spec)
+    if cur.phi_d == 0.0:
         G, zero_events = _recover_zero_ratio(G, spec)
-    e_prev = eta(G, spec)
+        cur = _Iterate(G, spec)
+    e_prev = cur.eta
     report = ScfReport(solution=G, eta_trace=[e_prev], zero_ratio_events=zero_events)
 
     reason = "max_iter"
     for nu in range(1, cfg.max_iter + 1):
-        E = build_E(G, spec)
+        E = build_E(G, spec, xi=cur.xi)
         eig = k_smallest_eigenbasis(E, k)
-        G_new = align(eig.basis, spec.D)
-        G_new = ensure_orthonormal(G_new)
-        phi_d = float(np.trace(G_new.T @ spec.D))
-        if phi_d == 0.0:
+        G_new = ensure_orthonormal(align(eig.basis, spec.D))
+        new = _Iterate(G_new, spec)
+        if new.phi_d == 0.0:
             # transient degenerate iterate: recover and keep going
             G_new, extra = _recover_zero_ratio(G_new, spec)
             report.zero_ratio_events += 1 + extra
-        e_new = eta(G_new, spec)
+            new = _Iterate(G_new, spec)
+        e_new = new.eta
         report.eta_trace.append(e_new)
 
-        scaled = _scaled_grad_norm(G_new, spec, norm_a1, norm_d1)
-        W = G_new.T @ spec.D
-        Wsym = 0.5 * (W + W.T)
+        scaled = _scaled_grad_norm(new, norm_a1, norm_d1)
+        Wsym = 0.5 * (new.GtD + new.GtD.T)
         report.gaps.append(eig.gap)
         report.grad_norms.append(scaled)
         report.dtg_min_eigs.append(float(np.linalg.eigvalsh(Wsym)[0]))
         report.subspace_dists.append(dist_tr(G, G_new))
 
-        G = G_new
+        G, cur = G_new, new
         if scaled <= cfg.eps_scf:
             reason = "grad_tol"
         elif e_new != 0.0 and abs((e_new - e_prev) / e_new) <= rel_tol:
@@ -312,13 +325,14 @@ def second_order_check(G, spec, samples, rng):
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
     G = require_orthonormal(np.asarray(G, dtype=float), "G")
-    phi_d, phi_a = _phis(G, spec)
+    it = _Iterate(G, spec)
+    phi_d, phi_a = it.phi_d, it.phi_a
     scale = max(1.0, float(np.max(np.abs(spec.A))), float(np.max(np.abs(spec.D))))
     if phi_d != 0.0:
         resid = kkt_residual(G, spec)
     else:
         # the gradient is defined (and zero) at phi_d = 0 even though xi is not
-        dG = (2 * phi_d / phi_a) * spec.D - (2 * phi_d**2 / phi_a**2) * (spec.A @ G)
+        dG = (2 * phi_d / phi_a) * spec.D - (2 * phi_d**2 / phi_a**2) * it.AG
         sym = 0.5 * (G.T @ dG + dG.T @ G)
         resid = float(np.max(np.abs(dG - G @ sym)))
     if resid > 1e-4 * scale:
@@ -330,7 +344,7 @@ def second_order_check(G, spec, samples, rng):
     # eta(G) * M(G) written without dividing by phi_d, so the phi_d = 0
     # case (eta = 0) is handled cleanly
     GtAG = G.T @ spec.A @ G
-    GtD = G.T @ spec.D
+    GtD = it.GtD
     eta_m = (phi_d**2 / phi_a) * 0.5 * (GtAG + GtAG.T) - phi_d * 0.5 * (GtD + GtD.T)
 
     rng = np.random.default_rng(rng)

@@ -22,7 +22,7 @@ from .errors import ContractViolation, DegenerateViewError, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
 from .multiset import update_view, view_spec
-from .scf import ScfConfig, eta, grad_eta
+from .scf import ScfConfig, _Iterate
 
 # Row means above this (relative to the matrix scale) fail the
 # centering contract.
@@ -133,6 +133,8 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     every step, and X = U_A hatX lies in the range of its view.  The start
     is X0 (default: leading identity columns) projected onto the range and
     orthonormalized, i.e. X0 itself at full rank; likewise for Y0.
+    Raises ``RankDeficiencyError`` (1-based ``.view``) unless k is below
+    the numerical rank of both views.
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
@@ -145,6 +147,12 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
         raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
     U_A, lam_A = _range_whitener(prob, 1, k)
     U_B, lam_B = _range_whitener(prob, 2, k)
+    for view, lam in ((1, lam_A), (2, lam_B)):
+        # a view's SCF subproblem has dimension rank and needs k below it
+        if k >= lam.size:
+            raise RankDeficiencyError(
+                f"k={k} must be below the numerical rank {lam.size} of view {view}", view=view
+            )
     sigmas = [np.sqrt(lam_A), np.sqrt(lam_B)]
     K = U_A.T @ prob.C @ U_B
     blocks = {(0, 1): K, (1, 0): K.T}
@@ -169,10 +177,10 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
 
         # F is eta of either subproblem at the realigned pair, and the
         # partial gradients of F are the subproblem gradients
-        specs = [view_spec(s, hat, rho, blocks, sigmas) for s in (0, 1)]
-        F_val = eta(hat[0], specs[0])
+        its = [_Iterate(hat[s], view_spec(s, hat, rho, blocks, sigmas)) for s in (0, 1)]
+        F_val = its[0].eta
         report.F_trace.append(F_val)
-        gx, gy = (grad_eta(h, spec) for h, spec in zip(hat, specs))
+        gx, gy = (it.grad() for it in its)
         gnorm = float(np.sqrt(np.linalg.norm(gx) ** 2 + np.linalg.norm(gy) ** 2))
 
         if gnorm <= alt_cfg.eps_alt:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occakit
 from occakit import load_matrix, save_matrix
 from occakit.cli import main
 from occakit.data import read_report
@@ -118,6 +121,12 @@ class TestOmcca:
         W = np.array(rep["weight_matrix"])
         nonzero_pairs = [(i, j) for i in range(2) for j in range(i + 1, 2) if W[i, j] != 0]
         assert len(nonzero_pairs) == 1
+
+    def test_k_equal_to_rank_names_view(self, tmp_path, capsys):
+        # 6 samples, centered: both views have rank 5
+        x, y = gen_pair(tmp_path, m=12, n=10, q=6, seed=3)
+        assert run("omcca", "--views", x, y, "--k", 5, "--out", tmp_path / "run") == 4
+        assert "rank 5 of view 0" in capsys.readouterr().err
 
     def test_top1_three_views_isolates_one(self, tmp_path):
         # a top-1 selection over three views necessarily leaves one view
@@ -276,7 +285,11 @@ class TestDeterminism:
         assert r1 == r4
 
     def test_cross_process_byte_identical(self, tmp_path):
-        # two separate interpreter processes, same seed: identical bytes
+        # two separate interpreter processes, same seed: identical bytes;
+        # the children import the same occakit as this process
+        src = str(Path(occakit.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for tag in ("p1", "p2"):
             d = tmp_path / tag
             d.mkdir()
@@ -284,6 +297,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "occakit", "gen", "--m", "6", "--n", "5",
                  "--q", "30", "--seed", "17", "--out", str(d / "s")],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             proc = subprocess.run(
@@ -291,6 +305,7 @@ class TestDeterminism:
                  "--y", str(d / "s_y.csv"), "--k", "1", "--seed", "17",
                  "--out", str(d / "o")],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode in (0, 3), proc.stderr
         for name in ("s_x.csv", "s_y.csv", "o_x_proj.csv", "o_y_proj.csv"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from occakit import (
     ContractViolation,
@@ -52,6 +53,34 @@ class TestKSmallestEigenbasis:
             k_smallest_eigenbasis(np.eye(3), 3)
         with pytest.raises(ContractViolation):
             k_smallest_eigenbasis(np.eye(3), 0)
+
+    @pytest.mark.parametrize("n, k", [(7, 2), (9, 2), (60, 5), (200, 10), (520, 10)])
+    def test_bitwise_equal_to_scipy_eigh(self, n, k):
+        rng = np.random.default_rng(n)
+        for _ in range(2):  # the second call reuses the cached workspace size
+            M = rng.standard_normal((n, n))
+            E = 0.5 * (M + M.T)
+            res = k_smallest_eigenbasis(E, k)
+            vals, vecs = sla.eigh(E, subset_by_index=(0, k))
+            assert np.array_equal(res.values, vals[:k])
+            assert np.array_equal(res.basis, vecs[:, :k])
+            assert res.gap == vals[k] - vals[k - 1]
+
+    def test_tiny_asymmetry_is_averaged_away(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((9, 9))
+        E = 0.5 * (M + M.T)
+        E[0, 1] += 1e-11
+        res = k_smallest_eigenbasis(E, 2)
+        vals, vecs = sla.eigh(0.5 * (E + E.T), subset_by_index=(0, 2))
+        assert np.array_equal(res.values, vals[:2])
+        assert np.array_equal(res.basis, vecs[:, :2])
+
+    def test_rejects_non_finite(self):
+        E = np.eye(4)
+        E[2, 2] = np.nan
+        with pytest.raises(ContractViolation):
+            k_smallest_eigenbasis(E, 1)
 
     # random (n, k) per seed, plus one fixed instance above n = 500
     @pytest.mark.parametrize(

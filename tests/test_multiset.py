@@ -9,6 +9,7 @@ from occakit import (
     RankDeficiencyError,
     ScfConfig,
     SubproblemSpec,
+    SyntheticSpec,
     build_two_view,
     build_weights,
     center,
@@ -16,6 +17,7 @@ from occakit import (
     dist_tr,
     eta,
     g_objective,
+    gen_synthetic,
     occa_alternate,
     orthonormalize,
     rcomcca,
@@ -284,6 +286,14 @@ class TestRcomcca:
         with pytest.raises(RankDeficiencyError) as exc:
             rcomcca(views, 3, w)
         assert exc.value.view == 1
+
+    def test_k_equal_to_reduced_rank_names_view(self):
+        sx, sy = gen_synthetic(SyntheticSpec(m=12, n=10, q=6, seed=3))
+        views = [center(sx), center(sy)]
+        assert [rv.r for rv in reduce_views(views)] == [5, 5]
+        with pytest.raises(RankDeficiencyError, match="view 0") as exc:
+            rcomcca(views, 5, build_weights(views, "uniform"))
+        assert exc.value.view == 0
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):

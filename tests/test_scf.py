@@ -286,6 +286,51 @@ class TestScfSolve:
         # with D = e1 and diagonal A the identity start is already optimal
         assert rep.eta_trace[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kind, n, k", [("spd", 9, 2), ("diagonal", 60, 5)])
+    def test_matches_replay_from_public_steps(self, kind, n, k):
+        # scf_solve reuses one iterate's products across E, the stopping
+        # test and the certificates; replaying a sweep from the public
+        # functions must give the same numbers bit for bit
+        from occakit import align, k_smallest_eigenbasis
+        from occakit.linalg import ensure_orthonormal
+
+        rng = np.random.default_rng(31 if kind == "spd" else 32)
+        D = rng.standard_normal((n, k))
+        if kind == "spd":
+            M = rng.standard_normal((n, n))
+            A = M @ M.T + 0.1 * np.eye(n)
+            spec = SubproblemSpec(0.5 * (A + A.T), D)
+        else:
+            spec = SubproblemSpec(np.diag(rng.uniform(0.1, 4.0, n)), D, validate=False)
+        cfg = ScfConfig(eps_scf=1e-13, max_iter=60)
+        rep = scf_solve(spec, cfg=cfg)
+        assert rep.iterations >= 5
+
+        norm_1 = float(np.sum(np.abs(spec.A))) + float(np.sum(np.abs(spec.D)))
+        G = np.eye(n)[:, :k]
+        eta_trace, grad_norms, gaps, dtg_min_eigs, dists = [eta(G, spec)], [], [], [], []
+        for _ in range(rep.iterations):
+            eig = k_smallest_eigenbasis(build_E(G, spec), k)
+            G_new = ensure_orthonormal(align(eig.basis, spec.D))
+            eta_trace.append(eta(G_new, spec))
+            xi = float(np.einsum("ij,ij->", G_new, spec.A @ G_new)) / float(
+                np.trace(G_new.T @ spec.D)
+            )
+            grad_norms.append(
+                float(np.sum(np.abs(grad_eta(G_new, spec)))) / (xi**2 * norm_1)
+            )
+            gaps.append(eig.gap)
+            W = G_new.T @ spec.D
+            dtg_min_eigs.append(float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]))
+            dists.append(dist_tr(G, G_new))
+            G = G_new
+        assert np.array_equal(rep.solution, G)
+        assert rep.eta_trace == eta_trace
+        assert rep.grad_norms == grad_norms
+        assert rep.gaps == gaps
+        assert rep.dtg_min_eigs == dtg_min_eigs
+        assert rep.subspace_dists == dists
+
     def test_large_n_monotone_and_terminates(self):
         rng = np.random.default_rng(11)
         n, k = 520, 2

@@ -168,6 +168,17 @@ class TestOccaAlternate:
             occa_alternate(prob, k=8)
         assert exc.value.view == 1
 
+    def test_k_equal_to_rank_names_view(self):
+        # both views have rank 5: the SCF subproblem needs k below it
+        s1, s2 = synthetic_problem(m=12, n=10, q=6, seed=3)
+        prob = build_two_view(s1, s2)
+        with pytest.raises(RankDeficiencyError, match="view 1") as exc:
+            occa_alternate(prob, k=5)
+        assert exc.value.view == 1
+        # the classical baseline shares the rank rule and accepts k = rank
+        _, _, corr = classical_cca(prob, k=5)
+        assert np.allclose(corr, 1.0)
+
 
 class TestClassicalCca:
     def test_identical_views_full_correlations(self):
