@@ -56,7 +56,12 @@ def build_parser():
 
     def io_flags(p):
         p.add_argument("--no-center", action="store_true", help="skip centering on load")
-        p.add_argument("--header", action="store_true", help="inputs carry one header line")
+        p.add_argument(
+            "--header",
+            action="store_true",
+            help="data files carry one header line (not eval --proj files, which occakit "
+            "writes without one)",
+        )
         p.add_argument("--seed", type=int, default=0, help="echoed into the report")
         p.add_argument("--out", required=True, help="output prefix")
 
@@ -233,7 +238,7 @@ def cmd_cca_baseline(args):
 def cmd_eval(args):
     t0 = time.perf_counter()
     views = [_load_view(p, args) for p in args.data]
-    projs = [dio.load_matrix(p, header=args.header) for p in args.proj]
+    projs = [dio.load_matrix(p) for p in args.proj]
     if len(views) != len(projs):
         raise ContractViolation(
             f"{len(projs)} projections supplied for {len(views)} data files"

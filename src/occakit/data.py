@@ -1,9 +1,22 @@
-"""Data ingestion, centering, the synthetic two-view generator and
+r"""Data ingestion, centering, the synthetic two-view generator and
 serialization of matrices and run reports.
 
 Matrices are stored features-by-samples, matching every formula in the
 solvers.  CSV files carry one matrix row per line with 17-significant-
 digit decimals, so save/load round-trips are exact for double precision.
+
+The CSV grammar ``load_matrix`` accepts: UTF-8 text, with or without a
+leading byte-order mark, split into lines as ``str.splitlines`` does
+(``\n``, ``\r\n``, ``\r`` and the other Unicode line boundaries); one
+optional header line (``header=True``), skipped unread; then one or more
+rows of the same number of comma-separated tokens, and at most one empty
+line after the last row.  A token is an ASCII decimal float as numpy's
+C reader converts it (``PyOS_string_to_double``), with surrounding
+whitespace allowed: no quotes, comments, hex, digit-group underscores or
+non-ASCII digits.  ``nan``, ``inf`` and overflowing tokens parse but are
+rejected as non-finite.  The body is parsed in one call to that reader;
+the line/column scanner runs only after the reader rejects a file, to
+name the first offending line and column.
 """
 
 from __future__ import annotations
@@ -91,23 +104,29 @@ def gen_synthetic(spec):
     return S_X, S_Y
 
 
-def load_matrix(path, header=False):
-    """Parse a CSV matrix (one row per line, comma separated).
+def _parse(lines):
+    """Parse CSV lines with numpy's C reader, the one conversion the
+    loader accepts.  ``loadtxt`` skips empty lines and warns when none is
+    left, so callers pass no empty line."""
+    return np.loadtxt(lines, dtype=float, delimiter=",", ndmin=2, comments=None)
 
-    Raises ParseError with the offending line/column for ragged rows,
-    non-numeric or non-finite tokens (``nan``, ``inf``, overflow such as
-    ``1e400``) or an empty file.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if header:
-        lines = lines[1:]
-    rows = []
+
+def _parses(text):
+    """Whether the reader accepts ``text`` (one line or one token)."""
+    if not text:
+        return False
+    try:
+        _parse([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _locate_error(body, offset, path):
+    """Raise ParseError at the first ragged row or rejected token of a
+    body the fast parse refused, scanning with the same conversion."""
     width = None
-    offset = 2 if header else 1
-    for li, line in enumerate(lines, start=offset):
-        if line == "" and li - offset + 1 == len(lines):
-            break  # trailing newline
+    for li, line in enumerate(body, start=offset):
         tokens = line.split(",")
         if width is None:
             width = len(tokens)
@@ -117,22 +136,45 @@ def load_matrix(path, header=False):
                 path=path,
                 line=li,
             )
-        row = []
-        for ci, tok in enumerate(tokens, start=1):
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric token {tok.strip()!r}", path=path, line=li, column=ci
-                ) from None
-        rows.append(row)
-    if not rows:
+        if not _parses(line):
+            for ci, tok in enumerate(tokens, start=1):
+                if not _parses(tok):
+                    raise ParseError(
+                        f"non-numeric token {tok.strip()!r}", path=path, line=li, column=ci
+                    )
+    raise ParseError("not a numeric CSV matrix", path=path)
+
+
+def load_matrix(path, header=False):
+    """Parse a CSV matrix (one row per line, comma separated; the grammar
+    is in the module docstring).
+
+    Raises ParseError with the offending line/column for ragged rows,
+    non-numeric or non-finite tokens (``nan``, ``inf``, overflow such as
+    ``1e400``) or an empty file.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        body = fh.read().splitlines()
+    offset = 1
+    if header:
+        body = body[1:]
+        offset = 2
+    if body and body[-1] == "":
+        body.pop()  # one trailing empty line
+    if not body:
         raise ParseError("empty file", path=path, line=1)
-    M = np.array(rows, dtype=float)
+    M = None
+    if all(body):  # an empty body line is an error; loadtxt would skip it
+        try:
+            M = _parse(body)
+        except ValueError:
+            pass
+    if M is None or M.shape[0] != len(body):  # every body row lines up with a line
+        _locate_error(body, offset, path)
     bad = np.argwhere(~np.isfinite(M))
     if bad.size:
         i, j = (int(v) for v in bad[0])
-        tok = lines[i].split(",")[j].strip()
+        tok = body[i].split(",")[j].strip()
         raise ParseError(f"non-finite value {tok!r}", path=path, line=i + offset, column=j + 1)
     return M
 
@@ -141,10 +183,9 @@ def save_matrix(M, path):
     """Write a matrix as CSV with 17 significant digits (lossless for
     IEEE doubles)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    row_format = ",".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in M:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in M)
 
 
 def make_report(

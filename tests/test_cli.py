@@ -214,6 +214,20 @@ class TestEval:
         rep = read_report(f"{out}_report.json")
         assert metrics["f"] == pytest.approx(rep["f_final"], abs=1e-12)
 
+    def test_header_applies_to_data_not_projections(self, tmp_path):
+        x, y = gen_pair(tmp_path, m=8, n=7, q=40, seed=1)
+        for view in (x, y):
+            body = Path(view).read_text()
+            Path(view).write_text(",".join(f"s{i}" for i in range(40)) + "\n" + body)
+        out = tmp_path / "run"
+        assert run("occa", "--x", x, "--y", y, "--k", 2, "--header", "--out", out) in (0, 3)
+        ev = tmp_path / "ev"
+        assert run("eval", "--data", x, y, "--proj", f"{out}_x_proj.csv",
+                   f"{out}_y_proj.csv", "--header", "--out", ev) == 0
+        metrics = read_report(f"{ev}_metrics.json")
+        rep = read_report(f"{out}_report.json")
+        assert metrics["f"] == pytest.approx(rep["f_final"], abs=1e-12)
+
     def test_rank_deficient_orthogonalize_flags_zero(self, tmp_path):
         x, y = gen_pair(tmp_path, m=6, n=5, q=40)
         bad = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from occakit import (
     load_matrix,
     save_matrix,
 )
+from occakit import data as data_module
 from occakit.data import make_report, read_report, write_report
 
 
@@ -137,6 +140,91 @@ class TestMatrixIo:
         p = tmp_path / "m.csv"
         save_matrix(M, p)
         assert np.array_equal(load_matrix(p), M)
+
+    @pytest.mark.parametrize(
+        ("text", "header", "line", "column", "message"),
+        [
+            pytest.param("1,2\n\n3,4\n", False, 2, None, "ragged row", id="blank-line"),
+            pytest.param("1,2\n \t\n3,4\n", False, 2, None, "ragged row", id="whitespace-line"),
+            pytest.param("1\n  \n3\n", False, 2, 1, "non-numeric token ''", id="whitespace-cell"),
+            pytest.param("1,2\n# comment\n3,4\n", False, 2, None, "ragged row", id="comment-row"),
+            pytest.param('1,2\n3,"1"\n', False, 2, 2, """non-numeric token '"1"'""", id="quoted"),
+            pytest.param("1,2\n0x10,4\n", False, 2, 1, "non-numeric token '0x10'", id="hex"),
+            pytest.param("a,b\n1,2\n3\n", True, 3, None, "ragged row", id="ragged-after-header"),
+            pytest.param("1,2\n3,4\n\n\n", False, 3, None, "ragged row", id="two-trailing-empty"),
+            pytest.param("1,2\n3,1_0\n", False, 2, 2, "non-numeric token '1_0'", id="underscore"),
+            pytest.param("1,2\n\u0661,4\n", False, 2, 1, "non-numeric token", id="arabic-digit"),
+        ],
+    )
+    def test_rejected_token_grammar_reports_position(
+        self, tmp_path, text, header, line, column, message
+    ):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p, header=header)
+        assert type(exc.value) is ParseError
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert message in str(exc.value) and str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("fault", ["raises", "drops-a-row"])
+    def test_fast_parse_refusal_never_lets_a_file_through(self, tmp_path, monkeypatch, fault):
+        parse = data_module._parse
+
+        def refusing(lines):
+            if len(lines) == 1:
+                return parse(lines)
+            if fault == "raises":
+                raise ValueError("refused")
+            return parse(lines)[:-1]
+
+        monkeypatch.setattr(data_module, "_parse", refusing)
+        p = tmp_path / "m.csv"
+        p.write_text("1,2\n3,4\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p)
+        assert str(p) in str(exc.value) and exc.value.line is None
+
+    def test_one_trailing_empty_line_loads(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2\n3,4\n\n")
+        assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_byte_order_mark_and_crlf(self, tmp_path, header):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + (b"a,b\r\n" if header else b"") + b"1,2\r\n3,4\r\n")
+        assert np.array_equal(load_matrix(p, header=header), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        ("text", "header"),
+        [("", False), ("a,b\n", True), ("\n", False)],
+        ids=["empty", "header-only", "newline-only"],
+    )
+    def test_degenerate_file_is_empty_without_warning(self, tmp_path, text, header):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="empty file"):
+                load_matrix(p, header=header)
+
+    def test_writer_literal_bytes(self, tmp_path):
+        p = tmp_path / "m.csv"
+        save_matrix(np.array([[-0.0, 5e-324, 0.1, 1e308, 3.0, -1.5e-7]]), p)
+        assert p.read_bytes() == (
+            b"-0,4.9406564584124654e-324,0.10000000000000001,1e+308,3,-1.4999999999999999e-07\n"
+        )
+
+    @pytest.mark.parametrize("shape", [(50, 40), (1, 17), (17, 1)], ids=["50x40", "1x17", "17x1"])
+    def test_writer_matches_per_element_format(self, tmp_path, shape):
+        M = np.random.default_rng(8).standard_normal(shape) * 10.0 ** np.arange(shape[1])
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in M)
+        assert p.read_bytes() == expected.encode("utf-8")
+        by_float = [[float(tok) for tok in line.split(",")] for line in expected.splitlines()]
+        assert np.array_equal(load_matrix(p), by_float) and np.array_equal(by_float, M)
 
 
 class TestReports:
