@@ -5,7 +5,8 @@ Matrices are stored features-by-samples, matching every formula in the
 solvers.  CSV files carry one matrix row per line with 17-significant-
 digit decimals, so save/load round-trips are exact for double precision.
 
-The CSV grammar ``load_matrix`` accepts: UTF-8 text, with or without a
+The CSV grammar ``load_matrix`` accepts: UTF-8 text (a byte that does
+not decode is reported at its line and field), with or without a
 leading byte-order mark, split into lines as ``str.splitlines`` does
 (``\n``, ``\r\n``, ``\r`` and the other Unicode line boundaries); one
 optional header line (``header=True``), skipped unread; then one or more
@@ -21,6 +22,7 @@ name the first offending line and column.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from dataclasses import dataclass
@@ -145,16 +147,36 @@ def _locate_error(body, offset, path):
     raise ParseError("not a numeric CSV matrix", path=path)
 
 
+def _read_text(path):
+    """The file decoded as UTF-8 without a leading byte-order mark; a byte
+    that does not decode is a ParseError at its line and field."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec counts from after a byte-order mark; the bytes before
+        # the bad one decode, and the sentinel keeps a trailing line break
+        # from ending the list
+        bad = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        lines = (raw[:bad].decode("utf-8-sig") + "x").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{raw[bad]:02x}",
+            path=path,
+            line=len(lines),
+            column=lines[-1].count(",") + 1,
+        ) from None
+
+
 def load_matrix(path, header=False):
     """Parse a CSV matrix (one row per line, comma separated; the grammar
     is in the module docstring).
 
     Raises ParseError with the offending line/column for ragged rows,
     non-numeric or non-finite tokens (``nan``, ``inf``, overflow such as
-    ``1e400``) or an empty file.
+    ``1e400``), bytes that are not UTF-8, or an empty file.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        body = fh.read().splitlines()
+    body = _read_text(path).splitlines()
     offset = 1
     if header:
         body = body[1:]

@@ -4,8 +4,9 @@ Each view is reduced to thin-SVD coordinates, which realizes the
 constraint that every projection lives inside the range of its own data
 matrix.  One outer cycle updates each view's reduced projection by
 solving a trace-fractional subproblem (the same SCF core as the two-view
-solver) against the weighted pull of the other views; cycles follow
-either a Jacobi scheme (all updates read the previous cycle's iterates,
+solver) against the weighted pull of the other views, inside a search
+space of at most 5k columns when that is below the view's rank; cycles
+follow either a Jacobi scheme (all updates read the previous cycle's iterates,
 so they can run in parallel) or a Gauss-Seidel scheme (updates consume
 fresh iterates; the total correlation then never decreases).
 """
@@ -23,8 +24,15 @@ from .errors import (
     IsolatedViewError,
     RankDeficiencyError,
 )
-from .linalg import align, as_matrix, fix_svd_signs
-from .scf import ScfConfig, SubproblemSpec, eta, scf_solve
+from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
+from .scf import ScfConfig, SubproblemSpec, _Iterate, scf_solve
+
+# A view's subproblem is solved in a search space of at most this many
+# blocks of k columns, and only when that is below the view's rank.
+_SEARCH_BLOCKS = 5
+# Unit search directions keep only the part of their span whose singular
+# values exceed this; below it the Gram matrix that measures them is noise.
+_DROP_TOL = 1e-6
 
 
 @dataclass
@@ -62,9 +70,12 @@ class OmccaReport:
 
     ``g_trace`` holds the total correlation (the real objective) after
     each cycle; ``loop_g_trace`` the per-cycle sum of subproblem optima
-    that drives the stopping test.  ``ds_terms_per_cycle`` counts the
-    nonzero off-diagonal weights, i.e. one K_sj hatX_j product per ordered
-    pair of selected views (exactly 2(l-1) per cycle under tree weighting).
+    that drives the stopping test.  ``per_cycle_subproblem_iters`` counts
+    the SCF sweeps of each view's solve, those of the projected solve when
+    5k < r (0 when its search space is the iterate alone).
+    ``ds_terms_per_cycle`` counts the nonzero off-diagonal weights, i.e.
+    one K_sj hatX_j product per ordered pair of selected views (exactly
+    2(l-1) per cycle under tree weighting).
     """
 
     projections: list
@@ -146,17 +157,76 @@ def view_spec(s, hatX, rho, blocks, sigmas):
     return SubproblemSpec(np.diag(sigmas[s] ** 2), D, validate=False)
 
 
-def update_view(s, hatX, rho, blocks, sigmas, scf_cfg):
-    """Gauss-Seidel step on view ``s``: SCF from ``hatX[s]``, kept unless it
-    ended lower (tolerance slack only), so the objective never decreases.
-    Returns (subproblem objective at the kept iterate, SCF iterations)."""
+def _search_space(G, directions):
+    """Orthonormal basis [G, Q] of span[G, directions], G's columns first.
+
+    The directions are scaled to unit columns and deflated against G; the
+    eigenvectors of their Gram matrix pick the part of their span that is
+    not negligible (singular values above ``_DROP_TOL``), which a second
+    deflation and a QR make orthonormal and orthogonal to G."""
+    B = np.hstack(directions)
+    norms = np.linalg.norm(B, axis=0)
+    B = B[:, norms > 0.0] / norms[norms > 0.0]
+    B -= G @ (G.T @ B)
+    mu, V = np.linalg.eigh(B.T @ B)
+    keep = mu > _DROP_TOL**2
+    if not keep.any():
+        return G
+    Q = B @ V[:, keep]
+    return np.hstack([G, orthonormalize(Q - G @ (G.T @ Q))])
+
+
+def _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
+    """Solve the subproblem of view ``s`` from ``hatX[s]`` without
+    committing anything.
+
+    When 5k < r_s the subproblem is solved inside the search space
+    W = orth[hatX_s, prev_s, grad_s, D_s, Lambda_s grad_s] (Lambda_s =
+    diag(sigma_s^2), grad_s the subproblem gradient at hatX_s, prev_s the
+    iterate before the view's last accepted update, absent while None):
+    SCF on (W^T Lambda_s W, W^T D_s) from [I_k; 0], lifted back as W Z.  A
+    W of k columns means hatX_s is already a KKT point; it is returned
+    with 0 sweeps.  Otherwise (5k >= r_s, or tr(hatX_s^T D_s) = 0) SCF runs
+    on the full subproblem from hatX_s.  Returns (objective at hatX[s],
+    solution, objective at the solution, SCF sweeps); the solution is
+    ``hatX[s]`` itself when nothing moved.
+    """
     spec = view_spec(s, hatX, rho, blocks, sigmas)
-    e_old = eta(hatX[s], spec)
-    rep = scf_solve(spec, G0=hatX[s], cfg=scf_cfg)
-    if rep.eta_trace[-1] < e_old:
-        return e_old, rep.iterations
-    hatX[s] = rep.solution
-    return rep.eta_trace[-1], rep.iterations
+    G = hatX[s]
+    r, k = G.shape
+    lam = sigmas[s] ** 2
+    projected = _SEARCH_BLOCKS * k < r
+    cur = _Iterate(G, spec, AG=lam[:, None] * G if projected else None)
+    if not projected or cur.phi_d == 0.0:
+        rep = scf_solve(spec, G0=G, cfg=scf_cfg)
+        return cur.eta, rep.solution, rep.eta_trace[-1], rep.iterations
+    grad = cur.grad()
+    directions = [grad, spec.D, lam[:, None] * grad]
+    if prev[s] is not None:
+        directions.insert(0, prev[s])
+    W = _search_space(G, directions)
+    if W.shape[1] == k:
+        return cur.eta, G, cur.eta, 0
+    A = W.T @ (lam[:, None] * W)
+    sub = SubproblemSpec(0.5 * (A + A.T), W.T @ spec.D, validate=False)
+    rep = scf_solve(sub, G0=np.eye(W.shape[1], k), cfg=scf_cfg)
+    return cur.eta, ensure_orthonormal(W @ rep.solution), rep.eta_trace[-1], rep.iterations
+
+
+def update_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
+    """Gauss-Seidel step on view ``s``: SCF from ``hatX[s]``, on the search
+    space W = orth[hatX_s, prev_s, grad_s, D_s, Lambda_s grad_s] when
+    5k < r_s and on the whole reduced space otherwise (``_solve_view``).
+    The result is kept unless it ended lower (tolerance slack only), so
+    the objective never decreases; a kept move stores the old iterate in
+    ``prev[s]``.  Returns (subproblem objective at the kept iterate, SCF
+    sweeps, 0 when W is hatX_s alone)."""
+    e_old, X, e_new, iters = _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
+    if e_new < e_old:
+        return e_old, iters
+    if X is not hatX[s]:
+        prev[s], hatX[s] = hatX[s], X
+    return e_new, iters
 
 
 def compute_Ds(s, hatX, weights, reduced):
@@ -222,7 +292,13 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     the sample count.  Starts each reduced projection at the leading
     identity columns and cycles over the views, solving each
     view's trace-fractional subproblem by SCF warm-started at its current
-    value.  Stops when the per-cycle sum of subproblem optima changes by
+    value.  A view whose reduced rank r exceeds 5k solves it inside the
+    search space W = orth[hatX, hatX_prev, grad, D, diag(sigma^2) grad]
+    of at most 5k columns (its iterate, the iterate before its last
+    accepted update, the subproblem gradient, the pull and the gradient
+    scaled by the spectrum), which holds the current iterate, and lifts
+    the result back; other views solve it on the whole reduced space.
+    Stops when the per-cycle sum of subproblem optima changes by
     at most ``eps_outer`` relative, or at the cycle cap.  ``threads``
     parallelizes the subproblem solves of a Jacobi cycle only; results
     are merged in view order, so the outcome is identical at any thread
@@ -256,6 +332,7 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     blocks = _cross_blocks(reduced, pairs)
     sigmas = [rv.sigma for rv in reduced]
     hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
+    prev = [None] * ell
 
     report = OmccaReport(projections=[])
     loop_g_prev = 0.0
@@ -268,24 +345,24 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
 
         if gauss_seidel:
             for s in range(ell):
-                e_s, it = update_view(s, hatX, rho, blocks, sigmas, cfg.scf_cfg)
+                e_s, it = update_view(s, hatX, prev, rho, blocks, sigmas, cfg.scf_cfg)
                 loop_g += e_s
                 iters.append(it)
         else:
-            specs = [view_spec(s, hatX, rho, blocks, sigmas) for s in range(ell)]
 
             def solve(s):
-                return scf_solve(specs[s], G0=hatX[s], cfg=cfg.scf_cfg)
+                return _solve_view(s, hatX, prev, rho, blocks, sigmas, cfg.scf_cfg)
 
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    reps = list(pool.map(solve, range(ell)))
+                    outs = list(pool.map(solve, range(ell)))
             else:
-                reps = [solve(s) for s in range(ell)]
-            for s, rep in enumerate(reps):
-                hatX[s] = rep.solution
-                loop_g += rep.eta_trace[-1]
-                iters.append(rep.iterations)
+                outs = [solve(s) for s in range(ell)]
+            for s, (_, X, e_s, it) in enumerate(outs):
+                if X is not hatX[s]:
+                    prev[s], hatX[s] = hatX[s], X
+                loop_g += e_s
+                iters.append(it)
             # simultaneous updates only align each view to its partners'
             # stale representatives, which can leave the merged set
             # mutually anti-aligned (the subspaces are fine, the signs

@@ -123,12 +123,13 @@ class ScfReport:
 class _Iterate:
     """One iterate G of a subproblem with the products that every
     quantity at G is built from, each computed once: A G, G^T D,
-    phi_d = tr(G^T D) and phi_a = tr(G^T A G)."""
+    phi_d = tr(G^T D) and phi_a = tr(G^T A G).  ``AG`` is A G when the
+    caller already has it (e.g. from a diagonal A), else it is computed."""
 
-    def __init__(self, G, spec):
+    def __init__(self, G, spec, AG=None):
         self.G = G
         self.spec = spec
-        self.AG = spec.A @ G
+        self.AG = spec.A @ G if AG is None else AG
         self.GtD = G.T @ spec.D
         self.phi_d = float(np.trace(self.GtD))
         self.phi_a = float(np.einsum("ij,ij->", G, self.AG))

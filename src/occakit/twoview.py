@@ -108,6 +108,9 @@ class OccaReport:
 
     ``xcy_min_eigs`` and ``xcy_asyms`` certify, per outer step, that
     X^T C Y stayed symmetric positive semidefinite after realignment.
+    ``inner_iterations`` holds the (X, Y) SCF sweeps per outer step, those
+    of the projected solve when 5k < r (0 when its search space is the
+    iterate alone).
     """
 
     X: np.ndarray
@@ -127,7 +130,10 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     A and B are cut to their numerical range (A = U_A diag(sigma_A^2)
     U_A^T, rank rule of ``classical_cca``) and C to K = U_A^T C U_B, so
     q < n needs nothing special.  Per outer step: the Gauss-Seidel update
-    of hatX (warm-started SCF), then of hatY, then a joint realignment.
+    of hatX (warm-started SCF, ``multiset.update_view``), then of hatY,
+    then a joint realignment.  When 5k is below a view's rank r its SCF
+    runs in the search space W = orth[hatX, hatX_prev, grad, D,
+    diag(sigma^2) grad] of at most 5k columns, not in all r dimensions.
     Stops on the gradient norm, the relative change of F, or the outer-
     iteration cap.  F never decreases, X^T C Y is symmetric PSD after
     every step, and X = U_A hatX lies in the range of its view.  The start
@@ -158,14 +164,15 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     blocks = {(0, 1): K, (1, 0): K.T}
     hat = [orthonormalize(U_A.T @ X0), orthonormalize(U_B.T @ Y0)]
     rho = np.array([[0.0, 1.0], [1.0, 0.0]])
+    prev = [None, None]
 
     report = OccaReport(X=X0, Y=Y0)
     c_scale = max(1.0, float(np.max(np.abs(prob.C))))
     F_prev = None
     reason = "max_outer"
     for outer in range(1, alt_cfg.max_outer + 1):
-        _, ix = update_view(0, hat, rho, blocks, sigmas, scf_cfg)
-        _, iy = update_view(1, hat, rho, blocks, sigmas, scf_cfg)
+        _, ix = update_view(0, hat, prev, rho, blocks, sigmas, scf_cfg)
+        _, iy = update_view(1, hat, prev, rho, blocks, sigmas, scf_cfg)
         hX, hY = pair_align(hat[0], hat[1], K)
         hat = [ensure_orthonormal(hX), ensure_orthonormal(hY)]
 

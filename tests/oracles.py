@@ -168,3 +168,96 @@ def fd_directional_eta(A, D, G, H, h=1e-6):
         return float(np.trace(M.T @ D)) ** 2 / float(np.einsum("ij,ij->", M, A @ M))
 
     return (eta_at(retract(h)) - eta_at(retract(-h))) / (2 * h)
+
+
+def _full_update(s, hat, rho, blocks, sigmas, scf_cfg):
+    """Keep-if-not-lower SCF step on view ``s`` over its whole reduced
+    space; returns the subproblem objective at the kept iterate."""
+    from occakit import eta, scf_solve
+    from occakit.multiset import view_spec
+
+    spec = view_spec(s, hat, rho, blocks, sigmas)
+    e_old = eta(hat[s], spec)
+    rep = scf_solve(spec, G0=hat[s], cfg=scf_cfg)
+    if rep.eta_trace[-1] < e_old:
+        return e_old
+    hat[s] = rep.solution
+    return rep.eta_trace[-1]
+
+
+def full_space_rcomcca(views, k, weights, cfg):
+    """The multiset alternation with every subproblem solved by SCF on the
+    view's whole reduced space, replayed through the public view_spec,
+    scf_solve and align.  Returns (projections, g_trace)."""
+    from occakit import align, g_objective, reduce_views, scf_solve
+    from occakit.multiset import view_spec
+
+    reduced = reduce_views(views)
+    rho = weights.rho
+    blocks = {}
+    for i, j in weights.selected_pairs():
+        ri, rj = reduced[i], reduced[j]
+        blocks[i, j] = np.diag(ri.sigma) @ ri.V.T @ rj.V @ np.diag(rj.sigma)
+        blocks[j, i] = blocks[i, j].T
+    sigmas = [rv.sigma for rv in reduced]
+    hat = [np.eye(rv.r)[:, :k] for rv in reduced]
+    g_trace = []
+    loop_prev = 0.0
+    for _ in range(cfg.max_cycles):
+        if cfg.scheme == "gauss_seidel":
+            loop_g = sum(
+                _full_update(s, hat, rho, blocks, sigmas, cfg.scf_cfg) for s in range(len(hat))
+            )
+        else:
+            specs = [view_spec(s, hat, rho, blocks, sigmas) for s in range(len(hat))]
+            reps = [scf_solve(sp, G0=h, cfg=cfg.scf_cfg) for sp, h in zip(specs, hat)]
+            hat = [rep.solution for rep in reps]
+            loop_g = sum(rep.eta_trace[-1] for rep in reps)
+            for s in range(len(hat)):
+                hat[s] = align(hat[s], view_spec(s, hat, rho, blocks, sigmas).D)
+        g_trace.append(g_objective(hat, weights, reduced))
+        if abs(loop_g - loop_prev) <= cfg.eps_outer * loop_g:
+            break
+        loop_prev = loop_g
+    return [rv.U @ h for rv, h in zip(reduced, hat)], g_trace
+
+
+def full_space_occa(prob, k, alt_cfg, scf_cfg):
+    """Two-view alternation with full-space SCF solves on the range-cut
+    problem (eigenvalues of A, B above max(n, m, q) eps of the largest),
+    replayed through view_spec, scf_solve and pair_align from the leading
+    identity columns.  Returns (X, Y, F_trace)."""
+    from occakit import grad_eta, orthonormalize, pair_align
+    from occakit.multiset import view_spec
+
+    tol = max(prob.n, prob.m, prob.q) * np.finfo(float).eps
+
+    def range_cut(cov):
+        vals, vecs = sla.eigh(cov)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        r = int(np.sum(vals > tol * vals[0]))
+        return vecs[:, :r], vals[:r]
+
+    (U_A, lam_A), (U_B, lam_B) = range_cut(prob.A), range_cut(prob.B)
+    K = U_A.T @ prob.C @ U_B
+    blocks = {(0, 1): K, (1, 0): K.T}
+    sigmas = [np.sqrt(lam_A), np.sqrt(lam_B)]
+    rho = np.array([[0.0, 1.0], [1.0, 0.0]])
+    hat = [orthonormalize(U_A[:k].T), orthonormalize(U_B[:k].T)]
+    F_trace = []
+    for _ in range(alt_cfg.max_outer):
+        for s in (0, 1):
+            _full_update(s, hat, rho, blocks, sigmas, scf_cfg)
+        hat = list(pair_align(hat[0], hat[1], K))
+        specs = [view_spec(s, hat, rho, blocks, sigmas) for s in (0, 1)]
+        F = float(np.trace(hat[0].T @ specs[0].D)) ** 2 / float(
+            np.sum(hat[0] * (specs[0].A @ hat[0]))
+        )
+        gnorm = np.sqrt(sum(np.linalg.norm(grad_eta(hat[s], specs[s])) ** 2 for s in (0, 1)))
+        done = gnorm <= alt_cfg.eps_alt or (
+            len(F_trace) > 0 and abs((F - F_trace[-1]) / F) <= alt_cfg.eps_alt
+        )
+        F_trace.append(F)
+        if done:
+            break
+    return U_A @ hat[0], U_B @ hat[1], F_trace

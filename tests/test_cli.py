@@ -94,6 +94,12 @@ class TestOcca:
         assert run("occa", "--x", x, "--y", y, "--k", 1, "--out", tmp_path / "o") == 2
         assert f"{x}:2:3" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=4, n=3, q=10)
+        Path(x).write_bytes(b"1,2\n3,\xff\n")
+        assert run("occa", "--x", x, "--y", y, "--k", 1, "--out", tmp_path / "o") == 2
+        assert f"{x}:2:2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
     def test_no_center_flag_enforces_centering_contract(self, tmp_path):
         # generator output is uncentered, so skipping the centering step
         # must trip the solver's centered-input check

@@ -167,6 +167,25 @@ class TestMatrixIo:
         assert (exc.value.line, exc.value.column) == (line, column)
         assert message in str(exc.value) and str(p) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        ("raw", "header", "line", "column", "byte"),
+        [
+            pytest.param(b"1,2\n3,\xff\n", False, 2, 2, "0xff", id="second-field"),
+            pytest.param(b"\xef\xbb\xbf1,2\r\n3,4,\xc3", False, 2, 3, "0xc3", id="bom-crlf-truncated"),
+            pytest.param(b"\xef\xbb\xbf\xff", False, 1, 1, "0xff", id="right-after-bom"),
+            pytest.param(b"1,2\r3,\x80", False, 2, 2, "0x80", id="cr-line-break"),
+            pytest.param(b"a,\xfe\n1,2\n", True, 1, 2, "0xfe", id="in-header"),
+        ],
+    )
+    def test_undecodable_byte_reports_position(self, tmp_path, raw, header, line, column, byte):
+        p = tmp_path / "m.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p, header=header)
+        assert type(exc.value) is ParseError
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert f"invalid UTF-8 byte {byte}" in str(exc.value) and str(p) in str(exc.value)
+
     @pytest.mark.parametrize("fault", ["raises", "drops-a-row"])
     def test_fast_parse_refusal_never_lets_a_file_through(self, tmp_path, monkeypatch, fault):
         parse = data_module._parse

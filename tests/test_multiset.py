@@ -265,6 +265,26 @@ class TestRcomcca:
         rep_j = rcomcca(views, 2, w, cfg=OmccaConfig(scheme="jacobi"))
         assert all(c == 2 * (len(views) - 1) for c in rep_j.ds_terms_per_cycle)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: at criterion-8 tolerances (eps_scf 1e-12, 50 sweeps) "
+        "Jacobi cycles oscillate and stall far below Gauss-Seidel (g = 1.55, 0.69, "
+        "1.92 against 1.9996, 1.9984, 1.9995 after 80 cycles)",
+    )
+    def test_jacobi_reaches_gauss_seidel_at_tight_tolerances(self):
+        inner = ScfConfig(eps_scf=1e-12, max_iter=50)
+        for seed in (6000, 6001, 6002):
+            views = three_views(q=50, sizes=(9, 7), seed=seed)
+            w = build_weights(views, "uniform")
+            g = {
+                scheme: rcomcca(
+                    views, 2, w,
+                    cfg=OmccaConfig(eps_outer=1e-15, max_cycles=80, scheme=scheme, scf_cfg=inner),
+                ).g_trace[-1]
+                for scheme in ("jacobi", "gauss_seidel")
+            }
+            assert abs(g["jacobi"] - g["gauss_seidel"]) <= 1e-3
+
     def test_jacobi_thread_count_invariance(self):
         views = three_views(seed=17)
         w = build_weights(views, "uniform")
