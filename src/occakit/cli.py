@@ -5,7 +5,9 @@ Commands: ``gen`` (synthetic two-view data), ``occa`` (two-view solver),
 ``eval`` (re-score stored projections).  Exit codes: 0 success, 2 I/O or
 parse failure (including non-finite CSV values), 3 finished at the
 iteration cap (outputs still written), 4 domain error (rank deficiency,
-degenerate or isolated views, bad shapes, a thread count below 1).
+degenerate or isolated views, bad shapes, a thread count below 1, a
+tolerance that is not positive and finite, a non-finite bandwidth, a
+rank tolerance outside [0, 1)).
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ def build_parser():
     om.add_argument("--threads", type=int, default=None, help="Jacobi-cycle parallelism")
     io_flags(om)
 
-    base = sub.add_parser("cca-baseline", help="classical CCA with whitening")
+    base = sub.add_parser("cca-baseline", help="classical CCA (principal angles)")
     base.add_argument("--x", required=True)
     base.add_argument("--y", required=True)
     base.add_argument("--k", type=int, required=True)
-    base.add_argument("--rank-tol", type=float, default=None)
+    base.add_argument("--rank-tol", type=float, default=None,
+                      help="keep singular values above this times the largest; in [0, 1)")
     io_flags(base)
 
     ev = sub.add_parser("eval", help="score stored projections against data")

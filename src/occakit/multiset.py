@@ -56,8 +56,10 @@ class OmccaConfig:
     scf_cfg: ScfConfig = field(default_factory=ScfConfig)
 
     def __post_init__(self):
-        if self.eps_outer <= 0:
-            raise ContractViolation("eps_outer must be positive")
+        if not (self.eps_outer > 0 and np.isfinite(self.eps_outer)):
+            raise ContractViolation(
+                f"eps_outer must be positive and finite, got {self.eps_outer!r}"
+            )
         if self.max_cycles < 1:
             raise ContractViolation("max_cycles must be at least 1")
         if self.scheme not in ("gauss_seidel", "jacobi"):
@@ -89,7 +91,12 @@ class OmccaReport:
 
 def reduce_views(views, rank_tol=None):
     """Thin SVD of every centered view, truncated at numerical rank, with
-    the deterministic column-sign convention applied."""
+    the deterministic column-sign convention applied.  The rank counts the
+    singular values above ``rank_tol`` times the largest (default
+    max(n_i, q) eps; a given ``rank_tol`` must lie in [0, 1)).  This is
+    the package's one rank rule."""
+    if rank_tol is not None and not 0.0 <= rank_tol < 1.0:
+        raise ContractViolation(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
     out = []
     for idx, S in enumerate(views):
         S = as_matrix(S, f"view {idx}")
@@ -98,8 +105,6 @@ def reduce_views(views, rank_tol=None):
         U, s, Vt = np.linalg.svd(S, full_matrices=False)
         tol = rank_tol if rank_tol is not None else max(S.shape) * np.finfo(float).eps
         r = int(np.sum(s > tol * s[0]))
-        if r == 0:
-            raise DegenerateViewError(f"view {idx} is numerically zero")
         U, Vt = fix_svd_signs(U[:, :r], Vt[:r, :])
         out.append(RangeReducedView(U=U, sigma=s[:r].copy(), V=Vt.T))
     return out
@@ -253,13 +258,11 @@ def g_objective(hatX, weights, reduced):
     return _g(hatX, weights.rho, pairs, _cross_blocks(reduced, pairs), sigmas)
 
 
-def total_correlation(projections, views, weights):
-    """Weighted sum of pairwise correlations of the projected views,
-    evaluated on the original data matrices."""
-    rho = weights.rho
-    ell = len(views)
-    if len(projections) != ell:
-        raise ContractViolation(f"{len(projections)} projections for {ell} views")
+def _unit_scores(projections, views):
+    """The projected samples S_i^T X_i of every view, each scaled to unit
+    Frobenius norm, after checking the projections against the views."""
+    if len(projections) != len(views):
+        raise ContractViolation(f"{len(projections)} projections for {len(views)} views")
     Z = []
     for idx, (S, X) in enumerate(zip(views, projections)):
         S = np.asarray(S)
@@ -268,16 +271,24 @@ def total_correlation(projections, views, weights):
             raise ContractViolation(
                 f"projection {idx} has shape {X.shape}, expected ({S.shape[0]}, k)"
             )
-        if X.shape[1] != projections[0].shape[1]:
+        if X.shape[1] != np.shape(projections[0])[1]:
             raise ContractViolation("projections disagree on k")
         z = S.T @ X
         den = float(np.sum(z * z))
         if den <= 0.0:
-            raise DegenerateViewError("a projection captured zero variance")
+            raise DegenerateViewError(f"projection {idx} captured zero variance")
         Z.append(z / np.sqrt(den))
+    return Z
+
+
+def total_correlation(projections, views, weights):
+    """Weighted sum of pairwise correlations of the projected views,
+    evaluated on the original data matrices."""
+    rho = weights.rho
+    Z = _unit_scores(projections, views)
     total = 0.0
-    for i in range(ell):
-        for j in range(i + 1, ell):
+    for i in range(len(Z)):
+        for j in range(i + 1, len(Z)):
             if rho[i, j] == 0.0:
                 continue
             total += 2.0 * rho[i, j] * float(np.sum(Z[i] * Z[j]))
@@ -315,7 +326,6 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
     qs = {np.asarray(v).shape[1] for v in views}
     if len(qs) != 1:
         raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
-    q = qs.pop()
     reduced = reduce_views(views, rank_tol=rank_tol)
     for idx, rv in enumerate(reduced):
         # a view's SCF subproblem has dimension rank and needs k below it
@@ -323,8 +333,6 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
             raise RankDeficiencyError(
                 f"k={k} must be below the numerical rank {rv.r} of view {idx}", view=idx
             )
-    if k > q:
-        raise ContractViolation(f"k={k} exceeds sample count {q}")
 
     ell = len(views)
     rho = weights.rho

@@ -90,8 +90,8 @@ class ScfConfig:
     max_iter: int = 30
 
     def __post_init__(self):
-        if self.eps_scf <= 0:
-            raise ContractViolation("eps_scf must be positive")
+        if not (self.eps_scf > 0 and np.isfinite(self.eps_scf)):
+            raise ContractViolation(f"eps_scf must be positive and finite, got {self.eps_scf!r}")
         if self.max_iter < 1:
             raise ContractViolation("max_iter must be at least 1")
 

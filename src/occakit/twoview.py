@@ -1,27 +1,28 @@
 """Two-view orthogonal CCA.
 
-Maximizes the squared-correlation objective
-
-    F(X, Y) = tr^2(X^T C Y) / (tr(X^T A X) tr(Y^T B Y))
-
-over pairs of orthonormal-column matrices inside the range of their
-views, by alternating trace-fractional solves in X and Y (the multiset
-engine with two views), with a joint realignment after every sweep.  Also
-provides the classical (whitened) CCA solution and QR post-
-orthogonalization as baselines.
+Maximizes F(X, Y) = tr^2(X^T C Y) / (tr(X^T A X) tr(Y^T B Y)), with
+A = S1 S1^T, B = S2 S2^T and C = S1 S2^T, over pairs of orthonormal-column
+matrices inside the range of their views.  The problem is stated as the
+multiset one is: a spectrum sigma_i per view and the cross block
+K = diag(sigma_1) V_1^T V_2 diag(sigma_2), from the thin SVDs
+S_i = U_i diag(sigma_i) V_i^T of ``reduce_views``; A, B and C are never
+formed.  The solver alternates trace-fractional solves in X and Y (the
+multiset engine with two views), with a joint realignment after every
+sweep.  Classical CCA (principal angles between the row spaces of the
+views) and QR post-orthogonalization are the baselines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractViolation, DegenerateViewError, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
-from .multiset import update_view, view_spec
+from .multiset import _cross_blocks, _g, _unit_scores, reduce_views, update_view, view_spec
 from .scf import ScfConfig, _Iterate
 
 # Row means above this (relative to the matrix scale) fail the
@@ -38,51 +39,59 @@ def _check_centered(S, what):
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class TwoViewProblem:
-    """Covariance blocks A = S1 S1^T, B = S2 S2^T, C = S1 S2^T of a
-    centered two-view dataset."""
+    """A centered two-view dataset S1 (n x q), S2 (m x q), made by
+    ``build_two_view``.
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    ``reduced(rank_tol)`` gives the ``reduce_views`` factors of both views,
+    computed on first use and shared by every solver that asks with the
+    same ``rank_tol``.  The covariance blocks A = S1 S1^T, B = S2 S2^T and
+    C = S1 S2^T are formed only when read; no solver or evaluator reads
+    them.
+    """
+
+    S1: np.ndarray
+    S2: np.ndarray
     n: int
     m: int
     q: int
+    _reductions: dict = field(default_factory=dict, init=False, repr=False)
+
+    A = cached_property(lambda self: self.S1 @ self.S1.T)
+    B = cached_property(lambda self: self.S2 @ self.S2.T)
+    C = cached_property(lambda self: self.S1 @ self.S2.T)
+
+    def reduced(self, rank_tol=None):
+        """Thin-SVD factors of (S1, S2), truncated by ``reduce_views``' rule."""
+        if rank_tol not in self._reductions:
+            self._reductions[rank_tol] = reduce_views([self.S1, self.S2], rank_tol=rank_tol)
+        return self._reductions[rank_tol]
 
 
 def build_two_view(S1, S2):
-    """Assemble the covariance blocks from centered views (features x samples)."""
+    """Check and wrap centered views (features x samples)."""
     S1 = as_matrix(S1, "S1")
     S2 = as_matrix(S2, "S2")
     if S1.shape[1] != S2.shape[1]:
         raise ContractViolation(
             f"views disagree on sample count: {S1.shape[1]} vs {S2.shape[1]}"
         )
-    _check_centered(S1, "S1")
-    _check_centered(S2, "S2")
-    A = S1 @ S1.T
-    B = S2 @ S2.T
-    return TwoViewProblem(
-        A=0.5 * (A + A.T),
-        B=0.5 * (B + B.T),
-        C=S1 @ S2.T,
-        n=S1.shape[0],
-        m=S2.shape[0],
-        q=S1.shape[1],
-    )
+    for S, what in ((S1, "S1"), (S2, "S2")):
+        if not S.any():
+            raise DegenerateViewError(f"{what} is identically zero")
+        _check_centered(S, what)
+    return TwoViewProblem(S1, S2, n=S1.shape[0], m=S2.shape[0], q=S1.shape[1])
 
 
 def objective_f(X, Y, prob):
-    """Signed correlation tr(X^T C Y)/sqrt(tr(X^T A X) tr(Y^T B Y)); F = f^2."""
-    a = float(np.einsum("ij,ij->", X, prob.A @ X))
-    b = float(np.einsum("ij,ij->", Y, prob.B @ Y))
-    if a <= 0.0:
-        raise DegenerateViewError("view 1 has zero variance in the projected subspace")
-    if b <= 0.0:
-        raise DegenerateViewError("view 2 has zero variance in the projected subspace")
-    c = float(np.einsum("ij,ij->", X, prob.C @ Y))
-    return c / np.sqrt(a * b)
+    """Signed correlation tr(X^T C Y)/sqrt(tr(X^T A X) tr(Y^T B Y)); F = f^2.
+
+    Evaluated on the data, as the sum of the entrywise product of the
+    projected samples S1^T X and S2^T Y, each scaled to unit Frobenius
+    norm (the evaluator of ``total_correlation``)."""
+    Z1, Z2 = _unit_scores([X, Y], [prob.S1, prob.S2])
+    return float(np.sum(Z1 * Z2))
 
 
 def objective_F(X, Y, prob):
@@ -96,8 +105,8 @@ class AltConfig:
     max_outer: int = 30
 
     def __post_init__(self):
-        if self.eps_alt <= 0:
-            raise ContractViolation("eps_alt must be positive")
+        if not (self.eps_alt > 0 and np.isfinite(self.eps_alt)):
+            raise ContractViolation(f"eps_alt must be positive and finite, got {self.eps_alt!r}")
         if self.max_outer < 1:
             raise ContractViolation("max_outer must be at least 1")
 
@@ -126,48 +135,48 @@ class OccaReport:
 
 
 def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
-    """Alternating maximization of F as the two-view multiset problem:
-    A and B are cut to their numerical range (A = U_A diag(sigma_A^2)
-    U_A^T, rank rule of ``classical_cca``) and C to K = U_A^T C U_B, so
-    q < n needs nothing special.  Per outer step: the Gauss-Seidel update
-    of hatX (warm-started SCF, ``multiset.update_view``), then of hatY,
-    then a joint realignment.  When 5k is below a view's rank r its SCF
-    runs in the search space W = orth[hatX, hatX_prev, grad, D,
+    """Alternating maximization of F as the two-view multiset problem on
+    the shared reduction ``prob.reduced()``: view i enters as its spectrum
+    sigma_i and the cross block K = diag(sigma_1) V_1^T V_2 diag(sigma_2),
+    so q < n needs nothing special.  Per outer step: the Gauss-Seidel
+    update of hatX (warm-started SCF, ``multiset.update_view``), then of
+    hatY, then a joint realignment.  When 5k is below a view's rank r its
+    SCF runs in the search space W = orth[hatX, hatX_prev, grad, D,
     diag(sigma^2) grad] of at most 5k columns, not in all r dimensions.
     Stops on the gradient norm, the relative change of F, or the outer-
-    iteration cap.  F never decreases, X^T C Y is symmetric PSD after
-    every step, and X = U_A hatX lies in the range of its view.  The start
-    is X0 (default: leading identity columns) projected onto the range and
-    orthonormalized, i.e. X0 itself at full rank; likewise for Y0.
-    Raises ``RankDeficiencyError`` (1-based ``.view``) unless k is below
-    the numerical rank of both views.
+    iteration cap.  F never decreases, X^T C Y = hatX^T K hatY is
+    symmetric PSD after every step (``xcy_asyms`` scaled by max|K|), and
+    X = U_1 hatX lies in the range of its view.  The start is X0 (default:
+    leading identity columns) projected onto the range and orthonormalized,
+    i.e. X0 itself at full rank; likewise for Y0.  Raises
+    ``RankDeficiencyError`` (1-based ``.view``) unless k is below the
+    numerical rank of both views, which ``reduce_views`` decides.
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
-    if not (1 <= k < min(prob.n, prob.m)):
-        raise ContractViolation(f"need 1 <= k < min(n, m) = {min(prob.n, prob.m)}, got k={k}")
+    if k < 1:
+        raise ContractViolation(f"k must be >= 1, got {k}")
     X0 = np.eye(prob.n)[:, :k] if X0 is None else require_orthonormal(np.array(X0, dtype=float), "X0")
     Y0 = np.eye(prob.m)[:, :k] if Y0 is None else require_orthonormal(np.array(Y0, dtype=float), "Y0")
     if X0.shape != (prob.n, k) or Y0.shape != (prob.m, k):
         want = f"{prob.n}x{k}, {prob.m}x{k}"
         raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
-    U_A, lam_A = _range_whitener(prob, 1, k)
-    U_B, lam_B = _range_whitener(prob, 2, k)
-    for view, lam in ((1, lam_A), (2, lam_B)):
+    reduced = prob.reduced()
+    for view, rv in enumerate(reduced, start=1):
         # a view's SCF subproblem has dimension rank and needs k below it
-        if k >= lam.size:
+        if k >= rv.r:
             raise RankDeficiencyError(
-                f"k={k} must be below the numerical rank {lam.size} of view {view}", view=view
+                f"k={k} must be below the numerical rank {rv.r} of view {view}", view=view
             )
-    sigmas = [np.sqrt(lam_A), np.sqrt(lam_B)]
-    K = U_A.T @ prob.C @ U_B
-    blocks = {(0, 1): K, (1, 0): K.T}
-    hat = [orthonormalize(U_A.T @ X0), orthonormalize(U_B.T @ Y0)]
+    sigmas = [rv.sigma for rv in reduced]
+    blocks = _cross_blocks(reduced, [(0, 1)])
+    K = blocks[0, 1]
+    hat = [orthonormalize(rv.U.T @ P0) for rv, P0 in zip(reduced, (X0, Y0))]
     rho = np.array([[0.0, 1.0], [1.0, 0.0]])
     prev = [None, None]
 
     report = OccaReport(X=X0, Y=Y0)
-    c_scale = max(1.0, float(np.max(np.abs(prob.C))))
+    k_scale = max(1.0, float(np.max(np.abs(K))))
     F_prev = None
     reason = "max_outer"
     for outer in range(1, alt_cfg.max_outer + 1):
@@ -178,7 +187,7 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
 
         # X^T C Y = hatX^T K hatY
         W = hat[0].T @ K @ hat[1]
-        report.xcy_asyms.append(float(np.max(np.abs(W - W.T))) / c_scale)
+        report.xcy_asyms.append(float(np.max(np.abs(W - W.T))) / k_scale)
         report.xcy_min_eigs.append(float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]))
         report.inner_iterations.append((ix, iy))
 
@@ -205,51 +214,39 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     else:
         report.outer_iterations = alt_cfg.max_outer
 
-    report.X, report.Y = U_A @ hat[0], U_B @ hat[1]
-    report.f_final = objective_f(report.X, report.Y, prob)
+    report.X, report.Y = (rv.U @ h for rv, h in zip(reduced, hat))
+    report.f_final = _g(hat, rho, [(0, 1)], blocks, sigmas) / 2.0
     report.grad_norm_final = gnorm
     report.termination_reason = reason
     return report
 
 
-def _range_whitener(prob, view, k, rank_tol=None):
-    """Eigen factors of the covariance of ``view`` (1: A, 2: B) restricted
-    to its numerical range: eigenvalues above ``rank_tol`` (default
-    max(n, m, q) eps) times the largest.  Returns (Q_r, lam_r) with columns
-    ordered by decreasing eigenvalue; raises when the rank is below k."""
-    Cov = prob.A if view == 1 else prob.B
-    if rank_tol is None:
-        rank_tol = max(prob.n, prob.m, prob.q) * np.finfo(float).eps
-    vals, vecs = sla.eigh(0.5 * (Cov + Cov.T))
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    thr = rank_tol * max(vals[0], 0.0)
-    r = int(np.sum(vals > thr))
-    if r == 0:
-        raise RankDeficiencyError(f"view {view} covariance is numerically zero", view=view)
-    if k > r:
-        raise RankDeficiencyError(f"k={k} exceeds numerical rank {r} of view {view}", view=view)
-    return vecs[:, :r], vals[:r]
-
-
 def classical_cca(prob, k, rank_tol=None):
-    """Classical (covariance-whitened) CCA baseline.
+    """Classical CCA baseline from the principal angles between the row
+    spaces of the views (Bjorck & Golub, Math. Comp. 27, 1973).
 
-    Whitens each view by the pseudo-inverse square root of its covariance
-    restricted to the numerical range, SVDs the whitened cross-covariance
-    and maps back.  Returns (X1, X2, correlations) with X1^T A X1 = I,
-    X2^T B X2 = I and correlations sorted nonincreasing in [0, 1].
+    With S_i = U_i diag(sigma_i) V_i^T from ``prob.reduced(rank_tol)``
+    (``rank_tol``: keep singular values above it times the largest), the
+    SVD V_1^T V_2 = P diag(c) Q^T gives the correlations c as cosines,
+    without squaring the condition number.  Returns (X1, X2, c[:k]) with
+    X1 = U_1 diag(1/sigma_1) P_k and X2 = U_2 diag(1/sigma_2) Q_k, so
+    X1^T A X1 = X2^T B X2 = I.  Raises ``RankDeficiencyError`` (1-based
+    ``.view``) when k exceeds the numerical rank of a view.
     """
-    Q1, lam1 = _range_whitener(prob, 1, k, rank_tol)
-    Q2, lam2 = _range_whitener(prob, 2, k, rank_tol)
-    W1 = Q1 / np.sqrt(lam1)
-    W2 = Q2 / np.sqrt(lam2)
-    T = W1.T @ prob.C @ W2
-    U, sig, Vt = np.linalg.svd(T, full_matrices=False)
-    U, Vt = fix_svd_signs(U, Vt)
-    X1 = W1 @ U[:, :k]
-    X2 = W2 @ Vt[:k, :].T
-    return X1, X2, sig[:k].copy()
+    if k < 1:
+        raise ContractViolation(f"k must be >= 1, got {k}")
+    reduced = prob.reduced(rank_tol)
+    for view, rv in enumerate(reduced, start=1):
+        if k > rv.r:
+            raise RankDeficiencyError(
+                f"k={k} exceeds numerical rank {rv.r} of view {view}", view=view
+            )
+    r1, r2 = reduced
+    P, c, Qt = np.linalg.svd(r1.V.T @ r2.V, full_matrices=False)
+    P, Qt = fix_svd_signs(P, Qt)
+    X1 = r1.U @ (P[:, :k] / r1.sigma[:, None])
+    X2 = r2.U @ (Qt[:k].T / r2.sigma[:, None])
+    return X1, X2, c[:k].copy()
 
 
 def post_orthogonalize(X):

@@ -164,6 +164,8 @@ def softmax_normalize(edges, size, bandwidth=20.0, rho_hat=None, scheme="custom"
     also makes the result invariant to shifting all values by a constant.
     Unselected pairs stay exactly zero.
     """
+    if not np.isfinite(bandwidth):
+        raise ContractViolation(f"bandwidth must be finite, got {bandwidth!r}")
     if not edges:
         raise ContractViolation("no selected pairs to normalize")
     vals = np.array([v for _, _, v in edges], dtype=float)

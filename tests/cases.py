@@ -63,3 +63,23 @@ def rounded_start(G, decimals=2):
     from occakit import orthonormalize
 
     return orthonormalize(np.round(G, decimals))
+
+
+def rank_tail_views(seed, q=60):
+    """Two centered views, 8 x q and 7 x q, with singular values
+    [1, .5, .3, 1e-9, 1e-10] and [1, .6, .2, 1e-9] on random orthonormal
+    factors.  The thin-SVD rank rule (sigma above max(n_i, q) eps sigma_1)
+    keeps ranks 5 and 4; a rule on the eigenvalues sigma^2 of the
+    covariance at the same threshold would keep only 3 and 3."""
+    from occakit import orthonormalize
+
+    rng = np.random.default_rng(seed)
+    ones = np.full((q, 1), 1.0 / np.sqrt(q))
+
+    def view(n, sv):
+        U = orthonormalize(rng.standard_normal((n, len(sv))))
+        B = rng.standard_normal((q, len(sv)))
+        V = orthonormalize(B - ones @ (ones.T @ B))  # rows of U sv V^T sum to 0
+        return (U * np.array(sv)) @ V.T
+
+    return view(8, [1.0, 0.5, 0.3, 1e-9, 1e-10]), view(7, [1.0, 0.6, 0.2, 1e-9])

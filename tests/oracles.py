@@ -2,7 +2,8 @@
 against.  Everything here deliberately avoids the code paths under test:
 gradient ascent instead of SCF, scipy's subspace angles instead of
 dist_tr, a stacked generalized eigenproblem instead of whitened SVD,
-explicit spanning-tree enumeration instead of Kruskal.
+explicit spanning-tree enumeration instead of Kruskal, covariance
+whitening instead of principal angles.
 """
 
 import itertools
@@ -125,6 +126,26 @@ def gev_cca_correlations(S1, S2, k):
     rhs[n:, n:] = B
     vals = sla.eigh(lhs, rhs, eigvals_only=True)
     return np.sort(vals)[::-1][:k]
+
+
+def covariance_cca(S1, S2, k):
+    """Covariance-whitened CCA, the formula classical CCA used before it
+    moved to principal angles: eigendecompose A = S1 S1^T and B = S2 S2^T,
+    keep the eigenvalues above max(n, m, q) eps of the largest, whiten by
+    the pseudo-inverse square roots and SVD the whitened cross-covariance
+    C = S1 S2^T.  Returns (X1, X2, correlations)."""
+    n, m, q = S1.shape[0], S2.shape[0], S1.shape[1]
+    tol = max(n, m, q) * np.finfo(float).eps
+
+    def whitener(cov):
+        vals, vecs = sla.eigh(cov)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        r = int(np.sum(vals > tol * vals[0]))
+        return vecs[:, :r] / np.sqrt(vals[:r])
+
+    W1, W2 = whitener(S1 @ S1.T), whitener(S2 @ S2.T)
+    U, sig, Vt = np.linalg.svd(W1.T @ (S1 @ S2.T) @ W2, full_matrices=False)
+    return W1 @ U[:, :k], W2 @ Vt[:k].T, sig[:k]
 
 
 def best_spanning_tree(rho_hat):

@@ -12,6 +12,8 @@ from occakit import load_matrix, save_matrix
 from occakit.cli import main
 from occakit.data import read_report
 
+from cases import rank_tail_views
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -70,6 +72,12 @@ class TestOcca:
         assert code in (0, 3)
         tr = np.array(read_report(f"{out}_report.json")["objective_trace"])
         assert np.all(np.diff(tr) >= -1e-12 * np.abs(tr[1:]))
+
+    def test_rank_taken_from_singular_values(self, tmp_path):
+        # the covariance eigenvalues 1e-18 and 1e-20 of view 1 are below
+        # max(n, q) eps of the largest, its singular values are not
+        x, y = save_rank_tail_views(tmp_path)
+        assert run("occa", "--x", x, "--y", y, "--k", 3, "--out", tmp_path / "o") in (0, 3)
 
     def test_missing_file(self, tmp_path):
         assert run("occa", "--x", tmp_path / "nope.csv", "--y", tmp_path / "nope.csv",
@@ -198,6 +206,36 @@ def test_threads_flag_below_one_is_domain_error(tmp_path, threads):
                "--out", tmp_path / "o") == 4
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("occa", "--eps-alt", "inf"), "eps_alt"),
+        (("occa", "--eps-alt", "nan"), "eps_alt"),
+        (("occa", "--eps-scf", "nan"), "eps_scf"),
+        (("omcca", "--eps-outer", "nan"), "eps_outer"),
+        (("omcca", "--eps-scf", "inf"), "eps_scf"),
+        (("omcca", "--bandwidth", "nan"), "bandwidth"),
+        (("omcca", "--bandwidth", "inf"), "bandwidth"),
+        (("cca-baseline", "--rank-tol", "nan"), "rank_tol"),
+        (("cca-baseline", "--rank-tol", "-1"), "rank_tol"),
+        (("cca-baseline", "--rank-tol", "1"), "rank_tol"),
+    ],
+)
+def test_bad_numeric_option_is_domain_error(tmp_path, capsys, argv, field):
+    x, y = gen_pair(tmp_path, m=12, n=10, q=80, seed=1)
+    command, *options = argv
+    data = ("--views", x, y) if command == "omcca" else ("--x", x, "--y", y)
+    assert run(command, *data, "--k", 2, *options, "--out", tmp_path / "o") == 4
+    assert field in capsys.readouterr().err
+
+
+def save_rank_tail_views(tmp_path):
+    paths = (tmp_path / "tail_x.csv", tmp_path / "tail_y.csv")
+    for S, path in zip(rank_tail_views(0), paths):
+        save_matrix(S, path)
+    return paths
+
+
 class TestCcaBaseline:
     def test_correlations_written(self, tmp_path):
         x, y = gen_pair(tmp_path)
@@ -206,6 +244,18 @@ class TestCcaBaseline:
         rep = read_report(f"{out}_report.json")
         assert len(rep["correlations"]) == 2
         assert rep["correlations"][0] > 0.99  # shared latent dominates
+
+    def test_k_below_one_is_domain_error(self, tmp_path):
+        x, y = gen_pair(tmp_path)
+        assert run("cca-baseline", "--x", x, "--y", y, "--k", 0, "--out", tmp_path / "b") == 4
+
+    def test_rank_tol_is_relative_singular_value_threshold(self, tmp_path):
+        # ranks 5 and 4 by default; 1e-8 sigma_1 drops the 1e-9 and 1e-10 tails
+        x, y = save_rank_tail_views(tmp_path)
+        out = tmp_path / "b"
+        assert run("cca-baseline", "--x", x, "--y", y, "--k", 4, "--out", out) == 0
+        assert run("cca-baseline", "--x", x, "--y", y, "--k", 4, "--rank-tol", "1e-8",
+                   "--out", out) == 4
 
 
 class TestEval:

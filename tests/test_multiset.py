@@ -322,6 +322,11 @@ class TestRcomcca:
         with pytest.raises(ContractViolation, match="threads"):
             rcomcca(views, 1, w, cfg=OmccaConfig(scheme="jacobi"), threads=threads)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_outer_tolerance_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ContractViolation, match="eps_outer"):
+            OmccaConfig(eps_outer=eps)
+
     def test_needs_two_views(self):
         views = three_views(seed=19)[:1]
         w = WeightMatrix.custom(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -36,6 +36,12 @@ def random_stiefel(n, k, rng):
     return orthonormalize(rng.standard_normal((n, k)))
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_tolerance_must_be_positive_and_finite(eps):
+    with pytest.raises(ContractViolation, match="eps_scf"):
+        ScfConfig(eps_scf=eps)
+
+
 class TestSubproblemSpec:
     def test_rejects_nonsymmetric_A(self):
         with pytest.raises(ContractViolation):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
+
 from occakit import (
     AltConfig,
     ContractViolation,
@@ -18,10 +20,13 @@ from occakit import (
     occa_alternate,
     orthonormalize,
     post_orthogonalize,
+    build_weights,
+    rcomcca,
     reduce_views,
 )
 
 import oracles
+from cases import rank_tail_views
 
 
 def synthetic_problem(m=20, n=20, q=200, seed=0, lam=2e-4):
@@ -56,6 +61,11 @@ class TestBuildTwoView:
     def test_sample_count_mismatch(self):
         with pytest.raises(ContractViolation):
             build_two_view(np.zeros((2, 5)), np.zeros((2, 6)))
+
+    def test_zero_view_rejected_by_name(self):
+        S = center(np.random.default_rng(2).standard_normal((3, 20)))
+        with pytest.raises(DegenerateViewError, match="S2 is identically zero"):
+            build_two_view(S, np.zeros((2, 20)))
 
     def test_uncentered_rejected(self):
         rng = np.random.default_rng(2)
@@ -139,6 +149,11 @@ class TestOccaAlternate:
         later = rep.inner_iterations[1:]
         assert later and all(ix <= 10 and iy <= 10 for ix, iy in later)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ContractViolation, match="eps_alt"):
+            AltConfig(eps_alt=eps)
+
     def test_bad_k(self):
         s1, s2 = synthetic_problem(m=5, n=4, q=30, seed=9)
         prob = build_two_view(s1, s2)
@@ -217,6 +232,97 @@ class TestClassicalCca:
         with pytest.raises(RankDeficiencyError) as exc:
             classical_cca(prob, k=3)
         assert exc.value.view == 1
+
+
+    def test_k_below_one_rejected(self):
+        s1, s2 = synthetic_problem(m=6, n=5, q=40, seed=16)
+        with pytest.raises(ContractViolation, match="k must be >= 1"):
+            classical_cca(build_two_view(s1, s2), k=0)
+
+    @pytest.mark.parametrize(
+        "m, n, q, seed",
+        [(20, 20, 200, s) for s in range(3)]
+        + [(12, 10, 120, s) for s in range(3)]
+        + [(6, 5, 60, s) for s in range(3)]
+        + [(200, 200, 2000, 0)],
+    )
+    def test_matches_covariance_oracle(self, m, n, q, seed):
+        # the old covariance-whitening formula, on the leading k <= 10
+        # correlations that squaring the condition number leaves accurate
+        s1, s2 = synthetic_problem(m=m, n=n, q=q, seed=seed)
+        prob = build_two_view(s1, s2)
+        k = min(m, n, 10)
+        X1, X2, corr = classical_cca(prob, k=k)
+        _, _, expected = oracles.covariance_cca(s1, s2, k)
+        assert np.max(np.abs(corr - expected)) <= 1e-12
+        assert np.max(np.abs(X1.T @ prob.A @ X1 - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(X2.T @ prob.B @ X2 - np.eye(k))) <= 1e-10
+
+    @pytest.mark.parametrize("m, n, q", [(20, 20, 200), (200, 200, 2000)])
+    def test_every_correlation_is_a_principal_angle_cosine(self, m, n, q):
+        # the trailing correlations of the covariance route are off by up
+        # to ~2e-7 here; the principal angles of scipy agree with all of
+        # classical_cca's
+        s1, s2 = synthetic_problem(m=m, n=n, q=q, seed=0)
+        _, _, corr = classical_cca(build_two_view(s1, s2), k=min(m, n))
+        expected = np.sort(np.cos(sla.subspace_angles(s1.T, s2.T)))[::-1]
+        assert np.max(np.abs(corr - expected)) <= 1e-11
+
+
+class TestOneRankRule:
+    """Both two-view solvers and rcomcca take their rank from
+    reduce_views: on views whose singular-value tails sit between the
+    thin-SVD rule and a covariance-eigenvalue rule, all three agree."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_occa_solves_what_rcomcca_solves(self, seed):
+        views = rank_tail_views(seed)
+        reduced = reduce_views(views)
+        assert [rv.r for rv in reduced] == [5, 4]
+        prob = build_two_view(*views)
+        rep = occa_alternate(prob, k=3)
+        for P, rv in zip((rep.X, rep.Y), reduced):
+            assert np.max(np.abs(P.T @ P - np.eye(3))) <= 1e-10
+            assert np.max(np.abs(P - rv.U @ (rv.U.T @ P))) <= 1e-10
+        tr = np.array(rep.F_trace)
+        assert np.all(np.diff(tr) >= -1e-12 * np.abs(tr[1:]))
+        g = rcomcca(views, 3, build_weights(views)).g_trace[-1]
+        assert rep.f_final == pytest.approx(g / 2, rel=1e-5)
+
+    def test_classical_cca_reports_same_ranks(self):
+        prob = build_two_view(*rank_tail_views(0))
+        _, _, corr = classical_cca(prob, k=4)
+        assert corr.shape == (4,)
+        with pytest.raises(RankDeficiencyError, match="rank 4 of view 2") as exc:
+            classical_cca(prob, k=5)
+        assert exc.value.view == 2
+        with pytest.raises(RankDeficiencyError, match="rank 5 of view 1") as exc:
+            classical_cca(prob, k=6)
+        assert exc.value.view == 1
+
+    def test_rank_tol_thresholds_singular_values(self):
+        # a threshold of 1e-8 sigma_1 drops the 1e-9 and 1e-10 tails
+        prob = build_two_view(*rank_tail_views(0))
+        with pytest.raises(RankDeficiencyError, match="rank 3 of view 1"):
+            classical_cca(prob, k=4, rank_tol=1e-8)
+        assert classical_cca(prob, k=3, rank_tol=1e-8)[2].shape == (3,)
+
+    @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, 1.0, 2.0, float("inf")])
+    def test_rank_tol_outside_unit_interval_rejected(self, rank_tol):
+        views = rank_tail_views(0)
+        with pytest.raises(ContractViolation, match="rank_tol"):
+            reduce_views(views, rank_tol=rank_tol)
+        with pytest.raises(ContractViolation, match="rank_tol"):
+            classical_cca(build_two_view(*views), k=2, rank_tol=rank_tol)
+        with pytest.raises(ContractViolation, match="rank_tol"):
+            rcomcca(views, 2, build_weights(views), rank_tol=rank_tol)
+
+    def test_reduction_shared_by_both_solvers(self):
+        prob = build_two_view(*rank_tail_views(1))
+        occa_alternate(prob, k=2)
+        first = prob.reduced()
+        classical_cca(prob, k=2)
+        assert prob.reduced() is first
 
 
 class TestPostOrthogonalize:

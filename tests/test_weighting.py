@@ -140,6 +140,11 @@ class TestSoftmaxNormalize:
         total = sum(w.rho[i, j] for i in range(4) for j in range(i + 1, 4))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ContractViolation, match="bandwidth"):
+            softmax_normalize([(0, 1, 0.7), (0, 2, 0.4)], size=3, bandwidth=bandwidth)
+
     def test_empty_selection(self):
         with pytest.raises(ContractViolation):
             softmax_normalize([], size=3)
