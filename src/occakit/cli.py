@@ -7,13 +7,13 @@ parse failure (including non-finite CSV values), 3 finished at the
 iteration cap (outputs still written), 4 domain error (rank deficiency,
 degenerate or isolated views, bad shapes, a thread count below 1, a
 tolerance that is not positive and finite, a non-finite bandwidth, a
-rank tolerance outside [0, 1)).
+rank tolerance outside [0, 1), a negative seed or a noise scale that is
+negative or not finite for ``gen``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -31,17 +31,6 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_MAXITER = 3
 EXIT_DOMAIN = 4
-
-
-def _threads_default():
-    raw = os.environ.get("OCCA_KIT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ContractViolation(f"OCCA_KIT_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def build_parser():
@@ -87,7 +76,7 @@ def build_parser():
     om.add_argument("--max-cycles", type=int, default=100)
     om.add_argument("--eps-scf", type=float, default=1e-5)
     om.add_argument("--max-iter-scf", type=int, default=30)
-    om.add_argument("--threads", type=int, default=None, help="Jacobi-cycle parallelism")
+    om.add_argument("--threads", type=int, default=1, help="Jacobi-cycle parallelism")
     io_flags(om)
 
     base = sub.add_parser("cca-baseline", help="classical CCA (principal angles)")
@@ -166,7 +155,6 @@ def cmd_omcca(args):
     t0 = time.perf_counter()
     views = [_load_view(p, args) for p in args.views]
     w = weighting.build_weights(views, scheme=args.weights, bandwidth=args.bandwidth)
-    threads = args.threads if args.threads is not None else _threads_default()
     rep = multiset.rcomcca(
         views,
         args.k,
@@ -177,7 +165,7 @@ def cmd_omcca(args):
             scheme="gauss_seidel" if args.scheme == "gs" else "jacobi",
             scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
         ),
-        threads=threads,
+        threads=args.threads,
     )
     for i, X in enumerate(rep.projections, start=1):
         dio.save_matrix(X, f"{args.out}_view{i}_proj.csv")
@@ -197,7 +185,7 @@ def cmd_omcca(args):
             "bandwidth": args.bandwidth,
             "eps_outer": args.eps_outer,
             "max_cycles": args.max_cycles,
-            "threads": threads,
+            "threads": args.threads,
             "center": not args.no_center,
         },
         weight_matrix=[[float(v) for v in row] for row in w.rho],

@@ -33,20 +33,6 @@ from .errors import ContractViolation, ParseError
 
 SCHEMA_VERSION = 1
 
-REPORT_KEYS = (
-    "schema_version",
-    "solver",
-    "k",
-    "objective_trace",
-    "grad_norms",
-    "gaps",
-    "iterations",
-    "termination_reason",
-    "wall_time_seconds",
-    "seed",
-    "config",
-)
-
 
 @dataclass
 class SyntheticSpec:
@@ -63,8 +49,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if min(self.m, self.n, self.q) < 1:
             raise ContractViolation("m, n, q must all be >= 1")
-        if self.lam < 0:
-            raise ContractViolation("lam must be nonnegative")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ContractViolation(f"lam must be nonnegative and finite, got {self.lam!r}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be nonnegative, got {self.seed!r}")
 
     @property
     def d_z(self):

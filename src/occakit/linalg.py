@@ -36,16 +36,12 @@ def orthonormality_error(G):
     return float(np.max(np.abs(G.T @ G - np.eye(k))))
 
 
-def is_orthonormal(G, tol=ORTH_TOL):
-    return orthonormality_error(G) <= tol
-
-
-def require_orthonormal(G, what="G", tol=ORTH_TOL):
+def require_orthonormal(G, what="G"):
     G = as_matrix(G, what)
     if G.shape[0] < G.shape[1]:
         raise ContractViolation(f"{what} must be tall (n >= k), got shape {G.shape}")
     err = orthonormality_error(G)
-    if err > tol:
+    if err > ORTH_TOL:
         raise ContractViolation(f"{what} is not orthonormal: max|G^T G - I| = {err:.3e}")
     return G
 
@@ -62,9 +58,9 @@ def orthonormalize(G):
     return Q * np.sign(d)
 
 
-def ensure_orthonormal(G, tol=ORTH_TOL):
+def ensure_orthonormal(G):
     """Return ``G`` itself if within drift tolerance, else a QR repair."""
-    if orthonormality_error(G) > tol:
+    if orthonormality_error(G) > ORTH_TOL:
         return orthonormalize(G)
     return G
 

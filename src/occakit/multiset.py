@@ -8,11 +8,13 @@ solver) against the weighted pull of the other views, inside a search
 space of at most 5k columns when that is below the view's rank; cycles
 follow either a Jacobi scheme (all updates read the previous cycle's iterates,
 so they can run in parallel) or a Gauss-Seidel scheme (updates consume
-fresh iterates; the total correlation then never decreases).
+fresh iterates; the total correlation then never decreases).  ``_cycles``
+is that loop for both schemes and for the two-view solver.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -219,13 +221,11 @@ def _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
 
 
 def update_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
-    """Gauss-Seidel step on view ``s``: SCF from ``hatX[s]``, on the search
-    space W = orth[hatX_s, prev_s, grad_s, D_s, Lambda_s grad_s] when
-    5k < r_s and on the whole reduced space otherwise (``_solve_view``).
+    """Gauss-Seidel step on view ``s``: ``_solve_view`` from ``hatX[s]``.
     The result is kept unless it ended lower (tolerance slack only), so
     the objective never decreases; a kept move stores the old iterate in
     ``prev[s]``.  Returns (subproblem objective at the kept iterate, SCF
-    sweeps, 0 when W is hatX_s alone)."""
+    sweeps)."""
     e_old, X, e_new, iters = _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
     if e_new < e_old:
         return e_old, iters
@@ -295,72 +295,34 @@ def total_correlation(projections, views, weights):
     return total
 
 
-def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
-    """Range-constrained multiset solver.
+def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, threads=1):
+    """The outer cycle of every solver: updates ``hatX`` in place and
+    yields (cycle, loop_g, sweeps) after each cycle, forever.
 
-    Reduces every view by thin SVD and builds the reduced cross block of
-    every selected pair once, so a cycle costs nothing that grows with
-    the sample count.  Starts each reduced projection at the leading
-    identity columns and cycles over the views, solving each
-    view's trace-fractional subproblem by SCF warm-started at its current
-    value.  A view whose reduced rank r exceeds 5k solves it inside the
-    search space W = orth[hatX, hatX_prev, grad, D, diag(sigma^2) grad]
-    of at most 5k columns (its iterate, the iterate before its last
-    accepted update, the subproblem gradient, the pull and the gradient
-    scaled by the spectrum), which holds the current iterate, and lifts
-    the result back; other views solve it on the whole reduced space.
-    Stops when the per-cycle sum of subproblem optima changes by
-    at most ``eps_outer`` relative, or at the cycle cap.  ``threads``
-    parallelizes the subproblem solves of a Jacobi cycle only; results
-    are merged in view order, so the outcome is identical at any thread
-    count.  Raises ``RankDeficiencyError`` (0-based ``.view``) unless k is
-    below the numerical rank of every view.
+    ``loop_g`` sums the subproblem optima of the cycle and ``sweeps`` holds
+    each view's SCF sweeps.  Gauss-Seidel runs ``update_view`` on the views
+    in order.  Jacobi solves every view from the previous cycle's iterates
+    (on ``threads`` workers when above 1), merges the results in view
+    order, so the outcome is identical at any thread count, and realigns
+    each view against its fresh partners.  ``prev`` holds every view's
+    iterate before its last accepted update, for the search space of
+    ``_solve_view``; the caller may rotate ``hatX`` between cycles.
     """
-    cfg = cfg or OmccaConfig()
-    if len(views) < 2:
-        raise ContractViolation("need at least two views")
-    if k < 1:
-        raise ContractViolation(f"k must be >= 1, got {k}")
-    if threads < 1:
-        raise ContractViolation(f"threads must be >= 1, got {threads}")
-    qs = {np.asarray(v).shape[1] for v in views}
-    if len(qs) != 1:
-        raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
-    reduced = reduce_views(views, rank_tol=rank_tol)
-    for idx, rv in enumerate(reduced):
-        # a view's SCF subproblem has dimension rank and needs k below it
-        if k >= rv.r:
-            raise RankDeficiencyError(
-                f"k={k} must be below the numerical rank {rv.r} of view {idx}", view=idx
-            )
-
-    ell = len(views)
-    rho = weights.rho
-    pairs = weights.selected_pairs()
-    blocks = _cross_blocks(reduced, pairs)
-    sigmas = [rv.sigma for rv in reduced]
-    hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
+    ell = len(hatX)
     prev = [None] * ell
 
-    report = OmccaReport(projections=[])
-    loop_g_prev = 0.0
-    reason = "max_cycles"
-    gauss_seidel = cfg.scheme == "gauss_seidel"
+    def solve(s):
+        return _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
 
-    for cycle in range(1, cfg.max_cycles + 1):
-        iters = []
+    for cycle in itertools.count(1):
         loop_g = 0.0
-
-        if gauss_seidel:
+        sweeps = []
+        if scheme == "gauss_seidel":
             for s in range(ell):
-                e_s, it = update_view(s, hatX, prev, rho, blocks, sigmas, cfg.scf_cfg)
+                e_s, it = update_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
                 loop_g += e_s
-                iters.append(it)
+                sweeps.append(it)
         else:
-
-            def solve(s):
-                return _solve_view(s, hatX, prev, rho, blocks, sigmas, cfg.scf_cfg)
-
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     outs = list(pool.map(solve, range(ell)))
@@ -370,7 +332,7 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
                 if X is not hatX[s]:
                     prev[s], hatX[s] = hatX[s], X
                 loop_g += e_s
-                iters.append(it)
+                sweeps.append(it)
             # simultaneous updates only align each view to its partners'
             # stale representatives, which can leave the merged set
             # mutually anti-aligned (the subspaces are fine, the signs
@@ -378,20 +340,60 @@ def rcomcca(views, k, weights, cfg=None, rank_tol=None, threads=1):
             # fresh partners repairs that without moving any subspace
             for s in range(ell):
                 hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, sigmas))
+        yield cycle, loop_g, sweeps
 
+
+def rcomcca(views, k, weights, cfg=None, threads=1):
+    """Range-constrained multiset solver.
+
+    Reduces every view by thin SVD and builds the reduced cross block of
+    every selected pair once, so a cycle costs nothing that grows with
+    the sample count.  Starts each reduced projection at the leading
+    identity columns and runs ``_cycles`` in the configured order, each
+    view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
+    sum of subproblem optima changes by at most ``eps_outer`` relative, or
+    at the cycle cap.  ``threads`` parallelizes Jacobi cycles only, with
+    the same outcome at any thread count.  Raises ``RankDeficiencyError``
+    (0-based ``.view``) unless k is below the numerical rank of every view.
+    """
+    cfg = cfg or OmccaConfig()
+    if len(views) < 2:
+        raise ContractViolation("need at least two views")
+    if k < 1:
+        raise ContractViolation(f"k must be >= 1, got {k}")
+    if threads < 1:
+        raise ContractViolation(f"threads must be >= 1, got {threads}")
+    views = [as_matrix(v, f"view {idx}") for idx, v in enumerate(views)]
+    qs = {v.shape[1] for v in views}
+    if len(qs) != 1:
+        raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
+    reduced = reduce_views(views)
+    for idx, rv in enumerate(reduced):
+        # a view's SCF subproblem has dimension rank and needs k below it
+        if k >= rv.r:
+            raise RankDeficiencyError(
+                f"k={k} must be below the numerical rank {rv.r} of view {idx}", view=idx
+            )
+
+    rho = weights.rho
+    pairs = weights.selected_pairs()
+    blocks = _cross_blocks(reduced, pairs)
+    sigmas = [rv.sigma for rv in reduced]
+    hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
+
+    report = OmccaReport(projections=[])
+    loop_g_prev = 0.0
+    cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg, threads)
+    for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
+        report.cycles = cycle
         report.loop_g_trace.append(loop_g)
         report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
-        report.per_cycle_subproblem_iters.append(iters)
+        report.per_cycle_subproblem_iters.append(sweeps)
         report.ds_terms_per_cycle.append(2 * len(pairs))
-
         if abs(loop_g - loop_g_prev) <= cfg.eps_outer * loop_g:
-            reason = "rel_change_tol"
-            report.cycles = cycle
+            report.termination_reason = "rel_change_tol"
             break
         loop_g_prev = loop_g
-    else:
-        report.cycles = cfg.max_cycles
 
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
-    report.termination_reason = reason
     return report

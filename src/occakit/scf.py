@@ -33,6 +33,9 @@ from .linalg import (
 # Cap on the scaled gradient norm when xi blows up (tr(G^T D) near 0);
 # the relative-change test then decides termination.
 _SCALED_GRAD_CAP = 1e300
+# tr(G^T D) = 0 recovery: perturbation scale and number of attempts.
+_PERTURB_SCALE = 1e-3
+_ZERO_RATIO_RETRIES = 3
 
 
 @dataclass
@@ -205,21 +208,21 @@ def _identity_start(n, k):
     return np.eye(n)[:, :k].copy()
 
 
-def _recover_zero_ratio(G, spec, retries=3, perturb_scale=1e-3):
+def _recover_zero_ratio(G, spec):
     """Called when tr(G^T D) = 0: align first (fixes everything except an
     exactly-zero G^T D), then nudge by a small deterministic Gaussian
-    perturbation and realign, up to ``retries`` times.
+    perturbation and realign, up to ``_ZERO_RATIO_RETRIES`` times.
 
     Returns (G, number_of_zero_ratio_events).
     """
     G = align(G, spec.D)
     events = 0
     rng = np.random.default_rng(0x0CCA)
-    for _ in range(retries):
+    for _ in range(_ZERO_RATIO_RETRIES):
         if float(np.trace(G.T @ spec.D)) != 0.0:
             return G, events
         events += 1
-        G = orthonormalize(G + perturb_scale * rng.standard_normal(G.shape))
+        G = orthonormalize(G + _PERTURB_SCALE * rng.standard_normal(G.shape))
         G = align(G, spec.D)
     if float(np.trace(G.T @ spec.D)) == 0.0:
         raise UndefinedRatioError(

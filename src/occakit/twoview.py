@@ -14,6 +14,7 @@ views) and QR post-orthogonalization are the baselines.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ContractViolation, DegenerateViewError, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
-from .multiset import _cross_blocks, _g, _unit_scores, reduce_views, update_view, view_spec
+from .multiset import _cross_blocks, _cycles, _g, _unit_scores, reduce_views, view_spec
 from .scf import ScfConfig, _Iterate
 
 # Row means above this (relative to the matrix scale) fail the
@@ -138,17 +139,14 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     """Alternating maximization of F as the two-view multiset problem on
     the shared reduction ``prob.reduced()``: view i enters as its spectrum
     sigma_i and the cross block K = diag(sigma_1) V_1^T V_2 diag(sigma_2),
-    so q < n needs nothing special.  Per outer step: the Gauss-Seidel
-    update of hatX (warm-started SCF, ``multiset.update_view``), then of
-    hatY, then a joint realignment.  When 5k is below a view's rank r its
-    SCF runs in the search space W = orth[hatX, hatX_prev, grad, D,
-    diag(sigma^2) grad] of at most 5k columns, not in all r dimensions.
-    Stops on the gradient norm, the relative change of F, or the outer-
-    iteration cap.  F never decreases, X^T C Y = hatX^T K hatY is
-    symmetric PSD after every step (``xcy_asyms`` scaled by max|K|), and
-    X = U_1 hatX lies in the range of its view.  The start is X0 (default:
-    leading identity columns) projected onto the range and orthonormalized,
-    i.e. X0 itself at full rank; likewise for Y0.  Raises
+    so q < n needs nothing special.  Each outer step is one Gauss-Seidel
+    cycle of ``multiset._cycles`` (hatX, then hatY) followed by a joint
+    realignment.  Stops on the gradient norm, the relative change of F,
+    or the outer-iteration cap.  F never decreases, X^T C Y = hatX^T K hatY
+    is symmetric PSD after every step (``xcy_asyms`` scaled by max|K|),
+    and X = U_1 hatX lies in the range of its view.  The start is X0
+    (default: leading identity columns) projected onto the range and
+    orthonormalized, i.e. X0 itself at full rank; likewise for Y0.  Raises
     ``RankDeficiencyError`` (1-based ``.view``) unless k is below the
     numerical rank of both views, which ``reduce_views`` decides.
     """
@@ -173,23 +171,21 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     K = blocks[0, 1]
     hat = [orthonormalize(rv.U.T @ P0) for rv, P0 in zip(reduced, (X0, Y0))]
     rho = np.array([[0.0, 1.0], [1.0, 0.0]])
-    prev = [None, None]
 
     report = OccaReport(X=X0, Y=Y0)
     k_scale = max(1.0, float(np.max(np.abs(K))))
-    F_prev = None
-    reason = "max_outer"
-    for outer in range(1, alt_cfg.max_outer + 1):
-        _, ix = update_view(0, hat, prev, rho, blocks, sigmas, scf_cfg)
-        _, iy = update_view(1, hat, prev, rho, blocks, sigmas, scf_cfg)
+    F_last = None
+    cycles = _cycles(hat, rho, blocks, sigmas, "gauss_seidel", scf_cfg)
+    for outer, _, sweeps in itertools.islice(cycles, alt_cfg.max_outer):
+        report.outer_iterations = outer
         hX, hY = pair_align(hat[0], hat[1], K)
-        hat = [ensure_orthonormal(hX), ensure_orthonormal(hY)]
+        hat[:] = [ensure_orthonormal(hX), ensure_orthonormal(hY)]
 
         # X^T C Y = hatX^T K hatY
         W = hat[0].T @ K @ hat[1]
         report.xcy_asyms.append(float(np.max(np.abs(W - W.T))) / k_scale)
         report.xcy_min_eigs.append(float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]))
-        report.inner_iterations.append((ix, iy))
+        report.inner_iterations.append(tuple(sweeps))
 
         # F is eta of either subproblem at the realigned pair, and the
         # partial gradients of F are the subproblem gradients
@@ -200,24 +196,20 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
         gnorm = float(np.sqrt(np.linalg.norm(gx) ** 2 + np.linalg.norm(gy) ** 2))
 
         if gnorm <= alt_cfg.eps_alt:
-            reason = "grad_tol"
-        elif (
-            F_prev is not None
-            and F_val != 0.0
-            and abs((F_val - F_prev) / F_val) <= alt_cfg.eps_alt
-        ):
-            reason = "rel_change_tol"
-        F_prev = F_val
-        if reason != "max_outer":
-            report.outer_iterations = outer
+            report.termination_reason = "grad_tol"
             break
-    else:
-        report.outer_iterations = alt_cfg.max_outer
+        if (
+            F_last is not None
+            and F_val != 0.0
+            and abs((F_val - F_last) / F_val) <= alt_cfg.eps_alt
+        ):
+            report.termination_reason = "rel_change_tol"
+            break
+        F_last = F_val
 
     report.X, report.Y = (rv.U @ h for rv, h in zip(reduced, hat))
     report.f_final = _g(hat, rho, [(0, 1)], blocks, sigmas) / 2.0
     report.grad_norm_final = gnorm
-    report.termination_reason = reason
     return report
 
 

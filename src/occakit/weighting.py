@@ -42,9 +42,9 @@ class WeightMatrix:
         return [(i, j) for i in range(ell) for j in range(i + 1, ell) if self.rho[i, j] != 0.0]
 
     @classmethod
-    def custom(cls, rho, rho_hat=None):
+    def custom(cls, rho):
         """Wrap caller-supplied weights, normalizing them to unit sum over
-        unordered pairs."""
+        unordered pairs; ``rho_hat`` is left zero."""
         rho = np.asarray(rho, dtype=float)
         ell = rho.shape[0]
         if rho.shape != (ell, ell) or np.max(np.abs(rho - rho.T)) > 0 or np.any(np.diag(rho) != 0):
@@ -54,9 +54,7 @@ class WeightMatrix:
         total = sum(rho[i, j] for i in range(ell) for j in range(i + 1, ell))
         if total <= 0:
             raise ContractViolation("custom weights must have a positive sum")
-        if rho_hat is None:
-            rho_hat = np.zeros_like(rho)
-        return cls(rho_hat=rho_hat, rho=rho / total, scheme="custom")
+        return cls(rho_hat=np.zeros_like(rho), rho=rho / total, scheme="custom")
 
 
 def pairwise_rho_hat(Si, Sj):
@@ -125,7 +123,7 @@ def _mst_edges(rho_hat):
     return tree
 
 
-def select_weights(rho_hat, scheme, p=None):
+def select_weights(rho_hat, scheme):
     """Pick the pairs that participate in the objective.
 
     Returns a list of (i, j, value) over unordered pairs i < j:
@@ -137,24 +135,20 @@ def select_weights(rho_hat, scheme, p=None):
     ell = rho_hat.shape[0]
     if ell < 2:
         raise ContractViolation("need at least two views")
-    name, p_parsed = parse_scheme(scheme) if isinstance(scheme, str) else (scheme, p)
-    if p_parsed is not None:
-        p = p_parsed
+    name, p = parse_scheme(scheme)
 
     if name == "uniform":
         return [(i, j, 1.0) for i in range(ell) for j in range(i + 1, ell)]
     if name == "tree":
         return [(i, j, float(rho_hat[i, j])) for i, j in _mst_edges(rho_hat)]
-    if name == "top":
-        n_pairs = ell * (ell - 1) // 2
-        if p is None or not (1 <= p <= n_pairs):
-            raise ContractViolation(f"top-p needs 1 <= p <= {n_pairs}, got {p}")
-        ranked = sorted(
-            ((i, j) for i in range(ell) for j in range(i + 1, ell)),
-            key=lambda e: (-rho_hat[e[0], e[1]], e[0], e[1]),
-        )
-        return [(i, j, float(rho_hat[i, j])) for i, j in ranked[:p]]
-    raise ContractViolation(f"unknown weighting scheme {name!r}")
+    n_pairs = ell * (ell - 1) // 2
+    if not (1 <= p <= n_pairs):
+        raise ContractViolation(f"top-p needs 1 <= p <= {n_pairs}, got {p}")
+    ranked = sorted(
+        ((i, j) for i in range(ell) for j in range(i + 1, ell)),
+        key=lambda e: (-rho_hat[e[0], e[1]], e[0], e[1]),
+    )
+    return [(i, j, float(rho_hat[i, j])) for i, j in ranked[:p]]
 
 
 def softmax_normalize(edges, size, bandwidth=20.0, rho_hat=None, scheme="custom"):

@@ -55,6 +55,15 @@ class TestGen:
         assert run("gen", "--m", 2, "--n", 2, "--q", 3, "--seed", 0,
                    "--out", tmp_path / "no" / "such" / "dir" / "p") == 2
 
+    @pytest.mark.parametrize(
+        "option, field", [(("--seed", "-1"), "seed"), (("--lam", "nan"), "lam"),
+                          (("--lam", "inf"), "lam")]
+    )
+    def test_bad_spec_is_domain_error_and_writes_nothing(self, tmp_path, capsys, option, field):
+        assert run("gen", "--m", 2, "--n", 2, "--q", 3, *option, "--out", tmp_path / "p") == 4
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestOcca:
     def test_identical_views_unit_correlation(self, tmp_path):
@@ -179,24 +188,6 @@ class TestOmcca:
         f_occa = read_report(f"{out_o}_report.json")["f_final"]
         g_omcca = read_report(f"{out_m}_report.json")["objective_trace"][-1]
         assert g_omcca == pytest.approx(2 * f_occa, abs=1e-5)
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    x, y = gen_pair(tmp_path, m=8, n=7, q=50, seed=30)
-    monkeypatch.setenv("OCCA_KIT_THREADS", "3")
-    out = tmp_path / "env"
-    assert run("omcca", "--views", x, y, "--k", 1, "--scheme", "jacobi",
-               "--out", out) in (0, 3)
-    assert read_report(f"{out}_report.json")["config"]["threads"] == 3
-
-
-@pytest.mark.parametrize("value", ["not-a-number", "0", "-3", "1.5"])
-def test_threads_env_rejects_non_positive_or_non_integer(tmp_path, monkeypatch, capsys, value):
-    x, y = gen_pair(tmp_path, m=8, n=7, q=50, seed=30)
-    monkeypatch.setenv("OCCA_KIT_THREADS", value)
-    assert run("omcca", "--views", x, y, "--k", 1, "--scheme", "jacobi",
-               "--out", tmp_path / "env") == 4
-    assert "OCCA_KIT_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", [0, -3])

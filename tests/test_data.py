@@ -75,6 +75,15 @@ class TestGenSynthetic:
         with pytest.raises(ContractViolation):
             SyntheticSpec(m=1, n=1, q=1, lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_noise_scale_rejected(self, lam):
+        with pytest.raises(ContractViolation, match="lam"):
+            SyntheticSpec(m=2, n=2, q=3, lam=lam)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractViolation, match="seed"):
+            SyntheticSpec(m=2, n=2, q=3, seed=-1)
+
     @pytest.mark.slow
     def test_full_benchmark_scale(self):
         # the generator must support the full benchmark size even though

@@ -333,6 +333,14 @@ class TestRcomcca:
         with pytest.raises(ContractViolation):
             rcomcca(views, 1, w)
 
+    def test_one_dimensional_view_rejected_by_name(self):
+        views = three_views(q=20, seed=19)[:1]
+        w = WeightMatrix.custom(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ContractViolation, match="view 0 must be 2-d"):
+            rcomcca([np.ones(20), views[0]], 1, w)
+        with pytest.raises(ContractViolation, match="view 1 must be 2-d"):
+            rcomcca([views[0], np.ones(20)], 1, w)
+
     def test_isolated_view_under_custom_sparse_weights(self):
         views = three_views(seed=20)
         rho = np.zeros((3, 3))

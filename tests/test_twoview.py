@@ -314,8 +314,6 @@ class TestOneRankRule:
             reduce_views(views, rank_tol=rank_tol)
         with pytest.raises(ContractViolation, match="rank_tol"):
             classical_cca(build_two_view(*views), k=2, rank_tol=rank_tol)
-        with pytest.raises(ContractViolation, match="rank_tol"):
-            rcomcca(views, 2, build_weights(views), rank_tol=rank_tol)
 
     def test_reduction_shared_by_both_solvers(self):
         prob = build_two_view(*rank_tail_views(1))
