@@ -148,7 +148,7 @@ def align(G, D):
     W = G.T @ D
     if not W.any():
         return G.copy()
-    U, _, Vt = np.linalg.svd(W)
+    U, Vt = _svd_factors(W)
     return G @ (U @ Vt)
 
 
@@ -168,8 +168,18 @@ def pair_align(X, Y, C):
     W = X.T @ C @ Y
     if not W.any():
         return X.copy(), Y.copy()
-    U, _, Vt = np.linalg.svd(W)
+    U, Vt = _svd_factors(W)
     return X @ U, Y @ Vt.T
+
+
+def _svd_factors(W):
+    """Factors U, V^T of the full SVD W = U S V^T of a small square
+    matrix from LAPACK ``dgesdd``, the routine ``np.linalg.svd`` runs,
+    without its per-call dispatch."""
+    U, _, Vt, info = lapack.dgesdd(W)
+    if info != 0:
+        raise SolverFailure(f"dgesdd failed: info={info}")
+    return U, Vt
 
 
 def dist_tr(G1, G2):

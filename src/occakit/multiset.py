@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, scf_solve
+from .scf import ScfConfig, SubproblemSpec, _Iterate, eta, scf_solve
 
 # A view's subproblem is solved in a search space of at most this many
 # blocks of k columns, and only when that is below the view's rank.
@@ -198,24 +199,27 @@ def _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
     solution, objective at the solution, SCF sweeps); the solution is
     ``hatX[s]`` itself when nothing moved.
     """
-    spec = view_spec(s, hatX, rho, blocks, sigmas)
     G = hatX[s]
     r, k = G.shape
     lam = sigmas[s] ** 2
+    D = _pull(s, hatX, rho, blocks, sigmas)
     projected = _SEARCH_BLOCKS * k < r
-    cur = _Iterate(G, spec, AG=lam[:, None] * G if projected else None)
+    if projected:
+        cur = _Iterate(G, D, lam[:, None] * G)
     if not projected or cur.phi_d == 0.0:
+        # only the full-space solve reads a dense diag(sigma_s^2)
+        spec = SubproblemSpec(np.diag(lam), D, validate=False)
         rep = scf_solve(spec, G0=G, cfg=scf_cfg)
-        return cur.eta, rep.solution, rep.eta_trace[-1], rep.iterations
+        return eta(G, spec), rep.solution, rep.eta_trace[-1], rep.iterations
     grad = cur.grad()
-    directions = [grad, spec.D, lam[:, None] * grad]
+    directions = [grad, D, lam[:, None] * grad]
     if prev[s] is not None:
         directions.insert(0, prev[s])
     W = _search_space(G, directions)
     if W.shape[1] == k:
         return cur.eta, G, cur.eta, 0
     A = W.T @ (lam[:, None] * W)
-    sub = SubproblemSpec(0.5 * (A + A.T), W.T @ spec.D, validate=False)
+    sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
     rep = scf_solve(sub, G0=np.eye(W.shape[1], k), cfg=scf_cfg)
     return cur.eta, ensure_orthonormal(W @ rep.solution), rep.eta_trace[-1], rep.iterations
 
@@ -295,18 +299,19 @@ def total_correlation(projections, views, weights):
     return total
 
 
-def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, threads=1):
+def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
     """The outer cycle of every solver: updates ``hatX`` in place and
     yields (cycle, loop_g, sweeps) after each cycle, forever.
 
     ``loop_g`` sums the subproblem optima of the cycle and ``sweeps`` holds
     each view's SCF sweeps.  Gauss-Seidel runs ``update_view`` on the views
     in order.  Jacobi solves every view from the previous cycle's iterates
-    (on ``threads`` workers when above 1), merges the results in view
-    order, so the outcome is identical at any thread count, and realigns
-    each view against its fresh partners.  ``prev`` holds every view's
-    iterate before its last accepted update, for the search space of
-    ``_solve_view``; the caller may rotate ``hatX`` between cycles.
+    through ``map_`` (a thread pool's ``map`` runs them in parallel),
+    merges the results in view order, so the outcome is identical at any
+    thread count, and realigns each view against its fresh partners.
+    ``prev`` holds every view's iterate before its last accepted update,
+    for the search space of ``_solve_view``; the caller may rotate
+    ``hatX`` between cycles.
     """
     ell = len(hatX)
     prev = [None] * ell
@@ -323,11 +328,9 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, threads=1):
                 loop_g += e_s
                 sweeps.append(it)
         else:
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    outs = list(pool.map(solve, range(ell)))
-            else:
-                outs = [solve(s) for s in range(ell)]
+            # every solve reads the previous cycle's iterates, so all of
+            # them finish before the first result is merged
+            outs = list(map_(solve, range(ell)))
             for s, (_, X, e_s, it) in enumerate(outs):
                 if X is not hatX[s]:
                     prev[s], hatX[s] = hatX[s], X
@@ -352,8 +355,9 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     identity columns and runs ``_cycles`` in the configured order, each
     view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
     sum of subproblem optima changes by at most ``eps_outer`` relative, or
-    at the cycle cap.  ``threads`` parallelizes Jacobi cycles only, with
-    the same outcome at any thread count.  Raises ``RankDeficiencyError``
+    at the cycle cap.  ``threads`` parallelizes Jacobi cycles only, on one
+    thread pool for the whole solve, with the same outcome at any thread
+    count.  Raises ``RankDeficiencyError``
     (0-based ``.view``) unless k is below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
@@ -363,6 +367,8 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
         raise ContractViolation(f"k must be >= 1, got {k}")
     if threads < 1:
         raise ContractViolation(f"threads must be >= 1, got {threads}")
+    if weights.size != len(views):
+        raise ContractViolation(f"weights are for {weights.size} views, got {len(views)} views")
     views = [as_matrix(v, f"view {idx}") for idx, v in enumerate(views)]
     qs = {v.shape[1] for v in views}
     if len(qs) != 1:
@@ -383,17 +389,21 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
 
     report = OmccaReport(projections=[])
     loop_g_prev = 0.0
-    cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg, threads)
-    for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
-        report.cycles = cycle
-        report.loop_g_trace.append(loop_g)
-        report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
-        report.per_cycle_subproblem_iters.append(sweeps)
-        report.ds_terms_per_cycle.append(2 * len(pairs))
-        if abs(loop_g - loop_g_prev) <= cfg.eps_outer * loop_g:
-            report.termination_reason = "rel_change_tol"
-            break
-        loop_g_prev = loop_g
+    parallel = cfg.scheme == "jacobi" and threads > 1
+    # one pool serves every cycle and is joined before rcomcca returns or raises
+    with ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+        map_ = pool.map if parallel else map
+        cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg, map_)
+        for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
+            report.cycles = cycle
+            report.loop_g_trace.append(loop_g)
+            report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
+            report.per_cycle_subproblem_iters.append(sweeps)
+            report.ds_terms_per_cycle.append(2 * len(pairs))
+            if abs(loop_g - loop_g_prev) <= cfg.eps_outer * loop_g:
+                report.termination_reason = "rel_change_tol"
+                break
+            loop_g_prev = loop_g
 
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
     return report

@@ -15,6 +15,7 @@ after the first satisfies D^T G >= 0 (positive semidefinite).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,35 +106,52 @@ class ScfReport:
 
     ``eta_trace[0]`` is the objective at the starting point as given
     (aligned against D only when tr(G^T D) = 0 there); entry ``nu``
-    corresponds to iterate ``nu``.  The remaining lists have
-    one entry per completed iteration: the eigengap of E at the previous
-    iterate, the scaled gradient norm used in the stopping test, the
-    smallest eigenvalue of sym(D^T G) (the PSD certificate) and the
-    subspace distance from the previous iterate.
+    corresponds to iterate ``nu``.  ``gaps`` and ``grad_norms`` have one
+    entry per completed iteration: the eigengap of E at the previous
+    iterate and the scaled gradient norm used in the stopping test.
+
+    The certificates ``dtg_min_eigs`` (smallest eigenvalue of
+    sym(D^T G) at each new iterate, the PSD certificate) and
+    ``subspace_dists`` (distance from the previous iterate) are computed
+    on first read from the stored ``iterates`` G_0 ... G_nu (each taken
+    after any tr(G^T D) = 0 recovery) and ``D``, so a caller that never
+    reads them pays nothing for them.
     """
 
     solution: np.ndarray
     eta_trace: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
-    dtg_min_eigs: list = field(default_factory=list)
-    subspace_dists: list = field(default_factory=list)
     iterations: int = 0
     termination_reason: str = "max_iter"
     zero_ratio_events: int = 0
+    iterates: list = field(default_factory=list, repr=False, compare=False)
+    D: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def dtg_min_eigs(self):
+        out = []
+        for G in self.iterates[1:]:
+            W = G.T @ self.D
+            out.append(float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]))
+        return out
+
+    @cached_property
+    def subspace_dists(self):
+        return [dist_tr(G, G_new) for G, G_new in zip(self.iterates, self.iterates[1:])]
 
 
 class _Iterate:
-    """One iterate G of a subproblem with the products that every
-    quantity at G is built from, each computed once: A G, G^T D,
-    phi_d = tr(G^T D) and phi_a = tr(G^T A G).  ``AG`` is A G when the
-    caller already has it (e.g. from a diagonal A), else it is computed."""
+    """One iterate G of a subproblem (A, D) with the products that every
+    quantity at G is built from, each computed once: A G (given, so a
+    caller with a diagonal A never forms it densely), G^T D,
+    phi_d = tr(G^T D) and phi_a = tr(G^T A G)."""
 
-    def __init__(self, G, spec, AG=None):
+    def __init__(self, G, D, AG):
         self.G = G
-        self.spec = spec
-        self.AG = spec.A @ G if AG is None else AG
-        self.GtD = G.T @ spec.D
+        self.D = D
+        self.AG = AG
+        self.GtD = G.T @ D
         self.phi_d = float(np.trace(self.GtD))
         self.phi_a = float(np.einsum("ij,ij->", G, self.AG))
 
@@ -149,7 +167,7 @@ class _Iterate:
 
     def stationarity(self):
         """A G - xi D - G M(G) with M(G) = sym(G^T A G - xi G^T D)."""
-        R = self.AG - self.xi * self.spec.D
+        R = self.AG - self.xi * self.D
         M = self.G.T @ R
         M = 0.5 * (M + M.T)
         return R - self.G @ M
@@ -160,14 +178,14 @@ class _Iterate:
 
 def eta(G, spec):
     """Objective value tr^2(G^T D) / tr(G^T A G); invariant under D -> -D."""
-    return _Iterate(G, spec).eta
+    return _Iterate(G, spec.D, spec.A @ G).eta
 
 
 def grad_eta(G, spec):
     """Riemannian gradient of eta at G (tangent to the orthonormality
     constraint): -(2/xi^2) ([A G - xi D] - G M(G)) with
     M(G) = sym(G^T A G - xi G^T D).  Undefined when tr(G^T D) = 0."""
-    return _Iterate(G, spec).grad()
+    return _Iterate(G, spec.D, spec.A @ G).grad()
 
 
 def build_E(G, spec, xi=None):
@@ -175,7 +193,7 @@ def build_E(G, spec, xi=None):
     exactly symmetric when A is.  ``xi`` is xi(G) when the caller already
     has it, else it is computed here."""
     if xi is None:
-        xi = _Iterate(G, spec).xi
+        xi = _Iterate(G, spec.D, spec.A @ G).xi
     S = spec.D @ G.T
     return spec.A - xi * (S + S.T)
 
@@ -184,7 +202,7 @@ def kkt_residual(G, spec):
     """Joint first-order residual: max of the stationarity residual
     max|A G - xi D - G M(G)| and the symmetry residual max|G^T D - D^T G|.
     The first block equals (xi^2/2) * grad_eta(G) entrywise."""
-    it = _Iterate(G, spec)
+    it = _Iterate(G, spec.D, spec.A @ G)
     r_stat = float(np.max(np.abs(it.stationarity())))
     r_sym = float(np.max(np.abs(it.GtD - it.GtD.T)))
     return max(r_stat, r_sym)
@@ -263,33 +281,33 @@ def scf_solve(spec, G0=None, cfg=None):
     rel_tol = cfg.eps_scf**1.5
 
     zero_events = 0
-    cur = _Iterate(G, spec)
+    cur = _Iterate(G, spec.D, spec.A @ G)
     if cur.phi_d == 0.0:
         G, zero_events = _recover_zero_ratio(G, spec)
-        cur = _Iterate(G, spec)
+        cur = _Iterate(G, spec.D, spec.A @ G)
     e_prev = cur.eta
-    report = ScfReport(solution=G, eta_trace=[e_prev], zero_ratio_events=zero_events)
+    report = ScfReport(
+        solution=G, eta_trace=[e_prev], zero_ratio_events=zero_events, iterates=[G], D=spec.D
+    )
 
     reason = "max_iter"
     for nu in range(1, cfg.max_iter + 1):
         E = build_E(G, spec, xi=cur.xi)
         eig = k_smallest_eigenbasis(E, k)
         G_new = ensure_orthonormal(align(eig.basis, spec.D))
-        new = _Iterate(G_new, spec)
+        new = _Iterate(G_new, spec.D, spec.A @ G_new)
         if new.phi_d == 0.0:
             # transient degenerate iterate: recover and keep going
             G_new, extra = _recover_zero_ratio(G_new, spec)
             report.zero_ratio_events += 1 + extra
-            new = _Iterate(G_new, spec)
+            new = _Iterate(G_new, spec.D, spec.A @ G_new)
         e_new = new.eta
         report.eta_trace.append(e_new)
 
         scaled = _scaled_grad_norm(new, norm_a1, norm_d1)
-        Wsym = 0.5 * (new.GtD + new.GtD.T)
         report.gaps.append(eig.gap)
         report.grad_norms.append(scaled)
-        report.dtg_min_eigs.append(float(np.linalg.eigvalsh(Wsym)[0]))
-        report.subspace_dists.append(dist_tr(G, G_new))
+        report.iterates.append(G_new)
 
         G, cur = G_new, new
         if scaled <= cfg.eps_scf:
@@ -329,7 +347,7 @@ def second_order_check(G, spec, samples, rng):
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
     G = require_orthonormal(np.asarray(G, dtype=float), "G")
-    it = _Iterate(G, spec)
+    it = _Iterate(G, spec.D, spec.A @ G)
     phi_d, phi_a = it.phi_d, it.phi_a
     scale = max(1.0, float(np.max(np.abs(spec.A))), float(np.max(np.abs(spec.D))))
     if phi_d != 0.0:

@@ -189,7 +189,8 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
 
         # F is eta of either subproblem at the realigned pair, and the
         # partial gradients of F are the subproblem gradients
-        its = [_Iterate(hat[s], view_spec(s, hat, rho, blocks, sigmas)) for s in (0, 1)]
+        specs = [view_spec(s, hat, rho, blocks, sigmas) for s in (0, 1)]
+        its = [_Iterate(h, spec.D, spec.A @ h) for h, spec in zip(hat, specs)]
         F_val = its[0].eta
         report.F_trace.append(F_val)
         gx, gy = (it.grad() for it in its)

@@ -46,6 +46,8 @@ class WeightMatrix:
         """Wrap caller-supplied weights, normalizing them to unit sum over
         unordered pairs; ``rho_hat`` is left zero."""
         rho = np.asarray(rho, dtype=float)
+        if not np.all(np.isfinite(rho)):
+            raise ContractViolation("custom weights must be finite")
         ell = rho.shape[0]
         if rho.shape != (ell, ell) or np.max(np.abs(rho - rho.T)) > 0 or np.any(np.diag(rho) != 0):
             raise ContractViolation("custom weights must be symmetric with zero diagonal")

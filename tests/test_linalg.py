@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import occakit.linalg as linalg_module
 from occakit import (
     ContractViolation,
+    SolverFailure,
     align,
     dist_tr,
     k_smallest_eigenbasis,
@@ -185,6 +187,38 @@ class TestPairAlign:
         W = X2.T @ C @ Y2
         assert np.trace(W) == pytest.approx(sv.sum(), rel=1e-10)
         assert np.max(np.abs(W - W.T)) <= 1e-10
+
+
+class TestSvdFactors:
+    # align and pair_align call LAPACK dgesdd directly; they must give the
+    # bits of the np.linalg.svd formula they replace
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_bitwise_equal_to_numpy_svd(self, k, scale):
+        rng = np.random.default_rng(100 * k)
+        for _ in range(20):
+            G = random_stiefel(k + 3, k, rng)
+            D = scale * rng.standard_normal((k + 3, k))
+            U, _, Vt = np.linalg.svd(G.T @ D)
+            assert np.array_equal(align(G, D), G @ (U @ Vt))
+            Y = random_stiefel(k + 2, k, rng)
+            C = scale * rng.standard_normal((k + 3, k + 2))
+            U, _, Vt = np.linalg.svd(G.T @ C @ Y)
+            X2, Y2 = pair_align(G, Y, C)
+            assert np.array_equal(X2, G @ U)
+            assert np.array_equal(Y2, Y @ Vt.T)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing_dgesdd(a):
+            return np.eye(2), np.ones(2), np.eye(2), 1
+
+        monkeypatch.setattr(linalg_module.lapack, "dgesdd", failing_dgesdd)
+        rng = np.random.default_rng(3)
+        G = random_stiefel(4, 2, rng)
+        with pytest.raises(SolverFailure, match="dgesdd"):
+            align(G, rng.standard_normal((4, 2)))
+        with pytest.raises(SolverFailure, match="dgesdd"):
+            pair_align(G, G, np.eye(4))
 
 
 class TestDistTr:

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
+import occakit.multiset as multiset
+import occakit.scf as scf_module
 from occakit import (
     AltConfig,
     ContractViolation,
@@ -388,6 +392,82 @@ class TestRcomcca:
         tr = np.array(rep.g_trace)
         assert np.all(np.diff(tr) >= -1e-12 * np.abs(tr[1:]))
         assert rep.g_trace[-1] <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("n_weights", [3, 2])
+def test_weights_for_another_view_count_rejected(n_weights):
+    views = three_views(seed=27)[: 5 - n_weights]
+    rho = np.ones((n_weights, n_weights)) - np.eye(n_weights)
+    with pytest.raises(ContractViolation, match=f"{n_weights} views, got {5 - n_weights}"):
+        rcomcca(views, 1, WeightMatrix.custom(rho))
+
+
+def test_solver_path_computes_no_certificate(monkeypatch):
+    # the inner ScfReport certificates are computed only when read, and
+    # no solver reads them
+    def no_dist_tr(G1, G2):
+        raise AssertionError("dist_tr called on the solver path")
+
+    monkeypatch.setattr(scf_module, "dist_tr", no_dist_tr)
+    views = three_views(seed=28)
+    w = build_weights(views, "uniform")
+    inner = ScfConfig(eps_scf=1e-12, max_iter=20)
+    for scheme in ("gauss_seidel", "jacobi"):
+        cfg = OmccaConfig(eps_outer=1e-15, max_cycles=5, scheme=scheme, scf_cfg=inner)
+        assert rcomcca(views, 2, w, cfg=cfg).cycles == 5
+    prob = build_two_view(views[0], views[1])
+    alt = occa_alternate(prob, 2, alt_cfg=AltConfig(eps_alt=1e-15, max_outer=5), scf_cfg=inner)
+    assert alt.outer_iterations == 5
+
+
+class TestJacobiPool:
+    """rcomcca owns at most one thread pool per solve and joins it."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class CountingExecutor(multiset.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(multiset, "ThreadPoolExecutor", CountingExecutor)
+        return made
+
+    @staticmethod
+    def run(scheme, threads):
+        views = three_views(seed=29)
+        cfg = OmccaConfig(eps_outer=1e-15, max_cycles=4, scheme=scheme)
+        return rcomcca(views, 2, build_weights(views, "uniform"), cfg=cfg, threads=threads)
+
+    def test_one_pool_per_jacobi_solve(self, pools):
+        before = set(threading.enumerate())
+        assert self.run("jacobi", 2).cycles >= 3
+        assert len(pools) == 1
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize(("scheme", "threads"), [("gauss_seidel", 2), ("jacobi", 1)])
+    def test_no_pool_when_serial(self, pools, scheme, threads):
+        self.run(scheme, threads)
+        assert pools == []
+
+    def test_pool_joined_when_a_solve_raises(self, pools, monkeypatch):
+        calls = []
+        solve_view = multiset._solve_view
+
+        def failing_solve_view(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("solve failed")
+            return solve_view(*args)
+
+        monkeypatch.setattr(multiset, "_solve_view", failing_solve_view)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="solve failed"):
+            self.run("jacobi", 2)
+        assert len(pools) == 1
+        assert set(threading.enumerate()) <= before
 
 
 def test_total_correlation_identical_views():

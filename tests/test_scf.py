@@ -17,6 +17,7 @@ from occakit import (
     second_order_check,
 )
 
+import occakit.scf as scf_module
 import oracles
 from cases import ETA_HIGH, ETA_LOW, MAXIMIZER_HIGH, MAXIMIZER_LOW, REF_A, REF_D, rounded_start
 
@@ -336,6 +337,27 @@ class TestScfSolve:
         assert rep.gaps == gaps
         assert rep.dtg_min_eigs == dtg_min_eigs
         assert rep.subspace_dists == dists
+
+    def test_certificates_computed_on_first_read(self, monkeypatch):
+        # the solve itself computes no certificate; the first read of
+        # subspace_dists computes one distance per sweep, a second read
+        # returns the cached list
+        calls = []
+
+        def counting_dist_tr(G1, G2):
+            calls.append(1)
+            return dist_tr(G1, G2)
+
+        monkeypatch.setattr(scf_module, "dist_tr", counting_dist_tr)
+        spec = random_spec(np.random.default_rng(33), 9, 2)
+        rep = scf_solve(spec, cfg=ScfConfig(eps_scf=1e-12, max_iter=20))
+        assert rep.iterations >= 2
+        assert calls == []
+        dists = rep.subspace_dists
+        assert len(dists) == len(calls) == rep.iterations
+        assert rep.subspace_dists is dists
+        assert len(calls) == rep.iterations
+        assert len(rep.dtg_min_eigs) == rep.iterations
 
     def test_large_n_monotone_and_terminates(self):
         rng = np.random.default_rng(11)

@@ -174,3 +174,9 @@ class TestBuildWeights:
         w = WeightMatrix.custom(rho)
         assert w.rho[0, 1] == pytest.approx(0.25)
         assert w.rho[1, 2] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_custom_weights_must_be_finite(self, bad):
+        # rejected before any arithmetic, so no RuntimeWarning fires
+        with pytest.raises(ContractViolation, match="finite"):
+            WeightMatrix.custom([[0.0, bad], [bad, 0.0]])
