@@ -185,6 +185,8 @@ def cmd_omcca(args):
             "bandwidth": args.bandwidth,
             "eps_outer": args.eps_outer,
             "max_cycles": args.max_cycles,
+            "eps_scf": args.eps_scf,
+            "max_iter_scf": args.max_iter_scf,
             "threads": args.threads,
             "center": not args.no_center,
         },
@@ -268,7 +270,7 @@ def cmd_eval(args):
         if len(views) == 2:
             prob = twoview.build_two_view(views[0], views[1])
             metrics["f"] = twoview.objective_f(projs[0], projs[1], prob)
-            metrics["F"] = twoview.objective_F(projs[0], projs[1], prob)
+            metrics["F"] = metrics["f"] ** 2
     metrics["wall_time_seconds"] = time.perf_counter() - t0
     dio.write_report(metrics, f"{args.out}_metrics.json")
     print(f"eval: total_correlation={metrics['total_correlation']:.12g}")

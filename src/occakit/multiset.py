@@ -4,8 +4,9 @@ Each view is reduced to thin-SVD coordinates, which realizes the
 constraint that every projection lives inside the range of its own data
 matrix.  One outer cycle updates each view's reduced projection by
 solving a trace-fractional subproblem (the same SCF core as the two-view
-solver) against the weighted pull of the other views, inside a search
-space of at most 5k columns when that is below the view's rank; cycles
+solver) against the weighted pull of the other views' current iterates,
+inside a search space of at most 4k columns when 5k is below the view's
+rank, and keeps the view's iterate when the solve ends lower; cycles
 follow either a Jacobi scheme (all updates read the previous cycle's iterates,
 so they can run in parallel) or a Gauss-Seidel scheme (updates consume
 fresh iterates; the total correlation then never decreases).  ``_cycles``
@@ -28,10 +29,13 @@ from .errors import (
     RankDeficiencyError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, eta, scf_solve
+from .scf import ScfConfig, SubproblemSpec, _Iterate, scf_solve
 
-# A view's subproblem is solved in a search space of at most this many
-# blocks of k columns, and only when that is below the view's rank.
+# The switch to the projected step: a view's subproblem is solved in a
+# search space of at most 4k columns only when this many blocks of k
+# columns are below the view's rank, otherwise in its whole reduced
+# space.  It is 5, not 4, so that rank-9 views at k = 2 (criterion 8)
+# keep the full-space solve.
 _SEARCH_BLOCKS = 5
 # Unit search directions keep only the part of their span whose singular
 # values exceed this; below it the Gram matrix that measures them is noise.
@@ -74,10 +78,12 @@ class OmccaReport:
     """Cycle trace of the multiset solver.
 
     ``g_trace`` holds the total correlation (the real objective) after
-    each cycle; ``loop_g_trace`` the per-cycle sum of subproblem optima
-    that drives the stopping test.  ``per_cycle_subproblem_iters`` counts
-    the SCF sweeps of each view's solve, those of the projected solve when
-    5k < r (0 when its search space is the iterate alone).
+    each cycle; ``loop_g_trace`` the per-cycle sum of the subproblem
+    objectives at the kept iterates, which drives the stopping test.
+    ``per_cycle_subproblem_iters`` counts the SCF sweeps of each view's
+    solve, those of the projected solve when 5k < r (0 when its search
+    space is the iterate alone), including a solve whose result was
+    dropped.
     ``ds_terms_per_cycle`` counts the nonzero off-diagonal weights, i.e.
     one K_sj hatX_j product per ordered pair of selected views (exactly
     2(l-1) per cycle under tree weighting).
@@ -160,7 +166,8 @@ def _g(hatX, rho, pairs, blocks, sigmas):
 
 
 def view_spec(s, hatX, rho, blocks, sigmas):
-    """Subproblem of view ``s``: A = diag(sigma_s^2) and D = its pull."""
+    """Subproblem of view ``s`` as a dense spec: A = diag(sigma_s^2) and
+    D = its pull.  The solvers state it as (sigma_s^2, pull) instead."""
     D = _pull(s, hatX, rho, blocks, sigmas)
     return SubproblemSpec(np.diag(sigmas[s] ** 2), D, validate=False)
 
@@ -184,58 +191,42 @@ def _search_space(G, directions):
     return np.hstack([G, orthonormalize(Q - G @ (G.T @ Q))])
 
 
-def _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
-    """Solve the subproblem of view ``s`` from ``hatX[s]`` without
-    committing anything.
+def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
+    """Solve the subproblem of view ``s`` from ``hatX[s]`` against its
+    partners' current iterates, without committing anything.
 
     When 5k < r_s the subproblem is solved inside the search space
-    W = orth[hatX_s, prev_s, grad_s, D_s, Lambda_s grad_s] (Lambda_s =
-    diag(sigma_s^2), grad_s the subproblem gradient at hatX_s, prev_s the
-    iterate before the view's last accepted update, absent while None):
-    SCF on (W^T Lambda_s W, W^T D_s) from [I_k; 0], lifted back as W Z.  A
-    W of k columns means hatX_s is already a KKT point; it is returned
-    with 0 sweeps.  Otherwise (5k >= r_s, or tr(hatX_s^T D_s) = 0) SCF runs
-    on the full subproblem from hatX_s.  Returns (objective at hatX[s],
-    solution, objective at the solution, SCF sweeps); the solution is
+    W = orth[hatX_s, grad_s, D_s, Lambda_s grad_s] (Lambda_s =
+    diag(sigma_s^2), grad_s the subproblem gradient at hatX_s): SCF on
+    (W^T Lambda_s W, W^T D_s) from [I_k; 0], lifted back as W Z.  A W of
+    k columns means hatX_s is already a KKT point.  Otherwise (5k >= r_s,
+    or tr(hatX_s^T D_s) = 0) SCF runs on the full subproblem from hatX_s.
+    A solution that ends lower than its start (tolerance slack only) is
+    dropped, so no step lowers the subproblem objective.  Returns (the
+    kept iterate, the objective at it, SCF sweeps); the iterate is
     ``hatX[s]`` itself when nothing moved.
     """
     G = hatX[s]
     r, k = G.shape
     lam = sigmas[s] ** 2
     D = _pull(s, hatX, rho, blocks, sigmas)
-    projected = _SEARCH_BLOCKS * k < r
-    if projected:
-        cur = _Iterate(G, D, lam[:, None] * G)
-    if not projected or cur.phi_d == 0.0:
+    cur = _Iterate(G, D, lam[:, None] * G)
+    if _SEARCH_BLOCKS * k >= r or cur.phi_d == 0.0:
         # only the full-space solve reads a dense diag(sigma_s^2)
-        spec = SubproblemSpec(np.diag(lam), D, validate=False)
-        rep = scf_solve(spec, G0=G, cfg=scf_cfg)
-        return eta(G, spec), rep.solution, rep.eta_trace[-1], rep.iterations
-    grad = cur.grad()
-    directions = [grad, D, lam[:, None] * grad]
-    if prev[s] is not None:
-        directions.insert(0, prev[s])
-    W = _search_space(G, directions)
-    if W.shape[1] == k:
-        return cur.eta, G, cur.eta, 0
-    A = W.T @ (lam[:, None] * W)
-    sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
-    rep = scf_solve(sub, G0=np.eye(W.shape[1], k), cfg=scf_cfg)
-    return cur.eta, ensure_orthonormal(W @ rep.solution), rep.eta_trace[-1], rep.iterations
-
-
-def update_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg):
-    """Gauss-Seidel step on view ``s``: ``_solve_view`` from ``hatX[s]``.
-    The result is kept unless it ended lower (tolerance slack only), so
-    the objective never decreases; a kept move stores the old iterate in
-    ``prev[s]``.  Returns (subproblem objective at the kept iterate, SCF
-    sweeps)."""
-    e_old, X, e_new, iters = _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
-    if e_new < e_old:
-        return e_old, iters
-    if X is not hatX[s]:
-        prev[s], hatX[s] = hatX[s], X
-    return e_new, iters
+        rep = scf_solve(SubproblemSpec(np.diag(lam), D, validate=False), G0=G, cfg=scf_cfg)
+        X = rep.solution
+    else:
+        grad = cur.grad()
+        W = _search_space(G, [grad, D, lam[:, None] * grad])
+        if W.shape[1] == k:
+            return G, cur.eta, 0
+        A = W.T @ (lam[:, None] * W)
+        sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
+        rep = scf_solve(sub, G0=np.eye(W.shape[1], k), cfg=scf_cfg)
+        X = ensure_orthonormal(W @ rep.solution)
+    if rep.eta_trace[-1] < cur.eta:
+        return G, cur.eta, rep.iterations
+    return X, rep.eta_trace[-1], rep.iterations
 
 
 def compute_Ds(s, hatX, weights, reduced):
@@ -303,39 +294,33 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
     """The outer cycle of every solver: updates ``hatX`` in place and
     yields (cycle, loop_g, sweeps) after each cycle, forever.
 
-    ``loop_g`` sums the subproblem optima of the cycle and ``sweeps`` holds
-    each view's SCF sweeps.  Gauss-Seidel runs ``update_view`` on the views
-    in order.  Jacobi solves every view from the previous cycle's iterates
-    through ``map_`` (a thread pool's ``map`` runs them in parallel),
-    merges the results in view order, so the outcome is identical at any
-    thread count, and realigns each view against its fresh partners.
-    ``prev`` holds every view's iterate before its last accepted update,
-    for the search space of ``_solve_view``; the caller may rotate
-    ``hatX`` between cycles.
+    Each view's step is ``_solve_view`` against its partners' current
+    iterates, so a cycle depends on nothing but ``hatX``; the caller may
+    rotate ``hatX`` between cycles.  ``loop_g`` sums the subproblem
+    objectives at the kept iterates and ``sweeps`` holds each view's SCF
+    sweeps.  Gauss-Seidel solves and commits the views in order.  Jacobi
+    solves every view from the previous cycle's iterates through ``map_``
+    (a thread pool's ``map`` runs them in parallel), commits the results
+    in view order, so the outcome is identical at any thread count, and
+    realigns each view against its fresh partners.
     """
     ell = len(hatX)
-    prev = [None] * ell
 
     def solve(s):
-        return _solve_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
+        return _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg)
 
     for cycle in itertools.count(1):
-        loop_g = 0.0
-        sweeps = []
         if scheme == "gauss_seidel":
+            outs = []
             for s in range(ell):
-                e_s, it = update_view(s, hatX, prev, rho, blocks, sigmas, scf_cfg)
-                loop_g += e_s
-                sweeps.append(it)
+                outs.append(solve(s))
+                hatX[s] = outs[s][0]
         else:
             # every solve reads the previous cycle's iterates, so all of
-            # them finish before the first result is merged
+            # them finish before the first result is committed
             outs = list(map_(solve, range(ell)))
-            for s, (_, X, e_s, it) in enumerate(outs):
-                if X is not hatX[s]:
-                    prev[s], hatX[s] = hatX[s], X
-                loop_g += e_s
-                sweeps.append(it)
+            for s, (X, _, _) in enumerate(outs):
+                hatX[s] = X
             # simultaneous updates only align each view to its partners'
             # stale representatives, which can leave the merged set
             # mutually anti-aligned (the subspaces are fine, the signs
@@ -343,7 +328,11 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
             # fresh partners repairs that without moving any subspace
             for s in range(ell):
                 hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, sigmas))
-        yield cycle, loop_g, sweeps
+        # summed left to right: builtin sum() compensates on Python >= 3.12
+        loop_g = 0.0
+        for _, e_s, _ in outs:
+            loop_g += e_s
+        yield cycle, loop_g, [it for _, _, it in outs]
 
 
 def rcomcca(views, k, weights, cfg=None, threads=1):
@@ -388,7 +377,7 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
 
     report = OmccaReport(projections=[])
-    loop_g_prev = 0.0
+    loop_g_last = 0.0
     parallel = cfg.scheme == "jacobi" and threads > 1
     # one pool serves every cycle and is joined before rcomcca returns or raises
     with ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
@@ -400,10 +389,10 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
             report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
             report.per_cycle_subproblem_iters.append(sweeps)
             report.ds_terms_per_cycle.append(2 * len(pairs))
-            if abs(loop_g - loop_g_prev) <= cfg.eps_outer * loop_g:
+            if abs(loop_g - loop_g_last) <= cfg.eps_outer * loop_g:
                 report.termination_reason = "rel_change_tol"
                 break
-            loop_g_prev = loop_g
+            loop_g_last = loop_g
 
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
     return report

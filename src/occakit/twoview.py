@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractViolation, DegenerateViewError, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
-from .multiset import _cross_blocks, _cycles, _g, _unit_scores, reduce_views, view_spec
+from .multiset import _cross_blocks, _cycles, _g, _pull, _unit_scores, reduce_views
 from .scf import ScfConfig, _Iterate
 
 # Row means above this (relative to the matrix scale) fail the
@@ -189,8 +189,10 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
 
         # F is eta of either subproblem at the realigned pair, and the
         # partial gradients of F are the subproblem gradients
-        specs = [view_spec(s, hat, rho, blocks, sigmas) for s in (0, 1)]
-        its = [_Iterate(h, spec.D, spec.A @ h) for h, spec in zip(hat, specs)]
+        its = [
+            _Iterate(h, _pull(s, hat, rho, blocks, sigmas), (sigmas[s] ** 2)[:, None] * h)
+            for s, h in enumerate(hat)
+        ]
         F_val = its[0].eta
         report.F_trace.append(F_val)
         gx, gy = (it.grad() for it in its)
@@ -257,7 +259,4 @@ def post_orthogonalize(X):
         raise RankDeficiencyError(
             f"columns are numerically dependent: sigma_k/sigma_1 = {sv[-1] / sv[0]:.3e}"
         )
-    Q, R = np.linalg.qr(X)
-    d = np.diag(R).copy()
-    d[d == 0] = 1.0
-    return Q * np.sign(d)
+    return orthonormalize(X)

@@ -45,9 +45,7 @@ class WeightMatrix:
     def custom(cls, rho):
         """Wrap caller-supplied weights, normalizing them to unit sum over
         unordered pairs; ``rho_hat`` is left zero."""
-        rho = np.asarray(rho, dtype=float)
-        if not np.all(np.isfinite(rho)):
-            raise ContractViolation("custom weights must be finite")
+        rho = as_matrix(rho, "custom weights")
         ell = rho.shape[0]
         if rho.shape != (ell, ell) or np.max(np.abs(rho - rho.T)) > 0 or np.any(np.diag(rho) != 0):
             raise ContractViolation("custom weights must be symmetric with zero diagonal")

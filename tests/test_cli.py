@@ -145,6 +145,14 @@ class TestOmcca:
         nonzero_pairs = [(i, j) for i in range(2) for j in range(i + 1, 2) if W[i, j] != 0]
         assert len(nonzero_pairs) == 1
 
+    def test_config_echoes_inner_settings(self, tmp_path):
+        x, y = gen_pair(tmp_path, m=8, n=7, q=50)
+        out = tmp_path / "run"
+        assert run("omcca", "--views", x, y, "--k", 1, "--eps-scf", 1e-7,
+                   "--max-iter-scf", 12, "--out", out) in (0, 3)
+        config = read_report(f"{out}_report.json")["config"]
+        assert config["eps_scf"] == 1e-7 and config["max_iter_scf"] == 12
+
     def test_k_equal_to_rank_names_view(self, tmp_path, capsys):
         # 6 samples, centered: both views have rank 5
         x, y = gen_pair(tmp_path, m=12, n=10, q=6, seed=3)

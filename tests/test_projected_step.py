@@ -1,5 +1,5 @@
 """The projected per-view step: when 5k < r a view's subproblem is solved
-inside a search space of at most 5k columns instead of the view's whole
+inside a search space of at most 4k columns instead of the view's whole
 reduced space.  Pinned against a replay of the full-space alternation
 (``oracles.full_space_*``) and checked for the paper's invariants on
 instances where every step is projected.
@@ -30,7 +30,7 @@ from occakit import (
     scf_solve,
 )
 from occakit import multiset
-from occakit.multiset import update_view, view_spec
+from occakit.multiset import _cross_blocks, _cycles, _solve_view, view_spec
 
 
 def correlated_views(sizes, q, seed, shared=3, noise=0.05):
@@ -128,7 +128,7 @@ def test_projected_path_invariants(monkeypatch):
 
     # every inner solve ran in a search space, and its D^T G certificate
     # (equal to that of the lifted iterate) stayed PSD
-    assert inner and all(k < spec.n <= 5 * k for spec, _ in inner)
+    assert inner and all(k < spec.n <= 4 * k for spec, _ in inner)
     for spec, rep in inner:
         assert min(rep.dtg_min_eigs) >= -1e-10 * max(1.0, float(np.max(np.abs(spec.D))))
     for trace in (gs.g_trace, alt.F_trace):
@@ -163,11 +163,59 @@ def test_search_space_of_k_columns_keeps_the_iterate():
     sigma = np.linspace(3.0, 1.0, 20)
     K = np.diag(sigma**2)
     hat = [np.eye(20)[:, :3], np.eye(20)[:, :3]]
-    prev = [None, None]
     rho = np.array([[0.0, 1.0], [1.0, 0.0]])
     blocks = {(0, 1): K, (1, 0): K}
     before = hat[0]
-    e, sweeps = update_view(0, hat, prev, rho, blocks, [sigma, sigma], ScfConfig())
+    X, e, sweeps = _solve_view(0, hat, rho, blocks, [sigma, sigma], ScfConfig())
     assert sweeps == 0
-    assert hat[0] is before and prev[0] is None
+    assert X is before
     assert e == eta(before, view_spec(0, hat, rho, blocks, [sigma, sigma]))
+
+
+def q_below_n_problem():
+    """(hatX at the leading identity columns, rho, blocks, sigmas) of the
+    q < n instance under uniform weights, k = 3."""
+    views = q_below_n_views()
+    reduced = reduce_views(views)
+    rho = build_weights(views, "uniform").rho
+    hat = [np.eye(rv.r)[:, :3].copy() for rv in reduced]
+    return hat, rho, _cross_blocks(reduced, [(0, 1)]), [rv.sigma for rv in reduced]
+
+
+@pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+def test_a_cycle_depends_on_the_iterates_alone(scheme):
+    # a fresh loop started from the iterates after cycle 3 takes exactly
+    # the running loop's cycle 4: no step carries state across cycles
+    hat, rho, blocks, sigmas = q_below_n_problem()
+    args = (rho, blocks, sigmas, scheme, ScfConfig())
+    running = _cycles(hat, *args)
+    for _ in range(3):
+        next(running)
+    restarted = [h.copy() for h in hat]
+    _, loop_g, sweeps = next(running)
+    _, loop_g_fresh, sweeps_fresh = next(_cycles(restarted, *args))
+    assert loop_g_fresh == loop_g and sweeps_fresh == sweeps
+    assert all(np.array_equal(a, b) for a, b in zip(restarted, hat))
+
+
+def test_jacobi_keeps_an_iterate_whose_solve_ended_lower(monkeypatch):
+    hat, rho, blocks, sigmas = q_below_n_problem()
+    start = hat[0]
+    e_start = eta(start, view_spec(0, hat, rho, blocks, sigmas))
+    _, e_1, _ = _solve_view(1, hat, rho, blocks, sigmas, ScfConfig())
+    calls = []
+
+    def lowering_scf_solve(spec, G0=None, cfg=None):
+        # view 0's solve (the first of the cycle) reports an end below its start
+        rep = scf_solve(spec, G0=G0, cfg=cfg)
+        calls.append(rep)
+        if len(calls) == 1:
+            rep.eta_trace[-1] = 0.5 * rep.eta_trace[0]
+        return rep
+
+    monkeypatch.setattr(multiset, "scf_solve", lowering_scf_solve)
+    _, loop_g, _ = next(_cycles(hat, rho, blocks, sigmas, "jacobi", ScfConfig()))
+    assert len(calls) == 2
+    assert loop_g == e_start + e_1
+    # only the realignment sweep rotated view 0, inside its own span
+    assert dist_tr(hat[0], start) <= 1e-12

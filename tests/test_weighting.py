@@ -180,3 +180,8 @@ class TestBuildWeights:
         # rejected before any arithmetic, so no RuntimeWarning fires
         with pytest.raises(ContractViolation, match="finite"):
             WeightMatrix.custom([[0.0, bad], [bad, 0.0]])
+
+    @pytest.mark.parametrize("bad", [5.0, [0.0, 1.0], np.zeros((2, 2, 2))])
+    def test_custom_weights_must_be_a_matrix(self, bad):
+        with pytest.raises(ContractViolation, match="custom weights must be 2-d"):
+            WeightMatrix.custom(bad)
