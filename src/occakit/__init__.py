@@ -26,9 +26,11 @@ from .linalg import (
     sample_tangent,
 )
 from .multiset import (
+    MultiViewProblem,
     OmccaConfig,
     OmccaReport,
     RangeReducedView,
+    build_multiview,
     compute_Ds,
     g_objective,
     rcomcca,
@@ -74,6 +76,7 @@ __all__ = [
     "DegenerateViewError",
     "EigenResult",
     "IsolatedViewError",
+    "MultiViewProblem",
     "OccaKitError",
     "OccaReport",
     "OmccaConfig",
@@ -91,6 +94,7 @@ __all__ = [
     "WeightMatrix",
     "align",
     "build_E",
+    "build_multiview",
     "build_two_view",
     "build_weights",
     "center",

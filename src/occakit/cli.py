@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     RankDeficiencyError,
     SolverFailure,
+    ViewError,
 )
 from .scf import ScfConfig
 
@@ -153,10 +154,10 @@ def cmd_occa(args):
 
 def cmd_omcca(args):
     t0 = time.perf_counter()
-    views = [_load_view(p, args) for p in args.views]
-    w = weighting.build_weights(views, scheme=args.weights, bandwidth=args.bandwidth)
+    prob = multiset.build_multiview([_load_view(p, args) for p in args.views])
+    w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rep = multiset.rcomcca(
-        views,
+        prob,
         args.k,
         w,
         cfg=multiset.OmccaConfig(
@@ -191,7 +192,7 @@ def cmd_omcca(args):
             "center": not args.no_center,
         },
         weight_matrix=[[float(v) for v in row] for row in w.rho],
-        rho_hat=[[float(v) for v in row] for row in w.rho_hat],
+        rho_hat=[[float(v) for v in row] for row in prob.rho_hat],
         loop_g_trace=rep.loop_g_trace,
         ds_terms_per_cycle=rep.ds_terms_per_cycle,
     )
@@ -265,10 +266,11 @@ def cmd_eval(args):
             metrics["f"] = 0.0
             metrics["F"] = 0.0
     else:
-        w = weighting.build_weights(views, scheme=args.weights, bandwidth=args.bandwidth)
-        metrics["total_correlation"] = multiset.total_correlation(projs, views, w)
-        if len(views) == 2:
-            prob = twoview.build_two_view(views[0], views[1])
+        two = len(views) == 2
+        prob = twoview.build_two_view(*views) if two else multiset.build_multiview(views)
+        w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
+        metrics["total_correlation"] = multiset.total_correlation(projs, prob, w)
+        if two:
             metrics["f"] = twoview.objective_f(projs[0], projs[1], prob)
             metrics["F"] = metrics["f"] ** 2
     metrics["wall_time_seconds"] = time.perf_counter() - t0
@@ -294,6 +296,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ContractViolation, SolverFailure) as exc:
+        # omcca --views and eval --data files are views 0, 1, ... in order
+        files = vars(args).get("views") or vars(args).get("data")
+        if isinstance(exc, ViewError) and exc.view is not None and files:
+            exc = f"{files[exc.view]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

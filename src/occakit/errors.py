@@ -24,19 +24,24 @@ class UndefinedRatioError(ContractViolation):
     """
 
 
-class DegenerateViewError(ContractViolation):
-    """A view has zero variance where positive variance is required."""
-
-
-class RankDeficiencyError(ContractViolation):
-    """A matrix has lower numerical rank than the operation needs."""
+class ViewError(ContractViolation):
+    """A view failed a precondition; ``view`` is its index where known
+    (0-based, but 1-based in the rank errors of the two-view solvers)."""
 
     def __init__(self, message, view=None):
         super().__init__(message)
         self.view = view
 
 
-class IsolatedViewError(ContractViolation):
+class DegenerateViewError(ViewError):
+    """A view has zero variance where positive variance is required."""
+
+
+class RankDeficiencyError(ViewError):
+    """A matrix has lower numerical rank than the operation needs."""
+
+
+class IsolatedViewError(ViewError):
     """Every pair weight attached to a view is zero, so its subproblem has D = 0."""
 
 

@@ -1,16 +1,17 @@
 """Range-constrained orthogonal multiset CCA.
 
-Each view is reduced to thin-SVD coordinates, which realizes the
-constraint that every projection lives inside the range of its own data
-matrix.  One outer cycle updates each view's reduced projection by
-solving a trace-fractional subproblem (the same SCF core as the two-view
-solver) against the weighted pull of the other views' current iterates,
-inside a search space of at most 4k columns when 5k is below the view's
-rank, and keeps the view's iterate when the solve ends lower; cycles
-follow either a Jacobi scheme (all updates read the previous cycle's iterates,
-so they can run in parallel) or a Gauss-Seidel scheme (updates consume
-fresh iterates; the total correlation then never decreases).  ``_cycles``
-is that loop for both schemes and for the two-view solver.
+A ``MultiViewProblem`` reduces each view once to thin-SVD coordinates,
+which realizes the constraint that every projection lives inside the
+range of its own data matrix.  One outer cycle updates each view's
+reduced projection by solving a trace-fractional subproblem (the same
+SCF core as the two-view solver) against the weighted pull of the other
+views' current iterates, inside a search space of at most 4k columns
+when 5k is below the view's rank, and keeps the view's iterate when the
+solve ends lower; cycles follow either a Jacobi scheme (all updates read
+the previous cycle's iterates, so they can run in parallel) or a
+Gauss-Seidel scheme (updates consume fresh iterates; the total
+correlation then never decreases).  ``_cycles`` is that loop for both
+schemes and for the two-view solver.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +100,20 @@ class OmccaReport:
     termination_reason: str = "max_cycles"
 
 
+def _checked_views(views, names=None):
+    """The views as float arrays, once they are finite, 2-d, nonzero and on
+    one sample count; errors name a view by ``names`` (default "view i")."""
+    names = names or [f"view {i}" for i in range(len(views))]
+    views = [as_matrix(v, what) for v, what in zip(views, names)]
+    qs = {v.shape[1] for v in views}
+    if len(qs) > 1:
+        raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
+    for idx, (S, what) in enumerate(zip(views, names)):
+        if not S.any():
+            raise DegenerateViewError(f"{what} is identically zero", view=idx)
+    return views
+
+
 def reduce_views(views, rank_tol=None):
     """Thin SVD of every centered view, truncated at numerical rank, with
     the deterministic column-sign convention applied.  The rank counts the
@@ -107,10 +123,7 @@ def reduce_views(views, rank_tol=None):
     if rank_tol is not None and not 0.0 <= rank_tol < 1.0:
         raise ContractViolation(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
     out = []
-    for idx, S in enumerate(views):
-        S = as_matrix(S, f"view {idx}")
-        if not S.any():
-            raise DegenerateViewError(f"view {idx} is identically zero")
+    for S in _checked_views(views):
         U, s, Vt = np.linalg.svd(S, full_matrices=False)
         tol = rank_tol if rank_tol is not None else max(S.shape) * np.finfo(float).eps
         r = int(np.sum(s > tol * s[0]))
@@ -132,6 +145,63 @@ def _cross_blocks(reduced, pairs):
     return blocks
 
 
+@dataclass(eq=False)
+class MultiViewProblem:
+    """Views on one sample count, made by ``build_multiview``, shared by the
+    weights, solvers and evaluators.  Computed on first use and kept:
+    ``reduced(rank_tol)``; ``blocks(pairs)``, the K_ij of the default
+    reduction; ``rho_hat``, the affinities ||K_ij||_* / sqrt(sum sigma_i^2
+    sum sigma_j^2) = nuclear(S_i S_j^T) / sqrt(tr(S_i S_i^T) tr(S_j S_j^T))."""
+
+    views: list
+    _reductions: dict = field(default_factory=dict, init=False, repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
+
+    def reduced(self, rank_tol=None):
+        """Thin-SVD factors of every view, truncated by ``reduce_views``' rule."""
+        if rank_tol not in self._reductions:
+            self._reductions[rank_tol] = reduce_views(self.views, rank_tol=rank_tol)
+        return self._reductions[rank_tol]
+
+    def blocks(self, pairs):
+        """The ``_cross_blocks`` dict, extended by the ``pairs`` not yet in it."""
+        missing = [p for p in pairs if p not in self._blocks]
+        self._blocks.update(_cross_blocks(self.reduced(), missing))
+        return self._blocks
+
+    @cached_property
+    def rho_hat(self):
+        """Pair affinities in [0, 1], symmetric with zero diagonal."""
+        ell = len(self.views)
+        pairs = list(itertools.combinations(range(ell), 2))
+        blocks = self.blocks(pairs)
+        power = [float(np.sum(rv.sigma**2)) for rv in self.reduced()]
+        R = np.zeros((ell, ell))
+        for i, j in pairs:
+            R[i, j] = R[j, i] = np.linalg.norm(blocks[i, j], "nuc") / np.sqrt(power[i] * power[j])
+        return R
+
+    def require_rank_above(self, k, first=0):
+        """Raise ``RankDeficiencyError`` unless k is below the numerical rank
+        of every view; the error numbers the views from ``first``."""
+        for view, rv in enumerate(self.reduced(), start=first):
+            # a view's SCF subproblem has dimension rank and needs k below it
+            if k >= rv.r:
+                raise RankDeficiencyError(
+                    f"k={k} must be below the numerical rank {rv.r} of view {view}", view=view
+                )
+
+
+def build_multiview(views):
+    """Check and wrap two or more views (features by samples); a
+    ``MultiViewProblem`` is returned as it is."""
+    if isinstance(views, MultiViewProblem):
+        return views
+    if len(views) < 2:
+        raise ContractViolation("need at least two views")
+    return MultiViewProblem(_checked_views(views))
+
+
 def _scaled_norm(hatX_j, sigma_j):
     """sqrt(tr(hatX_j^T Sigma_j^2 hatX_j)), the norm of diag(sigma_j) hatX_j."""
     SX = sigma_j[:, None] * hatX_j
@@ -150,7 +220,7 @@ def _pull(s, hatX, rho, blocks, sigmas):
         term = (rho[s, j] / _scaled_norm(hatX[j], sigmas[j])) * (blocks[s, j] @ hatX[j])
         acc = term if acc is None else acc + term
     if acc is None:
-        raise IsolatedViewError(f"view {s} has no nonzero pair weights")
+        raise IsolatedViewError(f"view {s} has no nonzero pair weights", view=s)
     return acc
 
 
@@ -238,7 +308,7 @@ def compute_Ds(s, hatX, weights, reduced):
 
     Pairs with zero weight are skipped entirely, so sparse weightings pay
     only for their selected edges.  Builds the blocks of view ``s`` on
-    every call; ``rcomcca`` builds all of them once per solve.
+    every call; ``rcomcca`` reads them from its problem, built once.
     """
     pairs = [p for p in weights.selected_pairs() if s in p]
     sigmas = [rv.sigma for rv in reduced]
@@ -254,13 +324,13 @@ def g_objective(hatX, weights, reduced):
 
 
 def _unit_scores(projections, views):
-    """The projected samples S_i^T X_i of every view, each scaled to unit
-    Frobenius norm, after checking the projections against the views."""
+    """The projected samples S_i^T X_i of every view (a list or a problem),
+    each scaled to unit Frobenius norm, after checking the projections."""
+    views = build_multiview(views).views
     if len(projections) != len(views):
         raise ContractViolation(f"{len(projections)} projections for {len(views)} views")
     Z = []
     for idx, (S, X) in enumerate(zip(views, projections)):
-        S = np.asarray(S)
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != S.shape[0]:
             raise ContractViolation(
@@ -279,14 +349,10 @@ def _unit_scores(projections, views):
 def total_correlation(projections, views, weights):
     """Weighted sum of pairwise correlations of the projected views,
     evaluated on the original data matrices."""
-    rho = weights.rho
     Z = _unit_scores(projections, views)
     total = 0.0
-    for i in range(len(Z)):
-        for j in range(i + 1, len(Z)):
-            if rho[i, j] == 0.0:
-                continue
-            total += 2.0 * rho[i, j] * float(np.sum(Z[i] * Z[j]))
+    for i, j in weights.selected_pairs():
+        total += 2.0 * weights.rho[i, j] * float(np.sum(Z[i] * Z[j]))
     return total
 
 
@@ -336,11 +402,11 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
 
 
 def rcomcca(views, k, weights, cfg=None, threads=1):
-    """Range-constrained multiset solver.
+    """Range-constrained multiset solver on ``build_multiview(views)``.
 
-    Reduces every view by thin SVD and builds the reduced cross block of
-    every selected pair once, so a cycle costs nothing that grows with
-    the sample count.  Starts each reduced projection at the leading
+    Takes the thin-SVD reduction and the reduced cross block of every
+    selected pair from the problem, so a cycle costs nothing that grows
+    with the sample count.  Starts each reduced projection at the leading
     identity columns and runs ``_cycles`` in the configured order, each
     view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
     sum of subproblem optima changes by at most ``eps_outer`` relative, or
@@ -350,29 +416,20 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     (0-based ``.view``) unless k is below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
-    if len(views) < 2:
-        raise ContractViolation("need at least two views")
+    prob = build_multiview(views)
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
     if threads < 1:
         raise ContractViolation(f"threads must be >= 1, got {threads}")
-    if weights.size != len(views):
-        raise ContractViolation(f"weights are for {weights.size} views, got {len(views)} views")
-    views = [as_matrix(v, f"view {idx}") for idx, v in enumerate(views)]
-    qs = {v.shape[1] for v in views}
-    if len(qs) != 1:
-        raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
-    reduced = reduce_views(views)
-    for idx, rv in enumerate(reduced):
-        # a view's SCF subproblem has dimension rank and needs k below it
-        if k >= rv.r:
-            raise RankDeficiencyError(
-                f"k={k} must be below the numerical rank {rv.r} of view {idx}", view=idx
-            )
+    ell = len(prob.views)
+    if weights.size != ell:
+        raise ContractViolation(f"weights are for {weights.size} views, got {ell} views")
+    prob.require_rank_above(k)
 
     rho = weights.rho
     pairs = weights.selected_pairs()
-    blocks = _cross_blocks(reduced, pairs)
+    blocks = prob.blocks(pairs)
+    reduced = prob.reduced()
     sigmas = [rv.sigma for rv in reduced]
     hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
 

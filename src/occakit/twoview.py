@@ -2,8 +2,8 @@
 
 Maximizes F(X, Y) = tr^2(X^T C Y) / (tr(X^T A X) tr(Y^T B Y)), with
 A = S1 S1^T, B = S2 S2^T and C = S1 S2^T, over pairs of orthonormal-column
-matrices inside the range of their views.  The problem is stated as the
-multiset one is: a spectrum sigma_i per view and the cross block
+matrices inside the range of their views.  The problem is a two-view
+``MultiViewProblem``: a spectrum sigma_i per view and the cross block
 K = diag(sigma_1) V_1^T V_2 diag(sigma_2), from the thin SVDs
 S_i = U_i diag(sigma_i) V_i^T of ``reduce_views``; A, B and C are never
 formed.  The solver alternates trace-fractional solves in X and Y (the
@@ -20,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateViewError, RankDeficiencyError
+from .errors import ContractViolation, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
-from .multiset import _cross_blocks, _cycles, _g, _pull, _unit_scores, reduce_views
+from .multiset import MultiViewProblem, _checked_views, _cycles, _g, _pull, _unit_scores
 from .scf import ScfConfig, _Iterate
 
 # Row means above this (relative to the matrix scale) fail the
@@ -40,49 +40,30 @@ def _check_centered(S, what):
         )
 
 
-@dataclass(eq=False)
-class TwoViewProblem:
+class TwoViewProblem(MultiViewProblem):
     """A centered two-view dataset S1 (n x q), S2 (m x q), made by
-    ``build_two_view``.
-
-    ``reduced(rank_tol)`` gives the ``reduce_views`` factors of both views,
-    computed on first use and shared by every solver that asks with the
-    same ``rank_tol``.  The covariance blocks A = S1 S1^T, B = S2 S2^T and
+    ``build_two_view``.  The covariance blocks A = S1 S1^T, B = S2 S2^T and
     C = S1 S2^T are formed only when read; no solver or evaluator reads
     them.
     """
 
-    S1: np.ndarray
-    S2: np.ndarray
-    n: int
-    m: int
-    q: int
-    _reductions: dict = field(default_factory=dict, init=False, repr=False)
+    S1 = property(lambda self: self.views[0])
+    S2 = property(lambda self: self.views[1])
+    n = property(lambda self: self.S1.shape[0])
+    m = property(lambda self: self.S2.shape[0])
+    q = property(lambda self: self.S1.shape[1])
 
     A = cached_property(lambda self: self.S1 @ self.S1.T)
     B = cached_property(lambda self: self.S2 @ self.S2.T)
     C = cached_property(lambda self: self.S1 @ self.S2.T)
 
-    def reduced(self, rank_tol=None):
-        """Thin-SVD factors of (S1, S2), truncated by ``reduce_views``' rule."""
-        if rank_tol not in self._reductions:
-            self._reductions[rank_tol] = reduce_views([self.S1, self.S2], rank_tol=rank_tol)
-        return self._reductions[rank_tol]
-
 
 def build_two_view(S1, S2):
     """Check and wrap centered views (features x samples)."""
-    S1 = as_matrix(S1, "S1")
-    S2 = as_matrix(S2, "S2")
-    if S1.shape[1] != S2.shape[1]:
-        raise ContractViolation(
-            f"views disagree on sample count: {S1.shape[1]} vs {S2.shape[1]}"
-        )
-    for S, what in ((S1, "S1"), (S2, "S2")):
-        if not S.any():
-            raise DegenerateViewError(f"{what} is identically zero")
+    views = _checked_views([S1, S2], ("S1", "S2"))
+    for S, what in zip(views, ("S1", "S2")):
         _check_centered(S, what)
-    return TwoViewProblem(S1, S2, n=S1.shape[0], m=S2.shape[0], q=S1.shape[1])
+    return TwoViewProblem(views)
 
 
 def objective_f(X, Y, prob):
@@ -91,7 +72,7 @@ def objective_f(X, Y, prob):
     Evaluated on the data, as the sum of the entrywise product of the
     projected samples S1^T X and S2^T Y, each scaled to unit Frobenius
     norm (the evaluator of ``total_correlation``)."""
-    Z1, Z2 = _unit_scores([X, Y], [prob.S1, prob.S2])
+    Z1, Z2 = _unit_scores([X, Y], prob)
     return float(np.sum(Z1 * Z2))
 
 
@@ -159,15 +140,10 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     if X0.shape != (prob.n, k) or Y0.shape != (prob.m, k):
         want = f"{prob.n}x{k}, {prob.m}x{k}"
         raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
+    prob.require_rank_above(k, first=1)
     reduced = prob.reduced()
-    for view, rv in enumerate(reduced, start=1):
-        # a view's SCF subproblem has dimension rank and needs k below it
-        if k >= rv.r:
-            raise RankDeficiencyError(
-                f"k={k} must be below the numerical rank {rv.r} of view {view}", view=view
-            )
     sigmas = [rv.sigma for rv in reduced]
-    blocks = _cross_blocks(reduced, [(0, 1)])
+    blocks = prob.blocks([(0, 1)])
     K = blocks[0, 1]
     hat = [orthonormalize(rv.U.T @ P0) for rv, P0 in zip(reduced, (X0, Y0))]
     rho = np.array([[0.0, 1.0], [1.0, 0.0]])

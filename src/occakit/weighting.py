@@ -2,10 +2,11 @@
 
 The affinity of two centered views is the nuclear norm of their
 cross-covariance normalized by the view variances; it always lies in
-[0, 1].  A selection heuristic (uniform / maximum-affinity spanning tree
-/ top-p) picks which pairs participate, and a soft-max over the selected
-affinities produces the final weights, which sum to one over unordered
-pairs.
+[0, 1], and is read from the reduced cross blocks of a
+``MultiViewProblem``.  A selection heuristic (uniform / maximum-affinity
+spanning tree / top-p) picks which pairs participate, and a soft-max over
+the selected affinities produces the final weights, which sum to one over
+unordered pairs.
 """
 
 from __future__ import annotations
@@ -14,21 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateViewError
+from .errors import ContractViolation
 from .linalg import as_matrix
+from .multiset import build_multiview
 
 
 @dataclass
 class WeightMatrix:
     """Symmetric pair weights for ``size`` views.
 
-    ``rho_hat`` holds the raw affinities (zero diagonal), ``rho`` the
-    soft-max-normalized weights of the selected pairs (exactly zero for
-    unselected ones).  The ordered double sum over i != j therefore
-    totals 2, each unordered pair contributing its weight twice.
+    ``rho`` holds the soft-max-normalized weights of the selected pairs
+    (exactly zero for unselected ones).  The ordered double sum over
+    i != j therefore totals 2, each unordered pair contributing its
+    weight twice.
     """
 
-    rho_hat: np.ndarray
     rho: np.ndarray
     scheme: str
 
@@ -44,7 +45,7 @@ class WeightMatrix:
     @classmethod
     def custom(cls, rho):
         """Wrap caller-supplied weights, normalizing them to unit sum over
-        unordered pairs; ``rho_hat`` is left zero."""
+        unordered pairs."""
         rho = as_matrix(rho, "custom weights")
         ell = rho.shape[0]
         if rho.shape != (ell, ell) or np.max(np.abs(rho - rho.T)) > 0 or np.any(np.diag(rho) != 0):
@@ -54,34 +55,18 @@ class WeightMatrix:
         total = sum(rho[i, j] for i in range(ell) for j in range(i + 1, ell))
         if total <= 0:
             raise ContractViolation("custom weights must have a positive sum")
-        return cls(rho_hat=np.zeros_like(rho), rho=rho / total, scheme="custom")
+        return cls(rho=rho / total, scheme="custom")
 
 
 def pairwise_rho_hat(Si, Sj):
     """Affinity of two centered views: nuclear norm of Si Sj^T over
-    sqrt(tr(Si Si^T) tr(Sj Sj^T)).  Lies in [0, 1]."""
-    Si = as_matrix(Si, "Si")
-    Sj = as_matrix(Sj, "Sj")
-    if Si.shape[1] != Sj.shape[1]:
-        raise ContractViolation(
-            f"views disagree on sample count: {Si.shape[1]} vs {Sj.shape[1]}"
-        )
-    tii = float(np.sum(Si * Si))
-    tjj = float(np.sum(Sj * Sj))
-    if tii == 0.0 or tjj == 0.0:
-        raise DegenerateViewError("a view is identically zero after centering")
-    nuc = float(np.sum(np.linalg.svd(Si @ Sj.T, compute_uv=False)))
-    return nuc / np.sqrt(tii * tjj)
+    sqrt(tr(Si Si^T) tr(Sj Sj^T)), without forming Si Sj^T.  Lies in [0, 1]."""
+    return float(build_multiview([Si, Sj]).rho_hat[0, 1])
 
 
 def rho_hat_matrix(views):
     """All pairwise affinities as a symmetric matrix with zero diagonal."""
-    ell = len(views)
-    R = np.zeros((ell, ell))
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            R[i, j] = R[j, i] = pairwise_rho_hat(views[i], views[j])
-    return R
+    return build_multiview(views).rho_hat.copy()
 
 
 def parse_scheme(scheme):
@@ -151,7 +136,7 @@ def select_weights(rho_hat, scheme):
     return [(i, j, float(rho_hat[i, j])) for i, j in ranked[:p]]
 
 
-def softmax_normalize(edges, size, bandwidth=20.0, rho_hat=None, scheme="custom"):
+def softmax_normalize(edges, size, bandwidth=20.0, scheme="custom"):
     """Soft-max the selected pair values into weights summing to 1.
 
     Uses the max-subtraction trick so bandwidth 20 cannot overflow, which
@@ -168,13 +153,14 @@ def softmax_normalize(edges, size, bandwidth=20.0, rho_hat=None, scheme="custom"
     rho = np.zeros((size, size))
     for (i, j, _), wij in zip(edges, w):
         rho[i, j] = rho[j, i] = wij
-    if rho_hat is None:
-        rho_hat = np.zeros((size, size))
-    return WeightMatrix(rho_hat=np.asarray(rho_hat, dtype=float), rho=rho, scheme=str(scheme))
+    return WeightMatrix(rho=rho, scheme=str(scheme))
 
 
 def build_weights(views, scheme="uniform", bandwidth=20.0):
-    """Affinities -> selection -> soft-max, end to end."""
-    R = rho_hat_matrix(views)
+    """Affinities -> selection -> soft-max, end to end, for a list of views
+    or a problem.  Uniform selection reads no affinity, so reduces no view."""
+    prob = build_multiview(views)
+    ell = len(prob.views)
+    R = np.zeros((ell, ell)) if parse_scheme(scheme)[0] == "uniform" else prob.rho_hat
     edges = select_weights(R, scheme)
-    return softmax_normalize(edges, len(views), bandwidth=bandwidth, rho_hat=R, scheme=scheme)
+    return softmax_normalize(edges, ell, bandwidth=bandwidth, scheme=scheme)

@@ -3,7 +3,8 @@ against.  Everything here deliberately avoids the code paths under test:
 gradient ascent instead of SCF, scipy's subspace angles instead of
 dist_tr, a stacked generalized eigenproblem instead of whitened SVD,
 explicit spanning-tree enumeration instead of Kruskal, covariance
-whitening instead of principal angles.
+whitening instead of principal angles, the dense cross product instead
+of reduced cross blocks.
 """
 
 import itertools
@@ -146,6 +147,13 @@ def covariance_cca(S1, S2, k):
     W1, W2 = whitener(S1 @ S1.T), whitener(S2 @ S2.T)
     U, sig, Vt = np.linalg.svd(W1.T @ (S1 @ S2.T) @ W2, full_matrices=False)
     return W1 @ U[:, :k], W2 @ Vt[:k].T, sig[:k]
+
+
+def dense_rho_hat(Si, Sj):
+    """Pair affinity from the dense cross product: the nuclear norm of
+    Si Sj^T over sqrt(tr(Si Si^T) tr(Sj Sj^T))."""
+    nuc = np.linalg.svd(Si @ Sj.T, compute_uv=False).sum()
+    return nuc / np.sqrt(np.trace(Si @ Si.T) * np.trace(Sj @ Sj.T))
 
 
 def best_spanning_tree(rho_hat):

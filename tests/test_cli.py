@@ -168,6 +168,56 @@ class TestOmcca:
         assert run("omcca", "--views", x, y, z, "--k", 1, "--weights", "top:1",
                    "--out", tmp_path / "run") == 4
 
+    def test_constant_view_named_by_file(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=8, n=7, q=50)
+        z = tmp_path / "z.csv"
+        save_matrix(np.full((3, 50), 2.5), z)  # all zero after centering
+        assert run("omcca", "--views", x, z, y, "--k", 1, "--out", tmp_path / "run") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {z}: ")
+        assert "identically zero" in err
+
+    def test_rank_deficient_view_named_by_file(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=8, n=7, q=50)
+        b = tmp_path / "b.csv"
+        rng = np.random.default_rng(4)
+        save_matrix(np.outer(rng.standard_normal(4), rng.standard_normal(50)), b)  # rank 1
+        assert run("omcca", "--views", x, y, b, "--k", 1, "--out", tmp_path / "run") == 4
+        err = capsys.readouterr().err
+        # the file is named; the message still counts views from 0
+        assert err.startswith(f"error: {b}: ")
+        assert "rank 1 of view 2" in err
+
+    def test_isolated_view_named_by_file(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=8, n=7, q=50)
+        z = tmp_path / "z.csv"
+        save_matrix(load_matrix(x)[:5] + load_matrix(y)[:5], z)
+        files = [x, y, str(z)]
+        R = occakit.rho_hat_matrix([occakit.center(load_matrix(f)) for f in files])
+        (i, j, _), = occakit.select_weights(R, "top:1")
+        (isolated,) = {0, 1, 2} - {i, j}
+        assert run("omcca", "--views", *files, "--k", 1, "--weights", "top:1",
+                   "--out", tmp_path / "run") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[isolated]}: ")
+        assert f"view {isolated} has no nonzero pair weights" in err
+
+    def test_reduces_each_view_once(self, tmp_path, monkeypatch):
+        x, y = gen_pair(tmp_path, m=8, n=7, q=50)
+        z = tmp_path / "z.csv"
+        save_matrix(load_matrix(x)[:5] + load_matrix(y)[:5], z)
+        calls = []
+        reduce = occakit.multiset.reduce_views
+
+        def counting_reduce(*args, **kwargs):
+            calls.append(len(args[0]))
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(occakit.multiset, "reduce_views", counting_reduce)
+        assert run("omcca", "--views", x, y, z, "--k", 1, "--weights", "tree",
+                   "--out", tmp_path / "run") in (0, 3)
+        assert calls == [3]
+
     def test_tree_weight_count_four_views(self, tmp_path):
         x, y = gen_pair(tmp_path, m=8, n=7, q=50)
         z = tmp_path / "z.csv"
@@ -310,6 +360,18 @@ class TestEval:
         assert run("eval", "--data", x1, x2, "--proj", p1, p2, "--out", ev) == 0
         metrics = read_report(f"{ev}_metrics.json")
         assert metrics["total_correlation"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_constant_view_named_by_file(self, tmp_path, capsys):
+        x, _ = gen_pair(tmp_path, m=6, n=5, q=40)
+        z = tmp_path / "z.csv"
+        save_matrix(np.full((5, 40), -1.0), z)  # all zero after centering
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        save_matrix(np.eye(6)[:, :2], p1)
+        save_matrix(np.eye(5)[:, :2], p2)
+        assert run("eval", "--data", x, z, "--proj", p1, p2, "--out", tmp_path / "ev") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {z}: ")
+        assert "identically zero" in err
 
     def test_shape_mismatch_exit_code(self, tmp_path):
         x, y = gen_pair(tmp_path, m=6, n=5, q=40)

@@ -8,12 +8,14 @@ import occakit.scf as scf_module
 from occakit import (
     AltConfig,
     ContractViolation,
+    DegenerateViewError,
     IsolatedViewError,
     OmccaConfig,
     RankDeficiencyError,
     ScfConfig,
     SubproblemSpec,
     SyntheticSpec,
+    build_multiview,
     build_two_view,
     build_weights,
     center,
@@ -478,3 +480,66 @@ def test_total_correlation_identical_views():
     rho[0, 1] = rho[1, 0] = 1.0
     w = WeightMatrix.custom(rho)
     assert total_correlation([X, X.copy()], [S, S.copy()], w) == pytest.approx(2.0, rel=1e-10)
+
+
+class TestOneProblem:
+    """The weights, the solver and the evaluator read one MultiViewProblem,
+    which reduces each view once, and only when a reduction is read."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+        reduce = multiset.reduce_views
+
+        def counting_reduce(*args, **kwargs):
+            calls.append(1)
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(multiset, "reduce_views", counting_reduce)
+        return calls
+
+    def test_weights_and_solver_share_one_reduction(self, reductions):
+        prob = build_multiview(three_views(seed=30))
+        rep = rcomcca(prob, 2, build_weights(prob, "tree"))
+        assert len(reductions) == 1
+        total_correlation(rep.projections, prob, build_weights(prob, "uniform"))
+        assert len(reductions) == 1
+        # the same solve from the list of views reduces them again
+        views = [S.copy() for S in prob.views]
+        again = rcomcca(views, 2, build_weights(views, "tree"))
+        assert len(reductions) == 3
+        assert again.g_trace == rep.g_trace
+
+    def test_build_multiview_returns_a_problem_as_it_is(self):
+        prob = build_two_view(*three_views(seed=31)[:2])
+        assert build_multiview(prob) is prob
+
+    def test_uniform_weights_reduce_nothing(self, reductions):
+        w = build_weights(three_views(seed=31), "uniform")
+        assert reductions == []
+        assert len(w.selected_pairs()) == 3
+
+    @pytest.mark.parametrize(
+        ("bad", "error"),
+        [
+            ("zero", DegenerateViewError),
+            ("1-d", ContractViolation),
+            ("non-finite", ContractViolation),
+            ("sample count", ContractViolation),
+        ],
+    )
+    def test_uniform_weights_still_check_the_views(self, reductions, bad, error):
+        views = three_views(seed=32)
+        q = views[1].shape[1]
+        views[1] = {
+            "zero": np.zeros((6, q)),
+            "1-d": np.ones(q),
+            "non-finite": np.where(np.eye(6, q) > 0, np.nan, views[1]),
+            "sample count": views[1][:, 1:],
+        }[bad]
+        with pytest.raises(error) as exc:
+            build_weights(views, "uniform")
+        assert type(exc.value) is error
+        if bad == "zero":
+            assert exc.value.view == 1
+        assert reductions == []

@@ -4,7 +4,9 @@ import pytest
 from occakit import (
     ContractViolation,
     DegenerateViewError,
+    SyntheticSpec,
     center,
+    gen_synthetic,
     pairwise_rho_hat,
     rho_hat_matrix,
     select_weights,
@@ -13,6 +15,7 @@ from occakit import (
 from occakit.weighting import WeightMatrix, build_weights, parse_scheme
 
 import oracles
+from cases import rank_tail_views
 
 # the l=4 affinity layout used in several tests, chosen so the best
 # spanning tree is {01, 03, 12}
@@ -28,6 +31,26 @@ for (i, j), v in {
     RHO4[i, j] = RHO4[j, i] = v
 
 
+def _random_pair():
+    rng = np.random.default_rng(1)
+    return center(rng.standard_normal((3, 20))), center(rng.standard_normal((4, 20)))
+
+
+def _q_below_n_pair():
+    sx, sy = gen_synthetic(SyntheticSpec(m=60, n=50, q=30, seed=0))
+    return center(sx), center(sy)
+
+
+# view pairs on which the affinity must match the dense formula: random
+# full-rank views, views with fewer samples than features (rank q - 1),
+# and views whose singular-value tails straddle the rank rule
+AFFINITY_PAIRS = {
+    "random": _random_pair,
+    "q<n": _q_below_n_pair,
+    **{f"rank_tail{seed}": (lambda seed=seed: rank_tail_views(seed)) for seed in range(5)},
+}
+
+
 class TestPairwiseRhoHat:
     def test_identical_views_give_one(self):
         rng = np.random.default_rng(0)
@@ -39,13 +62,10 @@ class TestPairwiseRhoHat:
         S2 = center(np.array([[1.0, 1.0, -1.0, -1.0]]))
         assert pairwise_rho_hat(S1, S2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_direct_svd_sum(self):
-        rng = np.random.default_rng(1)
-        Si = center(rng.standard_normal((3, 20)))
-        Sj = center(rng.standard_normal((4, 20)))
-        expected = np.linalg.svd(Si @ Sj.T, compute_uv=False).sum() / np.sqrt(
-            np.trace(Si @ Si.T) * np.trace(Sj @ Sj.T)
-        )
+    @pytest.mark.parametrize("pair", list(AFFINITY_PAIRS))
+    def test_matches_direct_svd_sum(self, pair):
+        Si, Sj = AFFINITY_PAIRS[pair]()
+        expected = oracles.dense_rho_hat(Si, Sj)
         assert pairwise_rho_hat(Si, Sj) == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_view(self):
