@@ -5,10 +5,10 @@ Commands: ``gen`` (synthetic two-view data), ``occa`` (two-view solver),
 ``eval`` (re-score stored projections).  Exit codes: 0 success, 2 I/O or
 parse failure (including non-finite CSV values), 3 finished at the
 iteration cap (outputs still written), 4 domain error (rank deficiency,
-degenerate or isolated views, bad shapes, a thread count below 1, a
-tolerance that is not positive and finite, a non-finite bandwidth, a
-rank tolerance outside [0, 1), a negative seed or a noise scale that is
-negative or not finite for ``gen``).
+degenerate, isolated or, under ``--no-center``, uncentered views, bad
+shapes, a tolerance that is not positive and finite, a non-finite
+bandwidth, a rank tolerance outside [0, 1), a negative seed or a noise
+scale that is negative or not finite for ``gen``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def build_parser():
     om.add_argument("--max-cycles", type=int, default=100)
     om.add_argument("--eps-scf", type=float, default=1e-5)
     om.add_argument("--max-iter-scf", type=int, default=30)
-    om.add_argument("--threads", type=int, default=1, help="Jacobi-cycle parallelism")
     io_flags(om)
 
     base = sub.add_parser("cca-baseline", help="classical CCA (principal angles)")
@@ -166,7 +165,6 @@ def cmd_omcca(args):
             scheme="gauss_seidel" if args.scheme == "gs" else "jacobi",
             scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
         ),
-        threads=args.threads,
     )
     for i, X in enumerate(rep.projections, start=1):
         dio.save_matrix(X, f"{args.out}_view{i}_proj.csv")
@@ -188,7 +186,6 @@ def cmd_omcca(args):
             "max_cycles": args.max_cycles,
             "eps_scf": args.eps_scf,
             "max_iter_scf": args.max_iter_scf,
-            "threads": args.threads,
             "center": not args.no_center,
         },
         weight_matrix=[[float(v) for v in row] for row in w.rho],

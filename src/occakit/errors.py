@@ -10,11 +10,7 @@ class ContractViolation(OccaKitError, ValueError):
 
 
 class SolverFailure(OccaKitError, RuntimeError):
-    """An iterative solver gave up; ``iterations`` records how far it got."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """A LAPACK driver (``dsyevr`` or ``dgesdd``) reported failure."""
 
 
 class UndefinedRatioError(ContractViolation):

@@ -8,17 +8,15 @@ SCF core as the two-view solver) against the weighted pull of the other
 views' current iterates, inside a search space of at most 4k columns
 when 5k is below the view's rank, and keeps the view's iterate when the
 solve ends lower; cycles follow either a Jacobi scheme (all updates read
-the previous cycle's iterates, so they can run in parallel) or a
-Gauss-Seidel scheme (updates consume fresh iterates; the total
-correlation then never decreases).  ``_cycles`` is that loop for both
-schemes and for the two-view solver.
+the previous cycle's iterates) or a Gauss-Seidel scheme (updates consume
+fresh iterates; the total correlation then never decreases).  Both run
+on the calling thread.  ``_cycles`` is that loop for both schemes and
+for the two-view solver.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +27,7 @@ from .errors import (
     DegenerateViewError,
     IsolatedViewError,
     RankDeficiencyError,
+    ViewError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
 from .scf import ScfConfig, SubproblemSpec, _Iterate, scf_solve
@@ -42,6 +41,9 @@ _SEARCH_BLOCKS = 5
 # Unit search directions keep only the part of their span whose singular
 # values exceed this; below it the Gram matrix that measures them is noise.
 _DROP_TOL = 1e-6
+# Row means above this (relative to the matrix scale) fail the
+# centering contract.
+_CENTER_TOL = 1e-10
 
 
 @dataclass
@@ -112,6 +114,20 @@ def _checked_views(views, names=None):
         if not S.any():
             raise DegenerateViewError(f"{what} is identically zero", view=idx)
     return views
+
+
+def _check_centered(views, names=None):
+    """Raise ``ViewError`` (0-based ``.view``) for the first view whose row
+    means are not zero to within ``_CENTER_TOL`` of its largest entry."""
+    names = names or [f"view {i}" for i in range(len(views))]
+    for idx, (S, what) in enumerate(zip(views, names)):
+        scale = max(1.0, float(np.max(np.abs(S))))
+        worst = float(np.max(np.abs(S.mean(axis=1))))
+        if worst > _CENTER_TOL * scale:
+            raise ViewError(
+                f"{what} is not centered: max|row mean| = {worst:.3e} (scale {scale:.3e})",
+                view=idx,
+            )
 
 
 def reduce_views(views, rank_tol=None):
@@ -193,13 +209,15 @@ class MultiViewProblem:
 
 
 def build_multiview(views):
-    """Check and wrap two or more views (features by samples); a
+    """Check and wrap two or more centered views (features by samples); a
     ``MultiViewProblem`` is returned as it is."""
     if isinstance(views, MultiViewProblem):
         return views
     if len(views) < 2:
         raise ContractViolation("need at least two views")
-    return MultiViewProblem(_checked_views(views))
+    views = _checked_views(views)
+    _check_centered(views)
+    return MultiViewProblem(views)
 
 
 def _scaled_norm(hatX_j, sigma_j):
@@ -356,7 +374,7 @@ def total_correlation(projections, views, weights):
     return total
 
 
-def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
+def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg):
     """The outer cycle of every solver: updates ``hatX`` in place and
     yields (cycle, loop_g, sweeps) after each cycle, forever.
 
@@ -365,10 +383,9 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
     rotate ``hatX`` between cycles.  ``loop_g`` sums the subproblem
     objectives at the kept iterates and ``sweeps`` holds each view's SCF
     sweeps.  Gauss-Seidel solves and commits the views in order.  Jacobi
-    solves every view from the previous cycle's iterates through ``map_``
-    (a thread pool's ``map`` runs them in parallel), commits the results
-    in view order, so the outcome is identical at any thread count, and
-    realigns each view against its fresh partners.
+    solves every view from the previous cycle's iterates, then commits
+    the results in view order and realigns each view against its fresh
+    partners.
     """
     ell = len(hatX)
 
@@ -384,7 +401,7 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg, map_=map):
         else:
             # every solve reads the previous cycle's iterates, so all of
             # them finish before the first result is committed
-            outs = list(map_(solve, range(ell)))
+            outs = [solve(s) for s in range(ell)]
             for s, (X, _, _) in enumerate(outs):
                 hatX[s] = X
             # simultaneous updates only align each view to its partners'
@@ -410,10 +427,9 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     identity columns and runs ``_cycles`` in the configured order, each
     view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
     sum of subproblem optima changes by at most ``eps_outer`` relative, or
-    at the cycle cap.  ``threads`` parallelizes Jacobi cycles only, on one
-    thread pool for the whole solve, with the same outcome at any thread
-    count.  Raises ``RankDeficiencyError``
-    (0-based ``.view``) unless k is below the numerical rank of every view.
+    at the cycle cap.  ``threads`` (at least 1) has no effect: every cycle
+    runs on the calling thread.  Raises ``RankDeficiencyError`` (0-based
+    ``.view``) unless k is below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
     prob = build_multiview(views)
@@ -435,21 +451,17 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
 
     report = OmccaReport(projections=[])
     loop_g_last = 0.0
-    parallel = cfg.scheme == "jacobi" and threads > 1
-    # one pool serves every cycle and is joined before rcomcca returns or raises
-    with ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
-        map_ = pool.map if parallel else map
-        cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg, map_)
-        for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
-            report.cycles = cycle
-            report.loop_g_trace.append(loop_g)
-            report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
-            report.per_cycle_subproblem_iters.append(sweeps)
-            report.ds_terms_per_cycle.append(2 * len(pairs))
-            if abs(loop_g - loop_g_last) <= cfg.eps_outer * loop_g:
-                report.termination_reason = "rel_change_tol"
-                break
-            loop_g_last = loop_g
+    cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg)
+    for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
+        report.cycles = cycle
+        report.loop_g_trace.append(loop_g)
+        report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
+        report.per_cycle_subproblem_iters.append(sweeps)
+        report.ds_terms_per_cycle.append(2 * len(pairs))
+        if abs(loop_g - loop_g_last) <= cfg.eps_outer * loop_g:
+            report.termination_reason = "rel_change_tol"
+            break
+        loop_g_last = loop_g
 
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
     return report

@@ -31,6 +31,7 @@ from occakit import (
     scf_solve,
     total_correlation,
 )
+from occakit.errors import ViewError
 from occakit.weighting import WeightMatrix
 
 
@@ -347,6 +348,14 @@ class TestRcomcca:
         with pytest.raises(ContractViolation, match="view 1 must be 2-d"):
             rcomcca([views[0], np.ones(20)], 1, w)
 
+    def test_uncentered_view_named(self):
+        views = three_views(seed=31)
+        w = build_weights(views, "uniform")
+        views[2] = views[2] + 1.0
+        with pytest.raises(ViewError, match="view 2 is not centered") as exc:
+            rcomcca(views, 1, w)
+        assert exc.value.view == 2
+
     def test_isolated_view_under_custom_sparse_weights(self):
         views = three_views(seed=20)
         rho = np.zeros((3, 3))
@@ -422,54 +431,16 @@ def test_solver_path_computes_no_certificate(monkeypatch):
     assert alt.outer_iterations == 5
 
 
-class TestJacobiPool:
-    """rcomcca owns at most one thread pool per solve and joins it."""
+def test_jacobi_starts_no_thread(monkeypatch):
+    # a view's step is too small for threads to repay their coordination,
+    # so Jacobi cycles run on the calling thread whatever ``threads`` says
+    def no_start(thread):
+        raise AssertionError(f"rcomcca started thread {thread.name}")
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        made = []
-
-        class CountingExecutor(multiset.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(multiset, "ThreadPoolExecutor", CountingExecutor)
-        return made
-
-    @staticmethod
-    def run(scheme, threads):
-        views = three_views(seed=29)
-        cfg = OmccaConfig(eps_outer=1e-15, max_cycles=4, scheme=scheme)
-        return rcomcca(views, 2, build_weights(views, "uniform"), cfg=cfg, threads=threads)
-
-    def test_one_pool_per_jacobi_solve(self, pools):
-        before = set(threading.enumerate())
-        assert self.run("jacobi", 2).cycles >= 3
-        assert len(pools) == 1
-        assert set(threading.enumerate()) <= before
-
-    @pytest.mark.parametrize(("scheme", "threads"), [("gauss_seidel", 2), ("jacobi", 1)])
-    def test_no_pool_when_serial(self, pools, scheme, threads):
-        self.run(scheme, threads)
-        assert pools == []
-
-    def test_pool_joined_when_a_solve_raises(self, pools, monkeypatch):
-        calls = []
-        solve_view = multiset._solve_view
-
-        def failing_solve_view(*args):
-            calls.append(1)
-            if len(calls) == 5:
-                raise RuntimeError("solve failed")
-            return solve_view(*args)
-
-        monkeypatch.setattr(multiset, "_solve_view", failing_solve_view)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="solve failed"):
-            self.run("jacobi", 2)
-        assert len(pools) == 1
-        assert set(threading.enumerate()) <= before
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    views = three_views(seed=29)
+    cfg = OmccaConfig(eps_outer=1e-15, max_cycles=4, scheme="jacobi")
+    assert rcomcca(views, 2, build_weights(views, "uniform"), cfg=cfg, threads=4).cycles == 4
 
 
 def test_total_correlation_identical_views():
