@@ -234,6 +234,7 @@ def cmd_eval(args):
         raise ContractViolation(
             f"{len(projs)} projections supplied for {len(views)} data files"
         )
+    k = int(projs[0].shape[1])
     rank_deficient = False
     if args.orthogonalize:
         fixed = []
@@ -248,7 +249,7 @@ def cmd_eval(args):
     metrics = {
         "schema_version": dio.SCHEMA_VERSION,
         "solver": "eval",
-        "k": int(projs[0].shape[1]) if projs[0] is not None else 0,
+        "k": k,
         "rank_deficient": rank_deficient,
         "orthogonalized": bool(args.orthogonalize),
         "seed": args.seed,
@@ -263,12 +264,12 @@ def cmd_eval(args):
             metrics["f"] = 0.0
             metrics["F"] = 0.0
     else:
-        two = len(views) == 2
-        prob = twoview.build_two_view(*views) if two else multiset.build_multiview(views)
+        prob = multiset.build_multiview(views)
         w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
         metrics["total_correlation"] = multiset.total_correlation(projs, prob, w)
-        if two:
-            metrics["f"] = twoview.objective_f(projs[0], projs[1], prob)
+        if len(views) == 2:
+            # every scheme weighs the one pair exactly 1, so this is objective_f
+            metrics["f"] = metrics["total_correlation"] / 2
             metrics["F"] = metrics["f"] ** 2
     metrics["wall_time_seconds"] = time.perf_counter() - t0
     dio.write_report(metrics, f"{args.out}_metrics.json")
@@ -293,9 +294,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ContractViolation, SolverFailure) as exc:
-        # omcca --views and eval --data files are views 0, 1, ... in order
-        files = vars(args).get("views") or vars(args).get("data")
-        if isinstance(exc, ViewError) and exc.view is not None and files:
+        # --x/--y, omcca --views and eval --data files are views 0, 1, ... in order
+        opts = vars(args)
+        files = opts.get("views") or opts.get("data") or [opts.get("x"), opts.get("y")]
+        if isinstance(exc, ViewError) and exc.view is not None and files[exc.view]:
             exc = f"{files[exc.view]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -21,8 +21,8 @@ class UndefinedRatioError(ContractViolation):
 
 
 class ViewError(ContractViolation):
-    """A view failed a precondition; ``view`` is its index where known
-    (0-based, but 1-based in the rank errors of the two-view solvers)."""
+    """A view failed a precondition; ``view`` is its 0-based position in
+    the list of views the caller passed, where known."""
 
     def __init__(self, message, view=None):
         super().__init__(message)

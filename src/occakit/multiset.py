@@ -102,30 +102,28 @@ class OmccaReport:
     termination_reason: str = "max_cycles"
 
 
-def _checked_views(views, names=None):
+def _checked_views(views):
     """The views as float arrays, once they are finite, 2-d, nonzero and on
-    one sample count; errors name a view by ``names`` (default "view i")."""
-    names = names or [f"view {i}" for i in range(len(views))]
-    views = [as_matrix(v, what) for v, what in zip(views, names)]
+    one sample count; an error names the i-th view "view i" (``.view`` i)."""
+    views = [as_matrix(v, f"view {idx}") for idx, v in enumerate(views)]
     qs = {v.shape[1] for v in views}
     if len(qs) > 1:
         raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
-    for idx, (S, what) in enumerate(zip(views, names)):
+    for idx, S in enumerate(views):
         if not S.any():
-            raise DegenerateViewError(f"{what} is identically zero", view=idx)
+            raise DegenerateViewError(f"view {idx} is identically zero", view=idx)
     return views
 
 
-def _check_centered(views, names=None):
+def _check_centered(views):
     """Raise ``ViewError`` (0-based ``.view``) for the first view whose row
     means are not zero to within ``_CENTER_TOL`` of its largest entry."""
-    names = names or [f"view {i}" for i in range(len(views))]
-    for idx, (S, what) in enumerate(zip(views, names)):
+    for idx, S in enumerate(views):
         scale = max(1.0, float(np.max(np.abs(S))))
         worst = float(np.max(np.abs(S.mean(axis=1))))
         if worst > _CENTER_TOL * scale:
             raise ViewError(
-                f"{what} is not centered: max|row mean| = {worst:.3e} (scale {scale:.3e})",
+                f"view {idx} is not centered: max|row mean| = {worst:.3e} (scale {scale:.3e})",
                 view=idx,
             )
 
@@ -197,10 +195,10 @@ class MultiViewProblem:
             R[i, j] = R[j, i] = np.linalg.norm(blocks[i, j], "nuc") / np.sqrt(power[i] * power[j])
         return R
 
-    def require_rank_above(self, k, first=0):
-        """Raise ``RankDeficiencyError`` unless k is below the numerical rank
-        of every view; the error numbers the views from ``first``."""
-        for view, rv in enumerate(self.reduced(), start=first):
+    def require_rank_above(self, k):
+        """Raise ``RankDeficiencyError`` (0-based ``.view``) unless k is below
+        the numerical rank of every view."""
+        for view, rv in enumerate(self.reduced()):
             # a view's SCF subproblem has dimension rank and needs k below it
             if k >= rv.r:
                 raise RankDeficiencyError(

@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ContractViolation, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
-from .multiset import MultiViewProblem, _check_centered, _checked_views, _cycles, _g, _pull
-from .multiset import _unit_scores
+from .multiset import MultiViewProblem, _cycles, _g, _pull, _unit_scores, build_multiview
 from .scf import ScfConfig, _Iterate
 
 class TwoViewProblem(MultiViewProblem):
@@ -46,10 +45,9 @@ class TwoViewProblem(MultiViewProblem):
 
 
 def build_two_view(S1, S2):
-    """Check and wrap centered views (features x samples)."""
-    views = _checked_views([S1, S2], ("S1", "S2"))
-    _check_centered(views, ("S1", "S2"))
-    return TwoViewProblem(views)
+    """Check and wrap centered views (features x samples) as views 0 and 1
+    of ``build_multiview``."""
+    return TwoViewProblem(build_multiview([S1, S2]).views)
 
 
 def objective_f(X, Y, prob):
@@ -116,8 +114,8 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     and X = U_1 hatX lies in the range of its view.  The start is X0
     (default: leading identity columns) projected onto the range and
     orthonormalized, i.e. X0 itself at full rank; likewise for Y0.  Raises
-    ``RankDeficiencyError`` (1-based ``.view``) unless k is below the
-    numerical rank of both views, which ``reduce_views`` decides.
+    ``RankDeficiencyError`` unless k is below the numerical rank of both
+    views, which ``reduce_views`` decides.
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
@@ -128,7 +126,7 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     if X0.shape != (prob.n, k) or Y0.shape != (prob.m, k):
         want = f"{prob.n}x{k}, {prob.m}x{k}"
         raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
-    prob.require_rank_above(k, first=1)
+    prob.require_rank_above(k)
     reduced = prob.reduced()
     sigmas = [rv.sigma for rv in reduced]
     blocks = prob.blocks([(0, 1)])
@@ -180,13 +178,13 @@ def classical_cca(prob, k, rank_tol=None):
     SVD V_1^T V_2 = P diag(c) Q^T gives the correlations c as cosines,
     without squaring the condition number.  Returns (X1, X2, c[:k]) with
     X1 = U_1 diag(1/sigma_1) P_k and X2 = U_2 diag(1/sigma_2) Q_k, so
-    X1^T A X1 = X2^T B X2 = I.  Raises ``RankDeficiencyError`` (1-based
-    ``.view``) when k exceeds the numerical rank of a view.
+    X1^T A X1 = X2^T B X2 = I.  Raises ``RankDeficiencyError`` when k
+    exceeds the numerical rank of a view.
     """
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
     reduced = prob.reduced(rank_tol)
-    for view, rv in enumerate(reduced, start=1):
+    for view, rv in enumerate(reduced):
         if k > rv.r:
             raise RankDeficiencyError(
                 f"k={k} exceeds numerical rank {rv.r} of view {view}", view=view

@@ -202,9 +202,11 @@ class TestOmcca:
         assert err.startswith(f"error: {files[isolated]}: ")
         assert f"view {isolated} has no nonzero pair weights" in err
 
-    def test_no_center_uncentered_view_named_by_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["omcca", "occa"])
+    def test_no_center_uncentered_view_named_by_file(self, tmp_path, capsys, command):
         x, y = gen_pair(tmp_path, m=8, n=7, q=50)  # generator output is uncentered
-        assert run("omcca", "--views", x, y, "--k", 1, "--no-center",
+        data = ("--views", x, y) if command == "omcca" else ("--x", x, "--y", y)
+        assert run(command, *data, "--k", 1, "--no-center",
                    "--out", tmp_path / "run") == 4
         err = capsys.readouterr().err
         assert err.startswith(f"error: {x}: ")
@@ -279,6 +281,25 @@ def test_bad_numeric_option_is_domain_error(tmp_path, capsys, argv, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["occa", "cca-baseline"])
+@pytest.mark.parametrize(
+    "bad_y, message",
+    [
+        (np.full((3, 50), 2.5), "view 1 is identically zero"),  # zero after centering
+        (np.outer(np.arange(1.0, 5.0), np.sin(np.arange(50.0))), "rank 1 of view 1"),
+    ],
+    ids=["constant", "rank1"],
+)
+def test_two_view_commands_name_bad_y_file(tmp_path, capsys, command, bad_y, message):
+    x, _ = gen_pair(tmp_path, m=8, n=7, q=50)
+    y = tmp_path / "bad_y.csv"
+    save_matrix(bad_y, y)
+    assert run(command, "--x", x, "--y", y, "--k", 2, "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {y}: ")
+    assert message in err
+
+
 def save_rank_tail_views(tmp_path):
     paths = (tmp_path / "tail_x.csv", tmp_path / "tail_y.csv")
     for S, path in zip(rank_tail_views(0), paths):
@@ -347,6 +368,20 @@ class TestEval:
         metrics = read_report(f"{ev}_metrics.json")
         assert metrics["rank_deficient"] is True
         assert metrics["total_correlation"] == 0.0
+
+    def test_rank_deficient_orthogonalize_keeps_k(self, tmp_path):
+        x, y = gen_pair(tmp_path, m=5, n=5, q=40)
+        bad = tmp_path / "bad.csv"
+        col = np.arange(5.0).reshape(-1, 1)
+        save_matrix(np.hstack([col, col]), bad)  # two identical columns
+        good = tmp_path / "good.csv"
+        save_matrix(np.eye(5)[:, :2], good)
+        ev = tmp_path / "ev"
+        assert run("eval", "--data", x, y, "--proj", bad, good,
+                   "--orthogonalize", "--out", ev) == 0
+        metrics = read_report(f"{ev}_metrics.json")
+        assert metrics["rank_deficient"] is True
+        assert metrics["k"] == 2
 
     def test_zero_cross_covariance_scores_zero(self, tmp_path):
         x1 = tmp_path / "x1.csv"

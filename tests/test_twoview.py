@@ -64,7 +64,7 @@ class TestBuildTwoView:
 
     def test_zero_view_rejected_by_name(self):
         S = center(np.random.default_rng(2).standard_normal((3, 20)))
-        with pytest.raises(DegenerateViewError, match="S2 is identically zero"):
+        with pytest.raises(DegenerateViewError, match="view 1 is identically zero"):
             build_two_view(S, np.zeros((2, 20)))
 
     def test_uncentered_rejected(self):
@@ -193,15 +193,15 @@ class TestOccaAlternate:
         prob = build_two_view(s1, s2)
         with pytest.raises(RankDeficiencyError) as exc:
             occa_alternate(prob, k=8)
-        assert exc.value.view == 1
+        assert exc.value.view == 0
 
     def test_k_equal_to_rank_names_view(self):
         # both views have rank 5: the SCF subproblem needs k below it
         s1, s2 = synthetic_problem(m=12, n=10, q=6, seed=3)
         prob = build_two_view(s1, s2)
-        with pytest.raises(RankDeficiencyError, match="view 1") as exc:
+        with pytest.raises(RankDeficiencyError, match="view 0") as exc:
             occa_alternate(prob, k=5)
-        assert exc.value.view == 1
+        assert exc.value.view == 0
         # the classical baseline shares the rank rule and accepts k = rank
         _, _, corr = classical_cca(prob, k=5)
         assert np.allclose(corr, 1.0)
@@ -243,7 +243,7 @@ class TestClassicalCca:
         prob = build_two_view(center(S1), S2)
         with pytest.raises(RankDeficiencyError) as exc:
             classical_cca(prob, k=3)
-        assert exc.value.view == 1
+        assert exc.value.view == 0
 
 
     def test_k_below_one_rejected(self):
@@ -305,19 +305,35 @@ class TestOneRankRule:
         prob = build_two_view(*rank_tail_views(0))
         _, _, corr = classical_cca(prob, k=4)
         assert corr.shape == (4,)
-        with pytest.raises(RankDeficiencyError, match="rank 4 of view 2") as exc:
+        with pytest.raises(RankDeficiencyError, match="rank 4 of view 1") as exc:
             classical_cca(prob, k=5)
-        assert exc.value.view == 2
-        with pytest.raises(RankDeficiencyError, match="rank 5 of view 1") as exc:
-            classical_cca(prob, k=6)
         assert exc.value.view == 1
+        with pytest.raises(RankDeficiencyError, match="rank 5 of view 0") as exc:
+            classical_cca(prob, k=6)
+        assert exc.value.view == 0
 
     def test_rank_tol_thresholds_singular_values(self):
         # a threshold of 1e-8 sigma_1 drops the 1e-9 and 1e-10 tails
         prob = build_two_view(*rank_tail_views(0))
-        with pytest.raises(RankDeficiencyError, match="rank 3 of view 1"):
+        with pytest.raises(RankDeficiencyError, match="rank 3 of view 0"):
             classical_cca(prob, k=4, rank_tol=1e-8)
         assert classical_cca(prob, k=3, rank_tol=1e-8)[2].shape == (3,)
+
+    def test_every_solver_counts_views_from_zero(self):
+        rng = np.random.default_rng(5)
+        views = [
+            center(rng.standard_normal((4, 30))),
+            center(np.outer(rng.standard_normal(3), rng.standard_normal(30))),  # rank 1
+        ]
+        prob = build_two_view(*views)
+        for solve in (
+            lambda: occa_alternate(prob, k=2),
+            lambda: classical_cca(prob, k=2),
+            lambda: rcomcca(views, 2, build_weights(views)),
+        ):
+            with pytest.raises(RankDeficiencyError, match="rank 1 of view 1") as exc:
+                solve()
+            assert exc.value.view == 1
 
     @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, 1.0, 2.0, float("inf")])
     def test_rank_tol_outside_unit_interval_rejected(self, rank_tol):
