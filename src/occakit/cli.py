@@ -266,7 +266,13 @@ def cmd_eval(args):
     else:
         prob = multiset.build_multiview(views)
         w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
-        metrics["total_correlation"] = multiset.total_correlation(projs, prob, w)
+        try:
+            metrics["total_correlation"] = multiset.total_correlation(projs, prob, w)
+        except ViewError as exc:
+            # the index names a projection here, so the --proj file is at fault
+            if exc.view is None:
+                raise
+            raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
         if len(views) == 2:
             # every scheme weighs the one pair exactly 1, so this is objective_f
             metrics["f"] = metrics["total_correlation"] / 2

@@ -31,9 +31,17 @@ def as_matrix(M, what="matrix"):
 
 
 def orthonormality_error(G):
+    """max|G^T G - I|, the drift measured against ``ORTH_TOL``."""
     G = np.asarray(G)
-    k = G.shape[1]
-    return float(np.max(np.abs(G.T @ G - np.eye(k))))
+    return float(abs(G.T @ G - _identity(G.shape[1])).max())
+
+
+@functools.cache
+def _identity(k):
+    """A read-only k x k identity, built once per k."""
+    I = np.eye(k)
+    I.flags.writeable = False
+    return I
 
 
 def require_orthonormal(G, what="G"):
@@ -96,11 +104,14 @@ class EigenResult:
 def k_smallest_eigenbasis(E, k):
     """Eigenbasis for the ``k`` algebraically smallest eigenvalues of ``E``.
 
-    ``E`` must be symmetric within 1e-10 (checked), ``1 <= k < n``.  LAPACK
-    ``dsyevr``, called as ``scipy.linalg.eigh(subset_by_index=...)`` calls
-    it, computes the k + 1 smallest eigenpairs, the extra one giving the
-    gap.  A zero ``gap`` flags a degenerate eigenvalue at position k; the
-    returned subspace is then only determined up to the tie.
+    Checks that ``E`` is a finite square matrix, symmetric within 1e-10
+    (a smaller asymmetry is averaged away), and that ``1 <= k < n``; then
+    runs ``_k_smallest``, the unchecked kernel that ``scf_solve`` calls on
+    every sweep.  LAPACK ``dsyevr``, called as
+    ``scipy.linalg.eigh(subset_by_index=...)`` calls it, computes the
+    k + 1 smallest eigenpairs, the extra one giving the gap.  A zero
+    ``gap`` flags a degenerate eigenvalue at position k; the returned
+    subspace is then only determined up to the tie.
     """
     E = as_matrix(E, "E")
     n = E.shape[0]
@@ -113,7 +124,14 @@ def k_smallest_eigenbasis(E, k):
         raise ContractViolation(f"E is not symmetric: max|E - E^T| = {asym:.3e}")
     if asym > 0.0:
         E = 0.5 * (E + E.T)
-    lwork, liwork = _syevr_workspace(n)
+    return _k_smallest(E, k)
+
+
+def _k_smallest(E, k):
+    """The ``dsyevr`` kernel of ``k_smallest_eigenbasis``, for an ``E``
+    already known to be finite, square and exactly symmetric with
+    ``1 <= k < n``.  ``lapack.dsyevr`` is looked up on every call."""
+    lwork, liwork = _syevr_workspace(E.shape[0])
     # E is symmetric, so E.T is the same matrix, already in Fortran order
     vals, vecs, found, _, info = lapack.dsyevr(
         E.T, range="I", il=1, iu=k + 1, lower=1, lwork=lwork, liwork=liwork
@@ -140,11 +158,20 @@ def align(G, D):
     trace equals the sum of singular values of the old ``G^T D``.  When
     ``G^T D`` is exactly zero there is nothing to align and ``G`` is
     returned unchanged.
+
+    Checks that ``G`` and ``D`` share a shape, then runs ``_align``, the
+    unchecked kernel that ``scf_solve`` calls on every sweep.
     """
     G = np.asarray(G, dtype=float)
     D = np.asarray(D, dtype=float)
     if G.shape != D.shape:
         raise ContractViolation(f"G and D must share a shape, got {G.shape} vs {D.shape}")
+    return _align(G, D)
+
+
+def _align(G, D):
+    """The kernel of ``align`` for float arrays of one shape:
+    ``G^T D``, its ``dgesdd`` factors, ``G U V^T``."""
     W = G.T @ D
     if not W.any():
         return G.copy()

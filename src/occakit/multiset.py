@@ -341,7 +341,9 @@ def g_objective(hatX, weights, reduced):
 
 def _unit_scores(projections, views):
     """The projected samples S_i^T X_i of every view (a list or a problem),
-    each scaled to unit Frobenius norm, after checking the projections."""
+    each scaled to unit Frobenius norm, after checking the projections.
+    A bad projection raises a ``ViewError`` whose ``.view`` is the
+    position of that projection (and of its view)."""
     views = build_multiview(views).views
     if len(projections) != len(views):
         raise ContractViolation(f"{len(projections)} projections for {len(views)} views")
@@ -349,15 +351,15 @@ def _unit_scores(projections, views):
     for idx, (S, X) in enumerate(zip(views, projections)):
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != S.shape[0]:
-            raise ContractViolation(
-                f"projection {idx} has shape {X.shape}, expected ({S.shape[0]}, k)"
+            raise ViewError(
+                f"projection {idx} has shape {X.shape}, expected ({S.shape[0]}, k)", view=idx
             )
         if X.shape[1] != np.shape(projections[0])[1]:
-            raise ContractViolation("projections disagree on k")
+            raise ViewError("projections disagree on k", view=idx)
         z = S.T @ X
         den = float(np.sum(z * z))
         if den <= 0.0:
-            raise DegenerateViewError(f"projection {idx} captured zero variance")
+            raise DegenerateViewError(f"projection {idx} captured zero variance", view=idx)
         Z.append(z / np.sqrt(den))
     return Z
 

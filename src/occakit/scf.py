@@ -10,10 +10,19 @@ the eigenvector-dependent symmetric operator
 whose k-smallest eigenbasis, realigned against D, is the next iterate.
 The objective never decreases along the iteration, and every iterate
 after the first satisfies D^T G >= 0 (positive semidefinite).
+
+A sweep pays only for its arithmetic.  The facts that hold for a whole
+solve are checked once at its start: A and D finite, A square and
+symmetric within 1e-10 (a smaller asymmetry averaged away), D with A's
+row count.  Every E(G) is then exactly symmetric by construction, so
+each sweep checks only that the scalar xi(G) is finite and that LAPACK
+succeeded, and calls the unchecked kernels behind
+``k_smallest_eigenbasis`` and ``align``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -21,11 +30,12 @@ import numpy as np
 
 from .errors import ContractViolation, UndefinedRatioError
 from .linalg import (
+    _align,
+    _k_smallest,
     align,
     as_matrix,
     dist_tr,
     ensure_orthonormal,
-    k_smallest_eigenbasis,
     orthonormalize,
     require_orthonormal,
     sample_tangent,
@@ -47,6 +57,9 @@ class SubproblemSpec:
     checked once at construction (skip with ``validate=False`` when the
     caller already guarantees them, e.g. in inner solver loops).  A
     validated ``A`` that is not exactly symmetric becomes (A + A^T)/2.
+    ``scf_solve`` checks finiteness, shapes and symmetry again once per
+    solve, so it rejects an unvalidated spec with non-finite or
+    asymmetric data too.
     """
 
     A: np.ndarray          # n x n symmetric positive definite
@@ -57,20 +70,7 @@ class SubproblemSpec:
         self.A = np.asarray(self.A, dtype=float)
         self.D = np.asarray(self.D, dtype=float)
         if validate:
-            self.A = as_matrix(self.A, "A")
-            self.D = as_matrix(self.D, "D")
-            n = self.A.shape[0]
-            if self.A.shape[1] != n:
-                raise ContractViolation(f"A must be square, got {self.A.shape}")
-            if self.D.shape[0] != n:
-                raise ContractViolation(
-                    f"D must have {n} rows to match A, got {self.D.shape}"
-                )
-            asym = float(np.max(np.abs(self.A - self.A.T)))
-            if asym > 1e-10:
-                raise ContractViolation(f"A is not symmetric: max|A - A^T| = {asym:.3e}")
-            if asym > 0.0:
-                self.A = 0.5 * (self.A + self.A.T)
+            self.A, self.D = _symmetric_data(self.A, self.D)
             if not self.D.any():
                 raise ContractViolation("D must be nonzero")
             lam_min = float(np.linalg.eigvalsh(self.A)[0])
@@ -86,6 +86,25 @@ class SubproblemSpec:
     @property
     def k(self):
         return self.D.shape[1]
+
+
+def _symmetric_data(A, D):
+    """(A, D) checked: both finite, A square and symmetric within 1e-10,
+    D with A's row count.  A smaller asymmetry is averaged away, so the
+    returned A is exactly symmetric; a valid pair comes back as given."""
+    A = as_matrix(A, "A")
+    D = as_matrix(D, "D")
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ContractViolation(f"A must be square, got {A.shape}")
+    if D.shape[0] != n:
+        raise ContractViolation(f"D must have {n} rows to match A, got {D.shape}")
+    asym = float(abs(A - A.T).max())
+    if asym > 1e-10:
+        raise ContractViolation(f"A is not symmetric: max|A - A^T| = {asym:.3e}")
+    if asym > 0.0:
+        A = 0.5 * (A + A.T)
+    return A, D
 
 
 @dataclass
@@ -152,7 +171,7 @@ class _Iterate:
         self.D = D
         self.AG = AG
         self.GtD = G.T @ D
-        self.phi_d = float(np.trace(self.GtD))
+        self.phi_d = float(self.GtD.trace())
         self.phi_a = float(np.einsum("ij,ij->", G, self.AG))
 
     @property
@@ -215,9 +234,9 @@ def _scaled_grad_norm(it, norm_a1, norm_d1):
     if it.phi_d == 0.0:
         return _SCALED_GRAD_CAP
     xi = it.xi
-    g1 = float(np.sum(np.abs(it.grad())))
+    g1 = float(abs(it.grad()).sum())
     denom = xi**2 * (norm_a1 + norm_d1)
-    if denom == 0.0 or not np.isfinite(denom):
+    if denom == 0.0 or not math.isfinite(denom):
         return _SCALED_GRAD_CAP
     return min(g1 / denom, _SCALED_GRAD_CAP)
 
@@ -263,8 +282,21 @@ def scf_solve(spec, G0=None, cfg=None):
     times) before giving up.  An unaligned start matters: the sign of
     tr(G^T D) is the sign of xi in the first E(G), so it decides which
     eigenbasis the first sweep takes and hence where the solve goes.
+
+    Checked once per solve, before the first sweep: A and D finite, A
+    square and symmetric within 1e-10 (``ContractViolation`` otherwise; a
+    smaller asymmetry is averaged away for the whole solve), D with n
+    rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep: that xi(G) is
+    finite (``ContractViolation``) and that LAPACK succeeded
+    (``SolverFailure``; an E that overflows despite a finite xi fails
+    there).  E is exactly symmetric by construction, so the sweep calls
+    the kernels of ``k_smallest_eigenbasis`` and ``align`` without their
+    input checks; the results are the ones those functions return.
     """
     cfg = cfg or ScfConfig()
+    A, D = _symmetric_data(spec.A, spec.D)
+    if A is not spec.A or D is not spec.D:
+        spec = SubproblemSpec(A, D, validate=False)
     k = spec.k
     n = spec.n
     if not (1 <= k < n):
@@ -276,8 +308,8 @@ def scf_solve(spec, G0=None, cfg=None):
         if G.shape != (n, k):
             raise ContractViolation(f"G0 must be {n}x{k}, got {G.shape}")
 
-    norm_a1 = float(np.sum(np.abs(spec.A)))
-    norm_d1 = float(np.sum(np.abs(spec.D)))
+    norm_a1 = float(abs(spec.A).sum())
+    norm_d1 = float(abs(spec.D).sum())
     rel_tol = cfg.eps_scf**1.5
 
     zero_events = 0
@@ -292,9 +324,11 @@ def scf_solve(spec, G0=None, cfg=None):
 
     reason = "max_iter"
     for nu in range(1, cfg.max_iter + 1):
-        E = build_E(G, spec, xi=cur.xi)
-        eig = k_smallest_eigenbasis(E, k)
-        G_new = ensure_orthonormal(align(eig.basis, spec.D))
+        xi = cur.xi
+        if not math.isfinite(xi):
+            raise ContractViolation(f"E contains non-finite entries: xi(G) = {xi!r}")
+        eig = _k_smallest(build_E(G, spec, xi=xi), k)
+        G_new = ensure_orthonormal(_align(eig.basis, spec.D))
         new = _Iterate(G_new, spec.D, spec.A @ G_new)
         if new.phi_d == 0.0:
             # transient degenerate iterate: recover and keep going

@@ -83,3 +83,16 @@ def rank_tail_views(seed, q=60):
         return (U * np.array(sv)) @ V.T
 
     return view(8, [1.0, 0.5, 0.3, 1e-9, 1e-10]), view(7, [1.0, 0.6, 0.2, 1e-9])
+
+
+def correlated_views(sizes, q, seed, shared=3, noise=0.05):
+    """Centered views of ``sizes`` features by ``q`` samples sharing a
+    ``shared``-dimensional latent factor, with Gaussian noise."""
+    from occakit import center
+
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((shared, q))
+    return [
+        center(rng.standard_normal((n_i, shared)) @ Z + noise * rng.standard_normal((n_i, q)))
+        for n_i in sizes
+    ]

@@ -47,7 +47,16 @@ from occakit.cli import main as cli_main
 from occakit.data import read_report
 
 import oracles
-from cases import ETA_HIGH, ETA_LOW, MAXIMIZER_HIGH, MAXIMIZER_LOW, REF_A, REF_D, rounded_start
+from cases import (
+    ETA_HIGH,
+    ETA_LOW,
+    MAXIMIZER_HIGH,
+    MAXIMIZER_LOW,
+    REF_A,
+    REF_D,
+    correlated_views,
+    rounded_start,
+)
 
 
 def report(criterion, detail):
@@ -65,15 +74,6 @@ def wishart_spec(rng, n, k, ridge=0.1):
 
 def random_stiefel(n, k, rng):
     return orthonormalize(rng.standard_normal((n, k)))
-
-
-def correlated_views(sizes, q, seed, shared=3, noise=0.05):
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((shared, q))
-    return [
-        center(rng.standard_normal((n_i, shared)) @ Z + noise * rng.standard_normal((n_i, q)))
-        for n_i in sizes
-    ]
 
 
 # ---------------------------------------------------------------- criterion 1

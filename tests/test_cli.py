@@ -426,6 +426,26 @@ class TestEval:
         save_matrix(np.eye(4)[:, :2], p)
         assert run("eval", "--data", x, y, "--proj", p, p, "--out", tmp_path / "ev") == 4
 
+    def test_zero_variance_projection_named_by_file(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=6, n=5, q=40)
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        save_matrix(np.eye(6)[:, :2], p1)
+        save_matrix(np.zeros((5, 2)), p2)
+        assert run("eval", "--data", x, y, "--proj", p1, p2, "--out", tmp_path / "ev") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p2}: ")
+        assert "projection 1 captured zero variance" in err
+
+    def test_misshapen_projection_named_by_file(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=6, n=5, q=40)
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        save_matrix(np.eye(6)[:, :2], p1)
+        save_matrix(np.eye(4)[:, :2], p2)
+        assert run("eval", "--data", x, y, "--proj", p1, p2, "--out", tmp_path / "ev") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p2}: ")
+        assert "projection 1 has shape (4, 2), expected (5, k)" in err
+
 
 class TestDeterminism:
     def test_occa_reports_and_csvs_reproducible(self, tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cases import correlated_views
 from occakit import (
     AltConfig,
     OmccaConfig,
@@ -31,15 +32,6 @@ from occakit import (
 )
 from occakit import multiset
 from occakit.multiset import _cross_blocks, _cycles, _solve_view, view_spec
-
-
-def correlated_views(sizes, q, seed, shared=3, noise=0.05):
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((shared, q))
-    return [
-        center(rng.standard_normal((n_i, shared)) @ Z + noise * rng.standard_normal((n_i, q)))
-        for n_i in sizes
-    ]
 
 
 def q_below_n_views():

@@ -4,6 +4,7 @@ import pytest
 from occakit import (
     ContractViolation,
     ScfConfig,
+    SolverFailure,
     SubproblemSpec,
     UndefinedRatioError,
     build_E,
@@ -12,14 +13,26 @@ from occakit import (
     grad_eta,
     kkt_residual,
     orthonormalize,
+    reduce_views,
     sample_tangent,
     scf_solve,
     second_order_check,
 )
 
+import occakit.linalg as linalg_module
 import occakit.scf as scf_module
 import oracles
-from cases import ETA_HIGH, ETA_LOW, MAXIMIZER_HIGH, MAXIMIZER_LOW, REF_A, REF_D, rounded_start
+from cases import (
+    ETA_HIGH,
+    ETA_LOW,
+    MAXIMIZER_HIGH,
+    MAXIMIZER_LOW,
+    REF_A,
+    REF_D,
+    correlated_views,
+    rounded_start,
+)
+from occakit.multiset import _cross_blocks, view_spec
 
 
 def ref_spec():
@@ -293,23 +306,37 @@ class TestScfSolve:
         # with D = e1 and diagonal A the identity start is already optimal
         assert rep.eta_trace[0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("kind, n, k", [("spd", 9, 2), ("diagonal", 60, 5)])
+    @pytest.mark.parametrize(
+        "kind, n, k", [("spd", 9, 2), ("diagonal", 60, 5), ("small_tight", 9, 2)]
+    )
     def test_matches_replay_from_public_steps(self, kind, n, k):
         # scf_solve reuses one iterate's products across E, the stopping
-        # test and the certificates; replaying a sweep from the public
-        # functions must give the same numbers bit for bit
+        # test and the certificates, and calls the unchecked kernels of
+        # k_smallest_eigenbasis and align; replaying a sweep from the
+        # public functions must give the same numbers bit for bit
         from occakit import align, k_smallest_eigenbasis
         from occakit.linalg import ensure_orthonormal
 
         rng = np.random.default_rng(31 if kind == "spd" else 32)
         D = rng.standard_normal((n, k))
+        cfg = ScfConfig(eps_scf=1e-13, max_iter=60)
         if kind == "spd":
             M = rng.standard_normal((n, n))
             A = M @ M.T + 0.1 * np.eye(n)
             spec = SubproblemSpec(0.5 * (A + A.T), D)
-        else:
+        elif kind == "diagonal":
             spec = SubproblemSpec(np.diag(rng.uniform(0.1, 4.0, n)), D, validate=False)
-        cfg = ScfConfig(eps_scf=1e-13, max_iter=60)
+        else:
+            # the first full-space subproblem of the small_tight benchmark
+            # workload: view 0 of a criterion-8 instance (rank 9) pulled by
+            # view 1, both at the identity start, as _solve_view states it
+            reduced = reduce_views(correlated_views((9, 7), q=50, seed=6000))
+            hat = [np.eye(rv.r)[:, :k] for rv in reduced]
+            rho = np.array([[0.0, 1.0], [1.0, 0.0]])
+            blocks = _cross_blocks(reduced, [(0, 1)])
+            spec = view_spec(0, hat, rho, blocks, [rv.sigma for rv in reduced])
+            assert spec.n == n
+            cfg = ScfConfig(eps_scf=1e-12, max_iter=50)  # the workload's inner settings
         rep = scf_solve(spec, cfg=cfg)
         assert rep.iterations >= 5
 
@@ -369,6 +396,55 @@ class TestScfSolve:
         tr = np.array(rep.eta_trace)
         assert np.all(np.diff(tr) >= -1e-12 * np.abs(tr[1:]))
         assert rep.termination_reason in ("grad_tol", "rel_change_tol")
+
+
+class TestScfSolveChecks:
+    """An unvalidated spec reaches scf_solve's own checks: its data once
+    per solve, LAPACK's status on every sweep."""
+
+    CFG = ScfConfig(eps_scf=1e-12, max_iter=20)
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(41)
+        return np.diag(rng.uniform(0.5, 4.0, 6)), rng.standard_normal((6, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "D"])
+    def test_rejects_non_finite_data(self, where, bad):
+        A, D = self.data()
+        if where == "A":
+            A[3, 1] = A[1, 3] = bad
+        else:
+            D[3, 1] = bad
+        # rejected whether or not products such as inf * 0 ran first
+        with np.errstate(invalid="ignore"), pytest.raises(ContractViolation, match="non-finite"):
+            scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
+
+    def test_rejects_asymmetric_A(self):
+        A, D = self.data()
+        A[0, 2] += 1e-8
+        with pytest.raises(ContractViolation, match="not symmetric"):
+            scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
+
+    def test_accepts_rounding_asymmetry(self):
+        A, D = self.data()
+        A_sym = A.copy()
+        A[0, 2] += 1e-13
+        rep = scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
+        ref = scf_solve(SubproblemSpec(A_sym, D, validate=False), cfg=self.CFG)
+        assert rep.iterations >= 1
+        assert rep.eta_trace[-1] == pytest.approx(ref.eta_trace[-1], rel=1e-10)
+
+    def test_lapack_eigensolver_failure_raises(self, monkeypatch):
+        def failing_dsyevr(a, *args, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n)), n, np.zeros(0, dtype=np.int32), 1
+
+        monkeypatch.setattr(linalg_module.lapack, "dsyevr", failing_dsyevr)
+        A, D = self.data()
+        with pytest.raises(SolverFailure, match="dsyevr"):
+            scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
 
 
 class TestSecondOrderCheck:
