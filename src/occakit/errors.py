@@ -16,7 +16,10 @@ class SolverFailure(OccaKitError, RuntimeError):
 class UndefinedRatioError(ContractViolation):
     """tr(G^T D) vanished, so the coupling ratio xi(G) is undefined.
 
-    Realign the iterate against D or perturb it before retrying.
+    Raised where xi is read at such a G (``grad_eta``, ``build_E``,
+    ``kkt_residual``) and for D = 0.  The solvers never raise it for a
+    nonzero D: they move such a G deterministically to tr(G^T D) > 0
+    (``scf._nonzero_ratio``).
     """
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ViewError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, scf_solve
+from .scf import ScfConfig, SubproblemSpec, _Iterate, _nonzero_ratio, scf_solve
 
 # The switch to the projected step: a view's subproblem is solved in a
 # search space of at most 4k columns only when this many blocks of k
@@ -281,23 +281,26 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     """Solve the subproblem of view ``s`` from ``hatX[s]`` against its
     partners' current iterates, without committing anything.
 
-    When 5k < r_s the subproblem is solved inside the search space
-    W = orth[hatX_s, grad_s, D_s, Lambda_s grad_s] (Lambda_s =
-    diag(sigma_s^2), grad_s the subproblem gradient at hatX_s): SCF on
+    The start G is ``hatX[s]``, or ``scf._nonzero_ratio`` of it when
+    tr(hatX_s^T D_s) = 0.  When 5k < r_s the subproblem is solved inside
+    the search space W = orth[G, grad_s, D_s, Lambda_s grad_s] (Lambda_s =
+    diag(sigma_s^2), grad_s the subproblem gradient at G): SCF on
     (W^T Lambda_s W, W^T D_s) from [I_k; 0], lifted back as W Z.  A W of
-    k columns means hatX_s is already a KKT point.  Otherwise (5k >= r_s,
-    or tr(hatX_s^T D_s) = 0) SCF runs on the full subproblem from hatX_s.
-    A solution that ends lower than its start (tolerance slack only) is
-    dropped, so no step lowers the subproblem objective.  Returns (the
-    kept iterate, the objective at it, SCF sweeps); the iterate is
-    ``hatX[s]`` itself when nothing moved.
+    k columns means G is already a KKT point.  Otherwise (5k >= r_s) SCF
+    runs on the full subproblem from G.  A solution that ends lower than
+    G (tolerance slack only) is dropped, so no step lowers the subproblem
+    objective.  Returns (the kept iterate, the objective at it, SCF
+    sweeps); the iterate is G itself when nothing moved.
     """
     G = hatX[s]
     r, k = G.shape
     lam = sigmas[s] ** 2
     D = _pull(s, hatX, rho, blocks, sigmas)
     cur = _Iterate(G, D, lam[:, None] * G)
-    if _SEARCH_BLOCKS * k >= r or cur.phi_d == 0.0:
+    if cur.phi_d == 0.0:
+        G = _nonzero_ratio(G, D)
+        cur = _Iterate(G, D, lam[:, None] * G)
+    if _SEARCH_BLOCKS * k >= r:
         # only the full-space solve reads a dense diag(sigma_s^2)
         rep = scf_solve(SubproblemSpec(np.diag(lam), D, validate=False), G0=G, cfg=scf_cfg)
         X = rep.solution

@@ -18,6 +18,11 @@ row count.  Every E(G) is then exactly symmetric by construction, so
 each sweep checks only that the scalar xi(G) is finite and that LAPACK
 succeeded, and calls the unchecked kernels behind
 ``k_smallest_eigenbasis`` and ``align``.
+
+xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
+``_nonzero_ratio``, moves such a G to tr(G^T D) > 0: ``scf_solve``
+applies it to the start and to each sweep's iterate, and the multiset
+step to a view's iterate before it picks its search space.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .errors import ContractViolation, UndefinedRatioError
 from .linalg import (
     _align,
     _k_smallest,
-    align,
     as_matrix,
     dist_tr,
     ensure_orthonormal,
@@ -44,9 +48,8 @@ from .linalg import (
 # Cap on the scaled gradient norm when xi blows up (tr(G^T D) near 0);
 # the relative-change test then decides termination.
 _SCALED_GRAD_CAP = 1e300
-# tr(G^T D) = 0 recovery: perturbation scale and number of attempts.
-_PERTURB_SCALE = 1e-3
-_ZERO_RATIO_RETRIES = 3
+# Step along D/||D||_F that moves a G with G^T D = 0 off that set.
+_NUDGE = 1e-3
 
 
 @dataclass
@@ -124,16 +127,19 @@ class ScfReport:
     """Per-iteration trace of one SCF solve plus final certificates.
 
     ``eta_trace[0]`` is the objective at the starting point as given
-    (aligned against D only when tr(G^T D) = 0 there); entry ``nu``
-    corresponds to iterate ``nu``.  ``gaps`` and ``grad_norms`` have one
-    entry per completed iteration: the eigengap of E at the previous
-    iterate and the scaled gradient norm used in the stopping test.
+    (moved by ``_nonzero_ratio`` only when tr(G^T D) = 0 there); entry
+    ``nu`` corresponds to iterate ``nu``, and ``iterations``, the number
+    of sweeps, is ``len(eta_trace) - 1``.  ``gaps`` and ``grad_norms``
+    have one entry per sweep: the eigengap of E at the previous iterate
+    and the scaled gradient norm used in the stopping test.
+    ``zero_ratio_events`` counts the iterates, the start included, at
+    which tr(G^T D) = 0 called ``_nonzero_ratio``.
 
     The certificates ``dtg_min_eigs`` (smallest eigenvalue of
     sym(D^T G) at each new iterate, the PSD certificate) and
     ``subspace_dists`` (distance from the previous iterate) are computed
     on first read from the stored ``iterates`` G_0 ... G_nu (each taken
-    after any tr(G^T D) = 0 recovery) and ``D``, so a caller that never
+    after any ``_nonzero_ratio`` step) and ``D``, so a caller that never
     reads them pays nothing for them.
     """
 
@@ -141,11 +147,14 @@ class ScfReport:
     eta_trace: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
-    iterations: int = 0
     termination_reason: str = "max_iter"
     zero_ratio_events: int = 0
     iterates: list = field(default_factory=list, repr=False, compare=False)
     D: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def iterations(self):
+        return len(self.eta_trace) - 1
 
     @cached_property
     def dtg_min_eigs(self):
@@ -176,12 +185,12 @@ class _Iterate:
 
     @property
     def eta(self):
-        return self.phi_d**2 / self.phi_a
+        return _square(self.phi_d, "tr(G^T D)") / self.phi_a
 
     @property
     def xi(self):
         if self.phi_d == 0.0:
-            raise UndefinedRatioError("tr(G^T D) = 0: xi(G) undefined; realign or perturb G")
+            raise UndefinedRatioError("tr(G^T D) = 0: xi(G) undefined")
         return self.phi_a / self.phi_d
 
     def stationarity(self):
@@ -192,7 +201,19 @@ class _Iterate:
         return R - self.G @ M
 
     def grad(self):
-        return (-2.0 / self.xi**2) * self.stationarity()
+        return (-2.0 / _square(self.xi, "xi(G)")) * self.stationarity()
+
+
+def _square(x, what):
+    """x**2 for the float ``x`` named ``what``; ``ContractViolation`` where
+    it overflows, which only a rescaled D avoids."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ContractViolation(
+            f"{what} = {x:.3e} overflows when squared; rescale D "
+            "(the maximizer does not depend on the scale of D)"
+        ) from None
 
 
 def eta(G, spec):
@@ -231,11 +252,8 @@ def _scaled_grad_norm(it, norm_a1, norm_d1):
     """Entrywise-1-norm gradient at the iterate ``it`` scaled by
     xi^2 (|A|_1 + |D|_1); this is the left-hand side of the gradient
     stopping test."""
-    if it.phi_d == 0.0:
-        return _SCALED_GRAD_CAP
-    xi = it.xi
     g1 = float(abs(it.grad()).sum())
-    denom = xi**2 * (norm_a1 + norm_d1)
+    denom = _square(it.xi, "xi(G)") * (norm_a1 + norm_d1)
     if denom == 0.0 or not math.isfinite(denom):
         return _SCALED_GRAD_CAP
     return min(g1 / denom, _SCALED_GRAD_CAP)
@@ -245,27 +263,21 @@ def _identity_start(n, k):
     return np.eye(n)[:, :k].copy()
 
 
-def _recover_zero_ratio(G, spec):
-    """Called when tr(G^T D) = 0: align first (fixes everything except an
-    exactly-zero G^T D), then nudge by a small deterministic Gaussian
-    perturbation and realign, up to ``_ZERO_RATIO_RETRIES`` times.
+def _nonzero_ratio(G, D):
+    """The rule for an orthonormal G with tr(G^T D) = 0, where xi(G) is
+    undefined: G aligned against D, so that tr(G^T D) = ||G^T D||_* > 0.
 
-    Returns (G, number_of_zero_ratio_events).
+    Only when G^T D = 0 is G first moved to the Q of the QR of
+    G + 1e-3 D/||D||_F; then Q^T D = 1e-3 R^-T D^T D / ||D||_F is nonzero,
+    so one step always suffices.  Deterministic in (G, D); D = 0 raises
+    ``UndefinedRatioError``.
     """
-    G = align(G, spec.D)
-    events = 0
-    rng = np.random.default_rng(0x0CCA)
-    for _ in range(_ZERO_RATIO_RETRIES):
-        if float(np.trace(G.T @ spec.D)) != 0.0:
-            return G, events
-        events += 1
-        G = orthonormalize(G + _PERTURB_SCALE * rng.standard_normal(G.shape))
-        G = align(G, spec.D)
-    if float(np.trace(G.T @ spec.D)) == 0.0:
-        raise UndefinedRatioError(
-            "tr(G^T D) = 0 even after alignment and perturbation retries"
-        )
-    return G, events
+    if not (G.T @ D).any():
+        d = float(np.linalg.norm(D))
+        if d == 0.0:
+            raise UndefinedRatioError("D = 0: tr(G^T D) = 0 for every G")
+        G = orthonormalize(G + (_NUDGE / d) * D)
+    return _align(G, D)
 
 
 def scf_solve(spec, G0=None, cfg=None):
@@ -277,11 +289,13 @@ def scf_solve(spec, G0=None, cfg=None):
     change drops below ``eps_scf**1.5``, or after ``max_iter`` sweeps.
 
     The start defaults to the leading identity columns and is used as
-    given: it is aligned against D only when tr(G^T D) = 0, and then also
-    nudged by a small deterministic Gaussian perturbation (up to three
-    times) before giving up.  An unaligned start matters: the sign of
-    tr(G^T D) is the sign of xi in the first E(G), so it decides which
-    eigenbasis the first sweep takes and hence where the solve goes.
+    given.  An unaligned start matters: the sign of tr(G^T D) is the sign
+    of xi in the first E(G), so it decides which eigenbasis the first
+    sweep takes and hence where the solve goes.  The start, and every
+    iterate a sweep returns, with tr(G^T D) = 0 is replaced by
+    ``_nonzero_ratio`` (one ``zero_ratio_events`` each), a deterministic
+    step that always ends at tr(G^T D) > 0; D = 0 raises
+    ``UndefinedRatioError``.
 
     Checked once per solve, before the first sweep: A and D finite, A
     square and symmetric within 1e-10 (``ContractViolation`` otherwise; a
@@ -291,7 +305,10 @@ def scf_solve(spec, G0=None, cfg=None):
     (``SolverFailure``; an E that overflows despite a finite xi fails
     there).  E is exactly symmetric by construction, so the sweep calls
     the kernels of ``k_smallest_eigenbasis`` and ``align`` without their
-    input checks; the results are the ones those functions return.
+    input checks; the results are the ones those functions return.  Data
+    whose tr(G^T D) or xi(G) overflows when squared raises
+    ``ContractViolation``: the maximizer does not depend on the scale of
+    D, so rescaling D avoids it.
     """
     cfg = cfg or ScfConfig()
     A, D = _symmetric_data(spec.A, spec.D)
@@ -312,51 +329,38 @@ def scf_solve(spec, G0=None, cfg=None):
     norm_d1 = float(abs(spec.D).sum())
     rel_tol = cfg.eps_scf**1.5
 
-    zero_events = 0
+    report = ScfReport(solution=G, D=spec.D)
     cur = _Iterate(G, spec.D, spec.A @ G)
     if cur.phi_d == 0.0:
-        G, zero_events = _recover_zero_ratio(G, spec)
+        G = _nonzero_ratio(G, spec.D)
+        report.zero_ratio_events += 1
         cur = _Iterate(G, spec.D, spec.A @ G)
-    e_prev = cur.eta
-    report = ScfReport(
-        solution=G, eta_trace=[e_prev], zero_ratio_events=zero_events, iterates=[G], D=spec.D
-    )
+    report.eta_trace.append(cur.eta)
+    report.iterates.append(G)
 
-    reason = "max_iter"
-    for nu in range(1, cfg.max_iter + 1):
+    while report.termination_reason == "max_iter" and report.iterations < cfg.max_iter:
         xi = cur.xi
         if not math.isfinite(xi):
             raise ContractViolation(f"E contains non-finite entries: xi(G) = {xi!r}")
         eig = _k_smallest(build_E(G, spec, xi=xi), k)
-        G_new = ensure_orthonormal(_align(eig.basis, spec.D))
-        new = _Iterate(G_new, spec.D, spec.A @ G_new)
-        if new.phi_d == 0.0:
-            # transient degenerate iterate: recover and keep going
-            G_new, extra = _recover_zero_ratio(G_new, spec)
-            report.zero_ratio_events += 1 + extra
-            new = _Iterate(G_new, spec.D, spec.A @ G_new)
-        e_new = new.eta
+        G = ensure_orthonormal(_align(eig.basis, spec.D))
+        cur = _Iterate(G, spec.D, spec.A @ G)
+        if cur.phi_d == 0.0:
+            G = _nonzero_ratio(G, spec.D)
+            report.zero_ratio_events += 1
+            cur = _Iterate(G, spec.D, spec.A @ G)
+        e_prev, e_new = report.eta_trace[-1], cur.eta
+        scaled = _scaled_grad_norm(cur, norm_a1, norm_d1)
         report.eta_trace.append(e_new)
-
-        scaled = _scaled_grad_norm(new, norm_a1, norm_d1)
         report.gaps.append(eig.gap)
         report.grad_norms.append(scaled)
-        report.iterates.append(G_new)
-
-        G, cur = G_new, new
+        report.iterates.append(G)
         if scaled <= cfg.eps_scf:
-            reason = "grad_tol"
+            report.termination_reason = "grad_tol"
         elif e_new != 0.0 and abs((e_new - e_prev) / e_new) <= rel_tol:
-            reason = "rel_change_tol"
-        e_prev = e_new
-        if reason != "max_iter":
-            report.iterations = nu
-            break
-    else:
-        report.iterations = cfg.max_iter
+            report.termination_reason = "rel_change_tol"
 
     report.solution = G
-    report.termination_reason = reason
     return report
 
 
@@ -382,26 +386,20 @@ def second_order_check(G, spec, samples, rng):
         raise ContractViolation("samples must be >= 1")
     G = require_orthonormal(np.asarray(G, dtype=float), "G")
     it = _Iterate(G, spec.D, spec.A @ G)
-    phi_d, phi_a = it.phi_d, it.phi_a
     scale = max(1.0, float(np.max(np.abs(spec.A))), float(np.max(np.abs(spec.D))))
-    if phi_d != 0.0:
-        resid = kkt_residual(G, spec)
-    else:
-        # the gradient is defined (and zero) at phi_d = 0 even though xi is not
-        dG = (2 * phi_d / phi_a) * spec.D - (2 * phi_d**2 / phi_a**2) * it.AG
-        sym = 0.5 * (G.T @ dG + dG.T @ G)
-        resid = float(np.max(np.abs(dG - G @ sym)))
+    # the gradient of eta is exactly zero where tr(G^T D) = 0, though xi is undefined
+    resid = kkt_residual(G, spec) if it.phi_d != 0.0 else 0.0
     if resid > 1e-4 * scale:
         raise ContractViolation(
             f"second_order_check requires a stationary point; residual {resid:.3e}"
         )
 
-    e = phi_d**2 / phi_a
+    e = it.eta
     # eta(G) * M(G) written without dividing by phi_d, so the phi_d = 0
     # case (eta = 0) is handled cleanly
     GtAG = G.T @ spec.A @ G
     GtD = it.GtD
-    eta_m = (phi_d**2 / phi_a) * 0.5 * (GtAG + GtAG.T) - phi_d * 0.5 * (GtD + GtD.T)
+    eta_m = e * 0.5 * (GtAG + GtAG.T) - it.phi_d * 0.5 * (GtD + GtD.T)
 
     rng = np.random.default_rng(rng)
     worst = np.inf

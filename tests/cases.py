@@ -57,6 +57,31 @@ ETA_HIGH = 10.16
 ETA_LOW = 2.303
 
 
+def ref_spec():
+    """The reference instance (REF_A, REF_D) as a validated spec."""
+    from occakit import SubproblemSpec
+
+    return SubproblemSpec(REF_A, REF_D)
+
+
+def random_spec(rng, n, k, ridge=0.1):
+    """A validated spec with A = M M^T + ridge I and D standard normal,
+    drawn from ``rng`` in that order (M, then D)."""
+    from occakit import SubproblemSpec
+
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + ridge * np.eye(n)
+    D = rng.standard_normal((n, k))
+    return SubproblemSpec(A, D)
+
+
+def random_stiefel(n, k, rng):
+    """An n x k matrix with orthonormal columns drawn from ``rng``."""
+    from occakit import orthonormalize
+
+    return orthonormalize(rng.standard_normal((n, k)))
+
+
 def rounded_start(G, decimals=2):
     """Round a maximizer and re-orthonormalize it, the way solver runs
     are seeded from printed tables."""

@@ -19,7 +19,6 @@ from occakit import (
     AltConfig,
     OmccaConfig,
     ScfConfig,
-    SubproblemSpec,
     SyntheticSpec,
     build_two_view,
     build_weights,
@@ -32,7 +31,6 @@ from occakit import (
     kkt_residual,
     objective_f,
     occa_alternate,
-    orthonormalize,
     pairwise_rho_hat,
     post_orthogonalize,
     rcomcca,
@@ -52,28 +50,16 @@ from cases import (
     ETA_LOW,
     MAXIMIZER_HIGH,
     MAXIMIZER_LOW,
-    REF_A,
-    REF_D,
     correlated_views,
+    random_spec,
+    random_stiefel,
+    ref_spec,
     rounded_start,
 )
 
 
 def report(criterion, detail):
     print(f"[criterion {criterion}] PASS — {detail}")
-
-
-def ref_spec():
-    return SubproblemSpec(REF_A, REF_D)
-
-
-def wishart_spec(rng, n, k, ridge=0.1):
-    M = rng.standard_normal((n, n))
-    return SubproblemSpec(M @ M.T + ridge * np.eye(n), rng.standard_normal((n, k)))
-
-
-def random_stiefel(n, k, rng):
-    return orthonormalize(rng.standard_normal((n, k)))
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -150,7 +136,7 @@ def test_criterion3_closed_form_oracle_suite():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 11))
-        spec = wishart_spec(rng, n, 1)
+        spec = random_spec(rng, n, 1)
         rep = scf_solve(spec, cfg=cfg)
         g_star = np.linalg.solve(spec.A, spec.D)
         eta_star = (spec.D.T @ g_star).item()
@@ -176,7 +162,7 @@ def subproblem_runs():
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         n, k = sizes[seed % len(sizes)]
-        spec = wishart_spec(rng, n, k)
+        spec = random_spec(rng, n, k)
         rep = scf_solve(spec, G0=random_stiefel(n, k, rng))
         runs.append((spec, rep))
     return runs, time.perf_counter() - t0
@@ -243,7 +229,7 @@ def test_criterion6_gradient_finite_difference():
     for seed in range(50):
         rng = np.random.default_rng(4000 + seed)
         n, k = 6, 2
-        spec = wishart_spec(rng, n, k)
+        spec = random_spec(rng, n, k)
         G = random_stiefel(n, k, rng)
         H = sample_tangent(G, rng)
         inner = float(np.sum(grad_eta(G, spec) * H))
@@ -266,7 +252,7 @@ def test_criterion7_multistart_brute_force_equivalence():
         rng = np.random.default_rng(5000 + seed)
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, min(3, n)))
-        spec = wishart_spec(rng, n, k)
+        spec = random_spec(rng, n, k)
         best_scf = -np.inf
         for start in range(10):
             G0 = None if start == 0 else random_stiefel(n, k, rng)

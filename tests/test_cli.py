@@ -426,6 +426,12 @@ class TestEval:
         save_matrix(np.eye(4)[:, :2], p)
         assert run("eval", "--data", x, y, "--proj", p, p, "--out", tmp_path / "ev") == 4
 
+    def test_projection_count_mismatch_is_domain_error(self, tmp_path):
+        x, y = gen_pair(tmp_path, m=6, n=5, q=40)
+        p = tmp_path / "p.csv"
+        save_matrix(np.eye(6)[:, :2], p)
+        assert run("eval", "--data", x, y, x, "--proj", p, p, "--out", tmp_path / "ev") == 4
+
     def test_zero_variance_projection_named_by_file(self, tmp_path, capsys):
         x, y = gen_pair(tmp_path, m=6, n=5, q=40)
         p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"

@@ -16,10 +16,7 @@ from occakit import (
 from occakit.linalg import ensure_orthonormal, fix_svd_signs, orthonormality_error
 
 import oracles
-
-
-def random_stiefel(n, k, rng):
-    return orthonormalize(rng.standard_normal((n, k)))
+from cases import random_stiefel
 
 
 class TestKSmallestEigenbasis:
@@ -295,3 +292,21 @@ def test_fix_svd_signs_preserves_product():
     for j in range(U2.shape[1]):
         nz = np.nonzero(U2[:, j])[0]
         assert U2[nz[0], j] > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg_module.require_orthonormal(np.eye(3)[:2]),
+        lambda: linalg_module.require_orthonormal(np.ones((3, 2))),
+        lambda: k_smallest_eigenbasis(np.ones((3, 2)), 1),
+        lambda: align(np.eye(3)[:, :2], np.ones((3, 1))),
+        lambda: pair_align(np.eye(3)[:, :1], np.eye(2)[:, :1], np.ones((2, 3))),
+        lambda: pair_align(np.eye(3)[:, :1], np.eye(2), np.ones((3, 2))),
+    ],
+    ids=["orthonormal-wide", "orthonormal-not", "eig-not-square", "align-shapes",
+         "pair_align-C-shape", "pair_align-k"],
+)
+def test_input_checks_raise_contract_violation(call):
+    with pytest.raises(ContractViolation):
+        call()

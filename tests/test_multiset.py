@@ -514,3 +514,21 @@ class TestOneProblem:
         if bad == "zero":
             assert exc.value.view == 1
         assert reductions == []
+
+
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        (lambda v, w: OmccaConfig(max_cycles=0), ContractViolation),
+        (lambda v, w: OmccaConfig(scheme="x"), ContractViolation),
+        (lambda v, w: total_correlation([np.eye(8)[:, :2]] * 2, v, w), ContractViolation),
+        (lambda v, w: total_correlation(
+            [np.eye(8)[:, :2], np.eye(6)[:, :2], np.eye(7)[:, :3]], v, w), ViewError),
+        (lambda v, w: rcomcca(v, 0, w), ContractViolation),
+    ],
+    ids=["max_cycles-0", "scheme", "projection-count", "projection-k", "k-0"],
+)
+def test_input_checks_raise_their_documented_class(call, error):
+    views = three_views()
+    with pytest.raises(error):
+        call(views, build_weights(views, "uniform"))

@@ -26,6 +26,7 @@ from occakit import (
     kkt_residual,
     objective_f,
     occa_alternate,
+    orthonormalize,
     rcomcca,
     reduce_views,
     scf_solve,
@@ -211,3 +212,30 @@ def test_jacobi_keeps_an_iterate_whose_solve_ended_lower(monkeypatch):
     assert loop_g == e_start + e_1
     # only the realignment sweep rotated view 0, inside its own span
     assert dist_tr(hat[0], start) <= 1e-12
+
+
+def test_zero_ratio_iterate_takes_the_projected_step(monkeypatch):
+    # a rank-12 view at k = 2 whose pull has zero rows at the support of
+    # hatX[0], so tr(hatX_0^T D_0) = 0: the step moves hatX[0] off that set
+    # first, and then rank alone picks the search space of at most 4k columns
+    rng = np.random.default_rng(3)
+    K = rng.standard_normal((12, 6))
+    K[:2] = 0.0
+    hat = [np.eye(12)[:, :2], orthonormalize(rng.standard_normal((6, 2)))]
+    rho = np.array([[0.0, 1.0], [1.0, 0.0]])
+    blocks = {(0, 1): K, (1, 0): K.T}
+    sigmas = [np.linspace(3.0, 1.0, 12), np.linspace(2.0, 1.0, 6)]
+    D = multiset._pull(0, hat, rho, blocks, sigmas)
+    assert np.trace(hat[0].T @ D) == 0.0
+    sizes = []
+
+    def recording_scf_solve(spec, G0=None, cfg=None):
+        sizes.append(spec.n)
+        return scf_solve(spec, G0=G0, cfg=cfg)
+
+    monkeypatch.setattr(multiset, "scf_solve", recording_scf_solve)
+    X, e, _ = _solve_view(0, hat, rho, blocks, sigmas, ScfConfig())
+    assert sizes and all(n <= 4 * 2 for n in sizes)
+    assert np.max(np.abs(X.T @ X - np.eye(2))) <= 1e-10
+    assert np.trace(X.T @ D) > 0.0
+    assert e == eta(X, view_spec(0, hat, rho, blocks, sigmas))

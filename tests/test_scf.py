@@ -12,7 +12,6 @@ from occakit import (
     eta,
     grad_eta,
     kkt_residual,
-    orthonormalize,
     reduce_views,
     sample_tangent,
     scf_solve,
@@ -27,27 +26,13 @@ from cases import (
     ETA_LOW,
     MAXIMIZER_HIGH,
     MAXIMIZER_LOW,
-    REF_A,
-    REF_D,
     correlated_views,
+    random_spec,
+    random_stiefel,
+    ref_spec,
     rounded_start,
 )
 from occakit.multiset import _cross_blocks, view_spec
-
-
-def ref_spec():
-    return SubproblemSpec(REF_A, REF_D)
-
-
-def random_spec(rng, n, k, ridge=0.1):
-    M = rng.standard_normal((n, n))
-    A = M @ M.T + ridge * np.eye(n)
-    D = rng.standard_normal((n, k))
-    return SubproblemSpec(A, D)
-
-
-def random_stiefel(n, k, rng):
-    return orthonormalize(rng.standard_normal((n, k)))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
@@ -265,13 +250,18 @@ class TestScfSolve:
         assert again.termination_reason == "grad_tol"
 
     def test_zero_ratio_start_recovers(self):
-        # start orthogonal to D: alignment cannot fix G^T D = 0, the
-        # deterministic perturbation fallback must
-        spec = SubproblemSpec(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]))
-        g0 = np.array([[0.0], [1.0]])
-        rep = scf_solve(spec, G0=g0, cfg=ScfConfig(eps_scf=1e-8, max_iter=100))
-        assert rep.zero_ratio_events >= 1
-        assert rep.eta_trace[-1] == pytest.approx(1.0, rel=1e-8)
+        # start orthogonal to D (k = 1 and k = 2): alignment cannot fix
+        # G^T D = 0, the deterministic step along D must, once
+        for A, D, g0, best in [
+            (np.diag([1.0, 2.0]), np.eye(2)[:, :1], np.eye(2)[:, 1:], 1.0),
+            (np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)[:, :2], np.eye(4)[:, 2:], 4.0 / 3.0),
+        ]:
+            cfg = ScfConfig(eps_scf=1e-8, max_iter=100)
+            rep = scf_solve(SubproblemSpec(A, D), G0=g0, cfg=cfg)
+            assert rep.zero_ratio_events == 1
+            assert np.trace(rep.iterates[0].T @ D) > 0.0
+            assert rep.eta_trace[-1] == pytest.approx(best, rel=1e-8)
+            assert rep.iterations == len(rep.grad_norms) == len(rep.eta_trace) - 1
 
     def test_solution_is_eigenbasis_of_its_own_operator(self):
         from occakit import k_smallest_eigenbasis
@@ -445,6 +435,47 @@ class TestScfSolveChecks:
         A, D = self.data()
         with pytest.raises(SolverFailure, match="dsyevr"):
             scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
+
+
+@pytest.mark.parametrize(
+    ("c", "call"),
+    [
+        (1e-160, scf_solve),
+        (1e160, scf_solve),
+        (1e-160, lambda spec: grad_eta(np.eye(3)[:, :1], spec)),
+        (1e160, lambda spec: eta(np.eye(3)[:, :1], spec)),
+    ],
+    ids=["solve-1e-160", "solve-1e160", "grad_eta-1e-160", "eta-1e160"],
+)
+def test_squares_past_the_float_range_ask_to_rescale_D(c, call):
+    # xi^2 (c = 1e-160) or tr(G^T D)^2 (c = 1e160) overflows; the
+    # maximizer does not depend on the scale of D, and at 1e+-150 it solves
+    spec = SubproblemSpec(np.diag([1.0, 2.0, 3.0]), c * np.array([[1.0], [0.5], [0.0]]))
+    with pytest.raises(ContractViolation, match="rescale D"):
+        call(spec)
+
+
+def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):
+    return SubproblemSpec(A, D, validate=False)
+
+
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        (lambda: scf_solve(_spec_3x1(A=np.ones((3, 2)))), ContractViolation),
+        (lambda: scf_solve(_spec_3x1(D=np.ones((2, 1)))), ContractViolation),
+        (lambda: scf_solve(_spec_3x1(D=np.ones((3, 3)))), ContractViolation),
+        (lambda: scf_solve(_spec_3x1(), G0=np.eye(3)[:, :2]), ContractViolation),
+        (lambda: scf_solve(_spec_3x1(D=np.zeros((3, 1)))), UndefinedRatioError),
+        (lambda: ScfConfig(max_iter=0), ContractViolation),
+        (lambda: second_order_check(np.eye(3)[:, :1], _spec_3x1(), 0, 0), ContractViolation),
+    ],
+    ids=["A-not-square", "D-rows", "k-not-below-n", "G0-shape", "D-zero", "max_iter-0",
+         "samples-0"],
+)
+def test_input_checks_raise_their_documented_class(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestSecondOrderCheck:

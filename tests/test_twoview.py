@@ -383,3 +383,19 @@ def test_scf_beats_post_orthogonalized_baseline_most_of_the_time():
         if rep.f_final >= f_base - 1e-12:
             wins += 1
     assert wins >= 0.9 * total
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda prob: AltConfig(max_outer=0),
+        lambda prob: occa_alternate(prob, 0),
+        lambda prob: occa_alternate(prob, 2, X0=np.eye(prob.n)[:, :3]),
+        lambda prob: post_orthogonalize(np.eye(3)[:2]),
+    ],
+    ids=["max_outer-0", "k-0", "X0-shape", "post_orthogonalize-wide"],
+)
+def test_input_checks_raise_contract_violation(call):
+    prob = build_two_view(*synthetic_problem(m=6, n=5, q=40))
+    with pytest.raises(ContractViolation):
+        call(prob)

@@ -205,3 +205,19 @@ class TestBuildWeights:
     def test_custom_weights_must_be_a_matrix(self, bad):
         with pytest.raises(ContractViolation, match="custom weights must be 2-d"):
             WeightMatrix.custom(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WeightMatrix.custom(np.array([[0.0, 1.0], [2.0, 0.0]])),
+        lambda: WeightMatrix.custom(np.array([[0.0, -1.0], [-1.0, 0.0]])),
+        lambda: WeightMatrix.custom(np.zeros((2, 2))),
+        lambda: parse_scheme("top:x"),
+        lambda: select_weights(np.zeros((1, 1)), "uniform"),
+    ],
+    ids=["custom-asymmetric", "custom-negative", "custom-zero-sum", "top-x", "one-view"],
+)
+def test_input_checks_raise_contract_violation(call):
+    with pytest.raises(ContractViolation):
+        call()
