@@ -10,7 +10,7 @@ class ContractViolation(OccaKitError, ValueError):
 
 
 class SolverFailure(OccaKitError, RuntimeError):
-    """A LAPACK driver (``dsyevr`` or ``dgesdd``) reported failure."""
+    """A LAPACK driver (numpy's ``dsyevd`` or ``dgesdd`` gufunc) failed."""
 
 
 class UndefinedRatioError(ContractViolation):

@@ -3,16 +3,18 @@
 All matrices are plain ``numpy.ndarray`` with real (float64) entries.
 Matrices with orthonormal columns ("Stiefel points") are ordinary arrays
 that satisfy ``max|G^T G - I| <= ORTH_TOL``; helpers below test, enforce
-and repair that invariant.
+and repair that invariant.  The eigensolve and the SVD of the SCF sweep
+call numpy's LAPACK gufuncs directly.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg._umath_linalg import eigh_lo, svd_f
 
 from .errors import ContractViolation, SolverFailure
 
@@ -107,11 +109,11 @@ def k_smallest_eigenbasis(E, k):
     Checks that ``E`` is a finite square matrix, symmetric within 1e-10
     (a smaller asymmetry is averaged away), and that ``1 <= k < n``; then
     runs ``_k_smallest``, the unchecked kernel that ``scf_solve`` calls on
-    every sweep.  LAPACK ``dsyevr``, called as
-    ``scipy.linalg.eigh(subset_by_index=...)`` calls it, computes the
-    k + 1 smallest eigenpairs, the extra one giving the gap.  A zero
-    ``gap`` flags a degenerate eigenvalue at position k; the returned
-    subspace is then only determined up to the tie.
+    every sweep.  LAPACK ``dsyevd``, called as ``np.linalg.eigh`` calls
+    it, computes all eigenpairs in ascending order; the first k are kept
+    and the next one gives the gap.  A zero ``gap`` flags a degenerate
+    eigenvalue at position k; the returned subspace is then only
+    determined up to the tie.
     """
     E = as_matrix(E, "E")
     n = E.shape[0]
@@ -128,26 +130,15 @@ def k_smallest_eigenbasis(E, k):
 
 
 def _k_smallest(E, k):
-    """The ``dsyevr`` kernel of ``k_smallest_eigenbasis``, for an ``E``
-    already known to be finite, square and exactly symmetric with
-    ``1 <= k < n``.  ``lapack.dsyevr`` is looked up on every call."""
-    lwork, liwork = _syevr_workspace(E.shape[0])
-    # E is symmetric, so E.T is the same matrix, already in Fortran order
-    vals, vecs, found, _, info = lapack.dsyevr(
-        E.T, range="I", il=1, iu=k + 1, lower=1, lwork=lwork, liwork=liwork
-    )
-    if info != 0 or found != k + 1:
-        raise SolverFailure(f"dsyevr failed: info={info}, {found} of {k + 1} eigenpairs")
-    gap = float(vals[k] - vals[k - 1])
-    return EigenResult(basis=vecs[:, :k], values=vals[:k].copy(), gap=max(gap, 0.0))
-
-
-@functools.cache
-def _syevr_workspace(n):
-    """LAPACK's optimal (lwork, liwork) for ``dsyevr``; a failed query
-    shows as the ``info`` of the call that uses them."""
-    work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
-    return int(work), int(iwork)
+    """The ``dsyevd`` kernel of ``k_smallest_eigenbasis`` (the gufunc
+    ``np.linalg.eigh`` runs) for a finite, exactly symmetric n x n ``E``
+    and ``1 <= k < n``.  numpy reports a LAPACK error as NaN outputs and
+    a ``RuntimeWarning``; a NaN eigenvalue raises ``SolverFailure``."""
+    vals, vecs = eigh_lo(E, signature="d->dd")
+    if not math.isfinite(vals[0]):
+        raise SolverFailure(f"dsyevd failed on a {E.shape[0]} x {E.shape[0]} matrix")
+    gap = max(float(vals[k] - vals[k - 1]), 0.0)
+    return EigenResult(basis=vecs[:, :k], values=vals[:k].copy(), gap=gap)
 
 
 def align(G, D):
@@ -201,11 +192,12 @@ def pair_align(X, Y, C):
 
 def _svd_factors(W):
     """Factors U, V^T of the full SVD W = U S V^T of a small square
-    matrix from LAPACK ``dgesdd``, the routine ``np.linalg.svd`` runs,
-    without its per-call dispatch."""
-    U, _, Vt, info = lapack.dgesdd(W)
-    if info != 0:
-        raise SolverFailure(f"dgesdd failed: info={info}")
+    matrix from LAPACK ``dgesdd`` (the gufunc ``np.linalg.svd`` runs).
+    numpy reports a LAPACK error as NaN outputs and a ``RuntimeWarning``;
+    NaN factors raise ``SolverFailure``."""
+    U, _, Vt = svd_f(W, signature="d->ddd")
+    if not math.isfinite(U[0, 0]):
+        raise SolverFailure(f"dgesdd failed on a {W.shape[0]} x {W.shape[1]} matrix")
     return U, Vt
 
 

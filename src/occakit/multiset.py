@@ -303,7 +303,7 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     if _SEARCH_BLOCKS * k >= r:
         # only the full-space solve reads a dense diag(sigma_s^2)
         rep = scf_solve(SubproblemSpec(np.diag(lam), D, validate=False), G0=G, cfg=scf_cfg)
-        X = rep.solution
+        X, e = rep.solution, rep.eta_trace[-1]
     else:
         grad = cur.grad()
         W = _search_space(G, [grad, D, lam[:, None] * grad])
@@ -313,9 +313,10 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
         sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
         rep = scf_solve(sub, G0=np.eye(W.shape[1], k), cfg=scf_cfg)
         X = ensure_orthonormal(W @ rep.solution)
-    if rep.eta_trace[-1] < cur.eta:
+        e = _Iterate(X, D, lam[:, None] * X).eta
+    if e < cur.eta:
         return G, cur.eta, rep.iterations
-    return X, rep.eta_trace[-1], rep.iterations
+    return X, e, rep.iterations
 
 
 def compute_Ds(s, hatX, weights, reduced):

@@ -17,7 +17,7 @@ symmetric within 1e-10 (a smaller asymmetry averaged away), D with A's
 row count.  Every E(G) is then exactly symmetric by construction, so
 each sweep checks only that the scalar xi(G) is finite and that LAPACK
 succeeded, and calls the unchecked kernels behind
-``k_smallest_eigenbasis`` and ``align``.
+``k_smallest_eigenbasis`` and ``align`` (numpy's LAPACK gufuncs).
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
 ``_nonzero_ratio``, moves such a G to tr(G^T D) > 0: ``scf_solve``
@@ -201,7 +201,10 @@ class _Iterate:
         return R - self.G @ M
 
     def grad(self):
-        return (-2.0 / _square(self.xi, "xi(G)")) * self.stationarity()
+        xi2 = _square(self.xi, "xi(G)")
+        if xi2 == 0.0 or not math.isfinite(2.0 / xi2):
+            raise ContractViolation(f"xi(G) = {self.xi:.3e}: 2/xi^2 overflows; rescale D")
+        return (-2.0 / xi2) * self.stationarity()
 
 
 def _square(x, what):
@@ -301,7 +304,7 @@ def scf_solve(spec, G0=None, cfg=None):
     square and symmetric within 1e-10 (``ContractViolation`` otherwise; a
     smaller asymmetry is averaged away for the whole solve), D with n
     rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep: that xi(G) is
-    finite (``ContractViolation``) and that LAPACK succeeded
+    finite (``ContractViolation``) and that LAPACK returned no NaN
     (``SolverFailure``; an E that overflows despite a finite xi fails
     there).  E is exactly symmetric by construction, so the sweep calls
     the kernels of ``k_smallest_eigenbasis`` and ``align`` without their

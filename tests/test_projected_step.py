@@ -199,11 +199,12 @@ def test_jacobi_keeps_an_iterate_whose_solve_ended_lower(monkeypatch):
     calls = []
 
     def lowering_scf_solve(spec, G0=None, cfg=None):
-        # view 0's solve (the first of the cycle) reports an end below its start
+        # view 0's solve (the first of the cycle) ends below its start
         rep = scf_solve(spec, G0=G0, cfg=cfg)
         calls.append(rep)
         if len(calls) == 1:
-            rep.eta_trace[-1] = 0.5 * rep.eta_trace[0]
+            rep.solution = np.eye(spec.n)[:, spec.k:2 * spec.k]
+            assert eta(rep.solution, spec) < eta(G0, spec)
         return rep
 
     monkeypatch.setattr(multiset, "scf_solve", lowering_scf_solve)

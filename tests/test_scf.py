@@ -427,13 +427,14 @@ class TestScfSolveChecks:
         assert rep.eta_trace[-1] == pytest.approx(ref.eta_trace[-1], rel=1e-10)
 
     def test_lapack_eigensolver_failure_raises(self, monkeypatch):
-        def failing_dsyevr(a, *args, **kwargs):
+        def failing_eigh_lo(a, signature):
+            # numpy reports a LAPACK error by filling every output with NaN
             n = a.shape[0]
-            return np.zeros(n), np.zeros((n, n)), n, np.zeros(0, dtype=np.int32), 1
+            return np.full(n, np.nan), np.full((n, n), np.nan)
 
-        monkeypatch.setattr(linalg_module.lapack, "dsyevr", failing_dsyevr)
+        monkeypatch.setattr(linalg_module, "eigh_lo", failing_eigh_lo)
         A, D = self.data()
-        with pytest.raises(SolverFailure, match="dsyevr"):
+        with pytest.raises(SolverFailure, match="dsyevd"):
             scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
 
 
@@ -453,6 +454,19 @@ def test_squares_past_the_float_range_ask_to_rescale_D(c, call):
     spec = SubproblemSpec(np.diag([1.0, 2.0, 3.0]), c * np.array([[1.0], [0.5], [0.0]]))
     with pytest.raises(ContractViolation, match="rescale D"):
         call(spec)
+
+
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e170])
+def test_grad_eta_at_large_D_is_finite_or_asks_to_rescale_D(c):
+    # xi = 1/c, so 2/xi^2 overflows (c = 1e160) or xi^2 underflows to 0
+    # (c = 1e170); eta itself already asks to rescale D at both
+    spec = SubproblemSpec(np.diag([1.0, 2.0, 3.0]), c * np.array([[1.0], [0.5], [0.0]]))
+    G = np.eye(3)[:, :1]
+    if c < 1e160:
+        assert np.all(np.isfinite(grad_eta(G, spec)))
+    else:
+        with pytest.raises(ContractViolation, match="rescale D"):
+            grad_eta(G, spec)
 
 
 def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):
