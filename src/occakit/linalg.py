@@ -32,6 +32,26 @@ def as_matrix(M, what="matrix"):
     return M
 
 
+def symmetric_matrix(M, what):
+    """``M`` checked finite and square; an asymmetry up to 1e-10 is averaged
+    away, a larger one raises.  A symmetric ``M`` comes back as given."""
+    M = as_matrix(M, what)
+    if M.shape[1] != M.shape[0]:
+        raise ContractViolation(f"{what} must be square, got shape {M.shape}")
+    asym = float(abs(M - M.T).max())
+    if asym > 1e-10:
+        raise ContractViolation(f"{what} is not symmetric: max|{what} - {what}^T| = {asym:.3e}")
+    if asym > 0.0:
+        M = 0.5 * (M + M.T)
+    return M
+
+
+def require_subspace_size(k, n):
+    """Raise unless a k-column subspace of R^n is nonempty and proper."""
+    if not (1 <= k < n):
+        raise ContractViolation(f"need 1 <= k < n, got k={k}, n={n}")
+
+
 def orthonormality_error(G):
     """max|G^T G - I|, the drift measured against ``ORTH_TOL``."""
     G = np.asarray(G)
@@ -106,26 +126,16 @@ class EigenResult:
 def k_smallest_eigenbasis(E, k):
     """Eigenbasis for the ``k`` algebraically smallest eigenvalues of ``E``.
 
-    Checks that ``E`` is a finite square matrix, symmetric within 1e-10
-    (a smaller asymmetry is averaged away), and that ``1 <= k < n``; then
-    runs ``_k_smallest``, the unchecked kernel that ``scf_solve`` calls on
+    Checks ``E`` by ``symmetric_matrix`` and ``1 <= k < n``, then runs
+    ``_k_smallest``, the unchecked kernel that ``scf_solve`` calls on
     every sweep.  LAPACK ``dsyevd``, called as ``np.linalg.eigh`` calls
     it, computes all eigenpairs in ascending order; the first k are kept
     and the next one gives the gap.  A zero ``gap`` flags a degenerate
     eigenvalue at position k; the returned subspace is then only
     determined up to the tie.
     """
-    E = as_matrix(E, "E")
-    n = E.shape[0]
-    if E.shape[1] != n:
-        raise ContractViolation(f"E must be square, got shape {E.shape}")
-    if not (1 <= k < n):
-        raise ContractViolation(f"need 1 <= k < n, got k={k}, n={n}")
-    asym = float(np.max(np.abs(E - E.T)))
-    if asym > 1e-10:
-        raise ContractViolation(f"E is not symmetric: max|E - E^T| = {asym:.3e}")
-    if asym > 0.0:
-        E = 0.5 * (E + E.T)
+    E = symmetric_matrix(E, "E")
+    require_subspace_size(k, E.shape[0])
     return _k_smallest(E, k)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ViewError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, _nonzero_ratio, scf_solve
+from .scf import ScfConfig, SubproblemSpec, _Iterate, _nonzero_ratio, require_stop_rule, scf_solve
 
 # The switch to the projected step: a view's subproblem is solved in a
 # search space of at most 4k columns only when this many blocks of k
@@ -67,12 +67,7 @@ class OmccaConfig:
     scf_cfg: ScfConfig = field(default_factory=ScfConfig)
 
     def __post_init__(self):
-        if not (self.eps_outer > 0 and np.isfinite(self.eps_outer)):
-            raise ContractViolation(
-                f"eps_outer must be positive and finite, got {self.eps_outer!r}"
-            )
-        if self.max_cycles < 1:
-            raise ContractViolation("max_cycles must be at least 1")
+        require_stop_rule(self, "eps_outer", "max_cycles")
         if self.scheme not in ("gauss_seidel", "jacobi"):
             raise ContractViolation(f"scheme must be gauss_seidel or jacobi, got {self.scheme!r}")
 
@@ -196,8 +191,10 @@ class MultiViewProblem:
         return R
 
     def require_rank_above(self, k):
-        """Raise ``RankDeficiencyError`` (0-based ``.view``) unless k is below
-        the numerical rank of every view."""
+        """Raise ``ContractViolation`` for k < 1 and ``RankDeficiencyError``
+        (0-based ``.view``) unless k is below the numerical rank of every view."""
+        if k < 1:
+            raise ContractViolation(f"k must be >= 1, got {k}")
         for view, rv in enumerate(self.reduced()):
             # a view's SCF subproblem has dimension rank and needs k below it
             if k >= rv.r:
@@ -249,13 +246,6 @@ def _g(hatX, rho, pairs, blocks, sigmas):
         corr = float(np.sum(hatX[i] * (blocks[i, j] @ hatX[j])))
         total += 2.0 * rho[i, j] * corr / (norms[i] * norms[j])
     return total
-
-
-def view_spec(s, hatX, rho, blocks, sigmas):
-    """Subproblem of view ``s`` as a dense spec: A = diag(sigma_s^2) and
-    D = its pull.  The solvers state it as (sigma_s^2, pull) instead."""
-    D = _pull(s, hatX, rho, blocks, sigmas)
-    return SubproblemSpec(np.diag(sigmas[s] ** 2), D, validate=False)
 
 
 def _search_space(G, directions):
@@ -389,12 +379,19 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg):
     sweeps.  Gauss-Seidel solves and commits the views in order.  Jacobi
     solves every view from the previous cycle's iterates, then commits
     the results in view order and realigns each view against its fresh
-    partners.
+    partners.  A view's solve that leaves floating-point range raises a
+    ``ViewError`` naming the view.
     """
     ell = len(hatX)
 
     def solve(s):
-        return _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg)
+        try:
+            return _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg)
+        except ViewError:
+            raise
+        except ContractViolation as exc:
+            msg = f"view {s} leaves floating-point range; rescale the data ({exc})"
+            raise ViewError(msg, view=s) from exc
 
     for cycle in itertools.count(1):
         if scheme == "gauss_seidel":
@@ -437,8 +434,6 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     """
     cfg = cfg or OmccaConfig()
     prob = build_multiview(views)
-    if k < 1:
-        raise ContractViolation(f"k must be >= 1, got {k}")
     if threads < 1:
         raise ContractViolation(f"threads must be >= 1, got {threads}")
     ell = len(prob.views)

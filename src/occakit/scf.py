@@ -12,11 +12,10 @@ The objective never decreases along the iteration, and every iterate
 after the first satisfies D^T G >= 0 (positive semidefinite).
 
 A sweep pays only for its arithmetic.  The facts that hold for a whole
-solve are checked once at its start: A and D finite, A square and
-symmetric within 1e-10 (a smaller asymmetry averaged away), D with A's
-row count.  Every E(G) is then exactly symmetric by construction, so
-each sweep checks only that the scalar xi(G) is finite and that LAPACK
-succeeded, and calls the unchecked kernels behind
+solve are checked once at its start: A by ``linalg.symmetric_matrix``,
+D finite with A's row count.  Every E(G) is then exactly symmetric by
+construction, so each sweep checks only that the scalar xi(G) is finite
+and that LAPACK succeeded, and calls the unchecked kernels behind
 ``k_smallest_eigenbasis`` and ``align`` (numpy's LAPACK gufuncs).
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
@@ -42,7 +41,9 @@ from .linalg import (
     ensure_orthonormal,
     orthonormalize,
     require_orthonormal,
+    require_subspace_size,
     sample_tangent,
+    symmetric_matrix,
 )
 
 # Cap on the scaled gradient norm when xi blows up (tr(G^T D) near 0);
@@ -92,22 +93,23 @@ class SubproblemSpec:
 
 
 def _symmetric_data(A, D):
-    """(A, D) checked: both finite, A square and symmetric within 1e-10,
-    D with A's row count.  A smaller asymmetry is averaged away, so the
-    returned A is exactly symmetric; a valid pair comes back as given."""
-    A = as_matrix(A, "A")
+    """(A, D) checked: A by ``symmetric_matrix``, D finite with A's row
+    count.  A valid pair comes back as given."""
+    A = symmetric_matrix(A, "A")
     D = as_matrix(D, "D")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ContractViolation(f"A must be square, got {A.shape}")
-    if D.shape[0] != n:
-        raise ContractViolation(f"D must have {n} rows to match A, got {D.shape}")
-    asym = float(abs(A - A.T).max())
-    if asym > 1e-10:
-        raise ContractViolation(f"A is not symmetric: max|A - A^T| = {asym:.3e}")
-    if asym > 0.0:
-        A = 0.5 * (A + A.T)
+    if D.shape[0] != A.shape[0]:
+        raise ContractViolation(f"D must have {A.shape[0]} rows to match A, got {D.shape}")
     return A, D
+
+
+def require_stop_rule(cfg, tol, cap):
+    """A solver config's tolerance field ``tol`` positive and finite, its
+    cap field ``cap`` at least 1."""
+    value = getattr(cfg, tol)
+    if not (value > 0 and np.isfinite(value)):
+        raise ContractViolation(f"{tol} must be positive and finite, got {value!r}")
+    if getattr(cfg, cap) < 1:
+        raise ContractViolation(f"{cap} must be at least 1")
 
 
 @dataclass
@@ -116,10 +118,7 @@ class ScfConfig:
     max_iter: int = 30
 
     def __post_init__(self):
-        if not (self.eps_scf > 0 and np.isfinite(self.eps_scf)):
-            raise ContractViolation(f"eps_scf must be positive and finite, got {self.eps_scf!r}")
-        if self.max_iter < 1:
-            raise ContractViolation("max_iter must be at least 1")
+        require_stop_rule(self, "eps_scf", "max_iter")
 
 
 @dataclass
@@ -300,10 +299,9 @@ def scf_solve(spec, G0=None, cfg=None):
     step that always ends at tr(G^T D) > 0; D = 0 raises
     ``UndefinedRatioError``.
 
-    Checked once per solve, before the first sweep: A and D finite, A
-    square and symmetric within 1e-10 (``ContractViolation`` otherwise; a
-    smaller asymmetry is averaged away for the whole solve), D with n
-    rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep: that xi(G) is
+    Checked once per solve, before the first sweep: A by
+    ``symmetric_matrix`` (its result serves the whole solve), D finite
+    with n rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep: that xi(G) is
     finite (``ContractViolation``) and that LAPACK returned no NaN
     (``SolverFailure``; an E that overflows despite a finite xi fails
     there).  E is exactly symmetric by construction, so the sweep calls
@@ -319,8 +317,7 @@ def scf_solve(spec, G0=None, cfg=None):
         spec = SubproblemSpec(A, D, validate=False)
     k = spec.k
     n = spec.n
-    if not (1 <= k < n):
-        raise ContractViolation(f"need 1 <= k < n, got k={k}, n={n}")
+    require_subspace_size(k, n)
     if G0 is None:
         G = _identity_start(n, k)
     else:

@@ -24,7 +24,7 @@ from .errors import ContractViolation, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
 from .multiset import MultiViewProblem, _cycles, _g, _pull, _unit_scores, build_multiview
-from .scf import ScfConfig, _Iterate
+from .scf import ScfConfig, _Iterate, require_stop_rule
 
 class TwoViewProblem(MultiViewProblem):
     """A centered two-view dataset S1 (n x q), S2 (m x q), made by
@@ -71,10 +71,7 @@ class AltConfig:
     max_outer: int = 30
 
     def __post_init__(self):
-        if not (self.eps_alt > 0 and np.isfinite(self.eps_alt)):
-            raise ContractViolation(f"eps_alt must be positive and finite, got {self.eps_alt!r}")
-        if self.max_outer < 1:
-            raise ContractViolation("max_outer must be at least 1")
+        require_stop_rule(self, "eps_alt", "max_outer")
 
 
 @dataclass
@@ -119,14 +116,12 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
-    if k < 1:
-        raise ContractViolation(f"k must be >= 1, got {k}")
+    prob.require_rank_above(k)
     X0 = np.eye(prob.n)[:, :k] if X0 is None else require_orthonormal(np.array(X0, dtype=float), "X0")
     Y0 = np.eye(prob.m)[:, :k] if Y0 is None else require_orthonormal(np.array(Y0, dtype=float), "Y0")
     if X0.shape != (prob.n, k) or Y0.shape != (prob.m, k):
         want = f"{prob.n}x{k}, {prob.m}x{k}"
         raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
-    prob.require_rank_above(k)
     reduced = prob.reduced()
     sigmas = [rv.sigma for rv in reduced]
     blocks = prob.blocks([(0, 1)])

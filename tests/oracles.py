@@ -199,11 +199,20 @@ def fd_directional_eta(A, D, G, H, h=1e-6):
     return (eta_at(retract(h)) - eta_at(retract(-h))) / (2 * h)
 
 
+def view_spec(s, hatX, rho, blocks, sigmas):
+    """Subproblem of view ``s`` as a dense spec: A = diag(sigma_s^2) and
+    D = its pull.  The solvers state it as (sigma_s^2, pull) instead."""
+    from occakit import SubproblemSpec
+    from occakit.multiset import _pull
+
+    D = _pull(s, hatX, rho, blocks, sigmas)
+    return SubproblemSpec(np.diag(sigmas[s] ** 2), D, validate=False)
+
+
 def _full_update(s, hat, rho, blocks, sigmas, scf_cfg):
     """Keep-if-not-lower SCF step on view ``s`` over its whole reduced
     space; returns the subproblem objective at the kept iterate."""
     from occakit import eta, scf_solve
-    from occakit.multiset import view_spec
 
     spec = view_spec(s, hat, rho, blocks, sigmas)
     e_old = eta(hat[s], spec)
@@ -216,10 +225,9 @@ def _full_update(s, hat, rho, blocks, sigmas, scf_cfg):
 
 def full_space_rcomcca(views, k, weights, cfg):
     """The multiset alternation with every subproblem solved by SCF on the
-    view's whole reduced space, replayed through the public view_spec,
-    scf_solve and align.  Returns (projections, g_trace)."""
+    view's whole reduced space, replayed through ``view_spec``, the
+    public scf_solve and align.  Returns (projections, g_trace)."""
     from occakit import align, g_objective, reduce_views, scf_solve
-    from occakit.multiset import view_spec
 
     reduced = reduce_views(views)
     rho = weights.rho
@@ -257,7 +265,6 @@ def full_space_occa(prob, k, alt_cfg, scf_cfg):
     replayed through view_spec, scf_solve and pair_align from the leading
     identity columns.  Returns (X, Y, F_trace)."""
     from occakit import grad_eta, orthonormalize, pair_align
-    from occakit.multiset import view_spec
 
     tol = max(prob.n, prob.m, prob.q) * np.finfo(float).eps
 

@@ -300,6 +300,19 @@ def test_two_view_commands_name_bad_y_file(tmp_path, capsys, command, bad_y, mes
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["occa", "omcca"])
+def test_scale_overflow_names_first_view_file(tmp_path, capsys, command):
+    # at 1e-160 the subproblem's xi(G) is so small that 2/xi^2 overflows
+    x, y = gen_pair(tmp_path, m=20, n=15, q=300, seed=1)
+    for path in (x, y):
+        save_matrix(1e-160 * load_matrix(path), path)
+    data = ("--views", x, y) if command == "omcca" else ("--x", x, "--y", y)
+    assert run(command, *data, "--k", 3, "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {x}: view 0 ")
+    assert "rescale the data" in err
+
+
 def save_rank_tail_views(tmp_path):
     paths = (tmp_path / "tail_x.csv", tmp_path / "tail_y.csv")
     for S, path in zip(rank_tail_views(0), paths):

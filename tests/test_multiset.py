@@ -322,6 +322,14 @@ class TestRcomcca:
             rcomcca(views, 5, build_weights(views, "uniform"))
         assert exc.value.view == 0
 
+    def test_scale_overflow_names_view(self):
+        # at 1e-160 the subproblem's xi(G) is so small that 2/xi^2 overflows
+        sx, sy = gen_synthetic(SyntheticSpec(m=20, n=15, q=300, seed=1))
+        views = [1e-160 * center(sx), 1e-160 * center(sy)]
+        with pytest.raises(ViewError, match="view 0 .*rescale the data") as exc:
+            rcomcca(views, 3, build_weights(views, "uniform"))
+        assert exc.value.view == 0
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):
         views = three_views(seed=19)

@@ -32,7 +32,8 @@ from occakit import (
     scf_solve,
 )
 from occakit import multiset
-from occakit.multiset import _cross_blocks, _cycles, _solve_view, view_spec
+from occakit.multiset import _cross_blocks, _cycles, _solve_view
+from oracles import view_spec
 
 
 def q_below_n_views():

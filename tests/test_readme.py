@@ -64,7 +64,7 @@ def test_library_quickstart_prints_what_the_readme_states():
 @pytest.mark.xfail(
     strict=True,
     reason="the paper's scaled inner test shrinks like 1/(c^4 + c^3) when every "
-    "view is scaled by c, so the answers depend on the data's units (ROADMAP item 1)",
+    "view is scaled by c, so the answers depend on the data's units (ROADMAP item 3)",
 )
 def test_quickstart_answers_do_not_depend_on_units():
     from occakit import (

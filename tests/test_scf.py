@@ -32,7 +32,8 @@ from cases import (
     ref_spec,
     rounded_start,
 )
-from occakit.multiset import _cross_blocks, view_spec
+from occakit.multiset import _cross_blocks
+from oracles import view_spec
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
