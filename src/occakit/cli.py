@@ -8,7 +8,10 @@ iteration cap (outputs still written), 4 domain error (rank deficiency,
 degenerate, isolated or, under ``--no-center``, uncentered views, bad
 shapes, a tolerance that is not positive and finite, a non-finite
 bandwidth, a rank tolerance outside [0, 1), a negative seed or a noise
-scale that is negative or not finite for ``gen``).
+scale that is negative or not finite for ``gen``).  Flag defaults are
+the defaults of the solver configs.  Messages call the i-th data file
+"view i", counting from 0; ``omcca`` writes view i's projection to
+``<out>_view{i+1}_proj.csv``, counting from 1.
 """
 
 from __future__ import annotations
@@ -42,12 +45,18 @@ def build_parser():
     gen.add_argument("--m", type=int, required=True, help="features in view X")
     gen.add_argument("--n", type=int, required=True, help="features in view Y")
     gen.add_argument("--q", type=int, required=True, help="samples")
-    gen.add_argument("--lam", type=float, default=2e-4, help="noise scale")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--lam", type=float, default=dio.SyntheticSpec.lam, help="noise scale")
+    gen.add_argument("--seed", type=int, default=dio.SyntheticSpec.seed)
     gen.add_argument("--out", required=True, help="output prefix")
 
+    def scf_flags(p):
+        p.add_argument("--eps-scf", type=float, default=ScfConfig.eps_scf)
+        p.add_argument("--max-iter-scf", type=int, default=ScfConfig.max_iter)
+
     def io_flags(p):
-        p.add_argument("--no-center", action="store_true", help="skip centering on load")
+        p.add_argument(
+            "--no-center", dest="center", action="store_false", help="skip centering on load"
+        )
         p.add_argument(
             "--header",
             action="store_true",
@@ -61,10 +70,9 @@ def build_parser():
     occa.add_argument("--x", required=True)
     occa.add_argument("--y", required=True)
     occa.add_argument("--k", type=int, required=True)
-    occa.add_argument("--eps-alt", type=float, default=1e-8)
-    occa.add_argument("--max-outer", type=int, default=30)
-    occa.add_argument("--eps-scf", type=float, default=1e-5)
-    occa.add_argument("--max-iter-scf", type=int, default=30)
+    occa.add_argument("--eps-alt", type=float, default=twoview.AltConfig.eps_alt)
+    occa.add_argument("--max-outer", type=int, default=twoview.AltConfig.max_outer)
+    scf_flags(occa)
     io_flags(occa)
 
     om = sub.add_parser("omcca", help="range-constrained multiset orthogonal CCA")
@@ -73,10 +81,9 @@ def build_parser():
     om.add_argument("--scheme", choices=("gs", "jacobi"), default="gs")
     om.add_argument("--weights", default="uniform", help="uniform | tree | top:<p>")
     om.add_argument("--bandwidth", type=float, default=20.0)
-    om.add_argument("--eps-outer", type=float, default=1e-6)
-    om.add_argument("--max-cycles", type=int, default=100)
-    om.add_argument("--eps-scf", type=float, default=1e-5)
-    om.add_argument("--max-iter-scf", type=int, default=30)
+    om.add_argument("--eps-outer", type=float, default=multiset.OmccaConfig.eps_outer)
+    om.add_argument("--max-cycles", type=int, default=multiset.OmccaConfig.max_cycles)
+    scf_flags(om)
     io_flags(om)
 
     base = sub.add_parser("cca-baseline", help="classical CCA (principal angles)")
@@ -99,9 +106,13 @@ def build_parser():
 
 def _load_view(path, args):
     M = dio.load_matrix(path, header=args.header)
-    if not args.no_center:
+    if args.center:
         M = dio.center(M)
     return M
+
+
+def _config(args, *names):
+    return {name: getattr(args, name) for name in names}
 
 
 def cmd_gen(args):
@@ -136,13 +147,7 @@ def cmd_occa(args):
         termination_reason=rep.termination_reason,
         wall_time_seconds=time.perf_counter() - t0,
         seed=args.seed,
-        config={
-            "eps_alt": args.eps_alt,
-            "max_outer": args.max_outer,
-            "eps_scf": args.eps_scf,
-            "max_iter_scf": args.max_iter_scf,
-            "center": not args.no_center,
-        },
+        config=_config(args, "eps_alt", "max_outer", "eps_scf", "max_iter_scf", "center"),
         f_final=rep.f_final,
         xcy_min_eigs=rep.xcy_min_eigs,
     )
@@ -154,6 +159,8 @@ def cmd_occa(args):
 def cmd_omcca(args):
     t0 = time.perf_counter()
     prob = multiset.build_multiview([_load_view(p, args) for p in args.views])
+    # read before the solve: every weighting reports rho_hat, which checks the views' scale
+    rho_hat = [[float(v) for v in row] for row in prob.rho_hat]
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rep = multiset.rcomcca(
         prob,
@@ -178,18 +185,10 @@ def cmd_omcca(args):
         termination_reason=rep.termination_reason,
         wall_time_seconds=time.perf_counter() - t0,
         seed=args.seed,
-        config={
-            "scheme": args.scheme,
-            "weights": args.weights,
-            "bandwidth": args.bandwidth,
-            "eps_outer": args.eps_outer,
-            "max_cycles": args.max_cycles,
-            "eps_scf": args.eps_scf,
-            "max_iter_scf": args.max_iter_scf,
-            "center": not args.no_center,
-        },
+        config=_config(args, "scheme", "weights", "bandwidth", "eps_outer", "max_cycles",
+                       "eps_scf", "max_iter_scf", "center"),
         weight_matrix=[[float(v) for v in row] for row in w.rho],
-        rho_hat=[[float(v) for v in row] for row in prob.rho_hat],
+        rho_hat=rho_hat,
         loop_g_trace=rep.loop_g_trace,
         ds_terms_per_cycle=rep.ds_terms_per_cycle,
     )
@@ -218,7 +217,7 @@ def cmd_cca_baseline(args):
         termination_reason="direct",
         wall_time_seconds=time.perf_counter() - t0,
         seed=args.seed,
-        config={"rank_tol": args.rank_tol, "center": not args.no_center},
+        config=_config(args, "rank_tol", "center"),
         correlations=[float(c) for c in corr],
     )
     dio.write_report(payload, f"{args.out}_report.json")
@@ -254,7 +253,7 @@ def cmd_eval(args):
         "orthogonalized": bool(args.orthogonalize),
         "seed": args.seed,
         "wall_time_seconds": None,
-        "config": {"weights": args.weights, "bandwidth": args.bandwidth},
+        "config": _config(args, "weights", "bandwidth"),
     }
     if rank_deficient:
         # a deficient projection cannot span k orthogonal directions;

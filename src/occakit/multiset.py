@@ -30,7 +30,7 @@ from .errors import (
     ViewError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, _nonzero_ratio, require_stop_rule, scf_solve
+from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, require_stop_rule, scf_solve
 
 # The switch to the projected step: a view's subproblem is solved in a
 # search space of at most 4k columns only when this many blocks of k
@@ -183,8 +183,11 @@ class MultiViewProblem:
         """Pair affinities in [0, 1], symmetric with zero diagonal."""
         ell = len(self.views)
         pairs = list(itertools.combinations(range(ell), 2))
-        blocks = self.blocks(pairs)
         power = [float(np.sum(rv.sigma**2)) for rv in self.reduced()]
+        for i, j in pairs:
+            if not 0.0 < power[i] * power[j] < np.inf:
+                raise ViewError(f"view {i} leaves floating-point range; rescale the data", view=i)
+        blocks = self.blocks(pairs)
         R = np.zeros((ell, ell))
         for i, j in pairs:
             R[i, j] = R[j, i] = np.linalg.norm(blocks[i, j], "nuc") / np.sqrt(power[i] * power[j])
@@ -215,12 +218,13 @@ def build_multiview(views):
     return MultiViewProblem(views)
 
 
-def _scaled_norm(hatX_j, sigma_j):
-    """sqrt(tr(hatX_j^T Sigma_j^2 hatX_j)), the norm of diag(sigma_j) hatX_j."""
+def _scaled_norm(hatX_j, sigma_j, j):
+    """sqrt(tr(hatX_j^T Sigma_j^2 hatX_j)), the norm of diag(sigma_j) hatX_j
+    of view ``j``; only underflow zeroes it (hatX_j orthonormal, sigma_j > 0)."""
     SX = sigma_j[:, None] * hatX_j
     den = float(np.sum(SX * SX))
     if den <= 0.0:
-        raise DegenerateViewError("projected variance vanished in a reduced view")
+        raise ViewError(f"view {j} leaves floating-point range; rescale the data", view=j)
     return np.sqrt(den)
 
 
@@ -230,7 +234,7 @@ def _pull(s, hatX, rho, blocks, sigmas):
     for j in range(len(sigmas)):
         if j == s or rho[s, j] == 0.0:
             continue
-        term = (rho[s, j] / _scaled_norm(hatX[j], sigmas[j])) * (blocks[s, j] @ hatX[j])
+        term = (rho[s, j] / _scaled_norm(hatX[j], sigmas[j], j)) * (blocks[s, j] @ hatX[j])
         acc = term if acc is None else acc + term
     if acc is None:
         raise IsolatedViewError(f"view {s} has no nonzero pair weights", view=s)
@@ -240,7 +244,7 @@ def _pull(s, hatX, rho, blocks, sigmas):
 def _g(hatX, rho, pairs, blocks, sigmas):
     """sum over selected pairs of 2 rho_ij tr(hatX_i^T K_ij hatX_j)
     / (||diag(sigma_i) hatX_i||_F ||diag(sigma_j) hatX_j||_F)."""
-    norms = [_scaled_norm(hx, sig) for hx, sig in zip(hatX, sigmas)]
+    norms = [_scaled_norm(hx, sig, j) for j, (hx, sig) in enumerate(zip(hatX, sigmas))]
     total = 0.0
     for i, j in pairs:
         corr = float(np.sum(hatX[i] * (blocks[i, j] @ hatX[j])))
@@ -271,10 +275,10 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     """Solve the subproblem of view ``s`` from ``hatX[s]`` against its
     partners' current iterates, without committing anything.
 
-    The start G is ``hatX[s]``, or ``scf._nonzero_ratio`` of it when
-    tr(hatX_s^T D_s) = 0.  When 5k < r_s the subproblem is solved inside
-    the search space W = orth[G, grad_s, D_s, Lambda_s grad_s] (Lambda_s =
-    diag(sigma_s^2), grad_s the subproblem gradient at G): SCF on
+    The start G is ``scf._settled``'s: hatX_s, or ``_nonzero_ratio`` of it
+    where tr(hatX_s^T D_s) = 0.  When 5k < r_s the subproblem is solved
+    inside the search space W = orth[G, grad_s, D_s, Lambda_s grad_s]
+    (Lambda_s = diag(sigma_s^2), grad_s the subproblem gradient at G): SCF on
     (W^T Lambda_s W, W^T D_s) from [I_k; 0], lifted back as W Z.  A W of
     k columns means G is already a KKT point.  Otherwise (5k >= r_s) SCF
     runs on the full subproblem from G.  A solution that ends lower than
@@ -282,14 +286,11 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     objective.  Returns (the kept iterate, the objective at it, SCF
     sweeps); the iterate is G itself when nothing moved.
     """
-    G = hatX[s]
-    r, k = G.shape
+    r, k = hatX[s].shape
     lam = sigmas[s] ** 2
     D = _pull(s, hatX, rho, blocks, sigmas)
-    cur = _Iterate(G, D, lam[:, None] * G)
-    if cur.phi_d == 0.0:
-        G = _nonzero_ratio(G, D)
-        cur = _Iterate(G, D, lam[:, None] * G)
+    cur = _settled(hatX[s], D, lambda X: lam[:, None] * X)
+    G = cur.G
     if _SEARCH_BLOCKS * k >= r:
         # only the full-space solve reads a dense diag(sigma_s^2)
         rep = scf_solve(SubproblemSpec(np.diag(lam), D, validate=False), G0=G, cfg=scf_cfg)
@@ -446,7 +447,7 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     blocks = prob.blocks(pairs)
     reduced = prob.reduced()
     sigmas = [rv.sigma for rv in reduced]
-    hatX = [np.eye(rv.r)[:, :k].copy() for rv in reduced]
+    hatX = [np.eye(rv.r, k) for rv in reduced]
 
     report = OmccaReport(projections=[])
     loop_g_last = 0.0

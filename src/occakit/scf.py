@@ -14,21 +14,21 @@ after the first satisfies D^T G >= 0 (positive semidefinite).
 A sweep pays only for its arithmetic.  The facts that hold for a whole
 solve are checked once at its start: A by ``linalg.symmetric_matrix``,
 D finite with A's row count.  Every E(G) is then exactly symmetric by
-construction, so each sweep checks only that the scalar xi(G) is finite
-and that LAPACK succeeded, and calls the unchecked kernels behind
-``k_smallest_eigenbasis`` and ``align`` (numpy's LAPACK gufuncs).
+construction, so a sweep checks only that LAPACK succeeded, and calls
+the unchecked kernels behind ``k_smallest_eigenbasis`` and ``align``
+(numpy's LAPACK gufuncs); ``_Iterate`` checks xi(G) where it forms it.
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
-``_nonzero_ratio``, moves such a G to tr(G^T D) > 0: ``scf_solve``
-applies it to the start and to each sweep's iterate, and the multiset
-step to a view's iterate before it picks its search space.
+``_nonzero_ratio``, moves such a G to tr(G^T D) > 0, and ``_settled``
+applies it: ``scf_solve`` to the start and to each sweep's iterate,
+the multiset step to a view's iterate before it picks its search space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,9 +46,6 @@ from .linalg import (
     symmetric_matrix,
 )
 
-# Cap on the scaled gradient norm when xi blows up (tr(G^T D) near 0);
-# the relative-change test then decides termination.
-_SCALED_GRAD_CAP = 1e300
 # Step along D/||D||_F that moves a G with G^T D = 0 off that set.
 _NUDGE = 1e-3
 
@@ -186,11 +183,15 @@ class _Iterate:
     def eta(self):
         return _square(self.phi_d, "tr(G^T D)") / self.phi_a
 
-    @property
+    @cached_property
     def xi(self):
+        """phi_a / phi_d, formed and checked on first read."""
         if self.phi_d == 0.0:
             raise UndefinedRatioError("tr(G^T D) = 0: xi(G) undefined")
-        return self.phi_a / self.phi_d
+        xi = self.phi_a / self.phi_d
+        if not math.isfinite(xi):
+            raise ContractViolation(f"xi(G) = {xi!r} is not finite; rescale D")
+        return xi
 
     def stationarity(self):
         """A G - xi D - G M(G) with M(G) = sym(G^T A G - xi G^T D)."""
@@ -252,17 +253,13 @@ def kkt_residual(G, spec):
 
 def _scaled_grad_norm(it, norm_a1, norm_d1):
     """Entrywise-1-norm gradient at the iterate ``it`` scaled by
-    xi^2 (|A|_1 + |D|_1); this is the left-hand side of the gradient
-    stopping test."""
+    xi^2 (|A|_1 + |D|_1), inf where that scale is 0 or not finite; this
+    is the left-hand side of the gradient stopping test."""
     g1 = float(abs(it.grad()).sum())
     denom = _square(it.xi, "xi(G)") * (norm_a1 + norm_d1)
     if denom == 0.0 or not math.isfinite(denom):
-        return _SCALED_GRAD_CAP
-    return min(g1 / denom, _SCALED_GRAD_CAP)
-
-
-def _identity_start(n, k):
-    return np.eye(n)[:, :k].copy()
+        return math.inf
+    return g1 / denom
 
 
 def _nonzero_ratio(G, D):
@@ -282,32 +279,45 @@ def _nonzero_ratio(G, D):
     return _align(G, D)
 
 
+def _settled(G, D, times_A):
+    """The ``_Iterate`` at G, or at ``_nonzero_ratio(G, D)`` where
+    tr(G^T D) = 0; ``times_A(G)`` is A G.  Its ``G`` is the given array
+    exactly when no step was taken."""
+    it = _Iterate(G, D, times_A(G))
+    if it.phi_d == 0.0:
+        G = _nonzero_ratio(G, D)
+        it = _Iterate(G, D, times_A(G))
+    return it
+
+
 def scf_solve(spec, G0=None, cfg=None):
     """Run the SCF iteration on one trace-fractional subproblem.
 
     Each sweep builds E at the current iterate, takes the eigenbasis of
-    its k smallest eigenvalues and realigns it against D.  Stops when the scaled
-    gradient norm drops below ``eps_scf``, when the relative objective
-    change drops below ``eps_scf**1.5``, or after ``max_iter`` sweeps.
+    its k smallest eigenvalues and realigns it against D.  Stops when the
+    scaled gradient norm (inf where xi^2 (|A|_1 + |D|_1) is 0 or not
+    finite) drops below ``eps_scf``, when the relative objective change
+    drops below ``eps_scf**1.5``, or after ``max_iter`` sweeps.
 
     The start defaults to the leading identity columns and is used as
     given.  An unaligned start matters: the sign of tr(G^T D) is the sign
     of xi in the first E(G), so it decides which eigenbasis the first
-    sweep takes and hence where the solve goes.  The start, and every
-    iterate a sweep returns, with tr(G^T D) = 0 is replaced by
+    sweep takes and hence where the solve goes.  ``_settled`` replaces the
+    start, and every iterate a sweep returns, with tr(G^T D) = 0 by
     ``_nonzero_ratio`` (one ``zero_ratio_events`` each), a deterministic
     step that always ends at tr(G^T D) > 0; D = 0 raises
     ``UndefinedRatioError``.
 
     Checked once per solve, before the first sweep: A by
     ``symmetric_matrix`` (its result serves the whole solve), D finite
-    with n rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep: that xi(G) is
-    finite (``ContractViolation``) and that LAPACK returned no NaN
-    (``SolverFailure``; an E that overflows despite a finite xi fails
-    there).  E is exactly symmetric by construction, so the sweep calls
-    the kernels of ``k_smallest_eigenbasis`` and ``align`` without their
-    input checks; the results are the ones those functions return.  Data
-    whose tr(G^T D) or xi(G) overflows when squared raises
+    with n rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep:
+    that LAPACK returned no NaN (``SolverFailure``; an E that overflows
+    despite a finite xi fails there).  E is exactly symmetric by
+    construction, so the sweep calls the kernels of
+    ``k_smallest_eigenbasis`` and ``align`` without their input checks;
+    the results are the ones those functions return.  Data whose xi(G)
+    is not finite (checked where ``_Iterate`` forms it), or whose
+    tr(G^T D) or xi(G) overflows when squared, raises
     ``ContractViolation``: the maximizer does not depend on the scale of
     D, so rescaling D avoids it.
     """
@@ -319,7 +329,7 @@ def scf_solve(spec, G0=None, cfg=None):
     n = spec.n
     require_subspace_size(k, n)
     if G0 is None:
-        G = _identity_start(n, k)
+        G = np.eye(n, k)
     else:
         G = require_orthonormal(np.array(G0, dtype=float), "G0")
         if G.shape != (n, k):
@@ -329,38 +339,30 @@ def scf_solve(spec, G0=None, cfg=None):
     norm_d1 = float(abs(spec.D).sum())
     rel_tol = cfg.eps_scf**1.5
 
+    times_A = partial(np.matmul, spec.A)
     report = ScfReport(solution=G, D=spec.D)
-    cur = _Iterate(G, spec.D, spec.A @ G)
-    if cur.phi_d == 0.0:
-        G = _nonzero_ratio(G, spec.D)
-        report.zero_ratio_events += 1
-        cur = _Iterate(G, spec.D, spec.A @ G)
+    cur = _settled(G, spec.D, times_A)
+    report.zero_ratio_events += cur.G is not G
     report.eta_trace.append(cur.eta)
-    report.iterates.append(G)
+    report.iterates.append(cur.G)
 
     while report.termination_reason == "max_iter" and report.iterations < cfg.max_iter:
-        xi = cur.xi
-        if not math.isfinite(xi):
-            raise ContractViolation(f"E contains non-finite entries: xi(G) = {xi!r}")
-        eig = _k_smallest(build_E(G, spec, xi=xi), k)
+        eig = _k_smallest(build_E(cur.G, spec, xi=cur.xi), k)
         G = ensure_orthonormal(_align(eig.basis, spec.D))
-        cur = _Iterate(G, spec.D, spec.A @ G)
-        if cur.phi_d == 0.0:
-            G = _nonzero_ratio(G, spec.D)
-            report.zero_ratio_events += 1
-            cur = _Iterate(G, spec.D, spec.A @ G)
+        cur = _settled(G, spec.D, times_A)
+        report.zero_ratio_events += cur.G is not G
         e_prev, e_new = report.eta_trace[-1], cur.eta
         scaled = _scaled_grad_norm(cur, norm_a1, norm_d1)
         report.eta_trace.append(e_new)
         report.gaps.append(eig.gap)
         report.grad_norms.append(scaled)
-        report.iterates.append(G)
+        report.iterates.append(cur.G)
         if scaled <= cfg.eps_scf:
             report.termination_reason = "grad_tol"
         elif e_new != 0.0 and abs((e_new - e_prev) / e_new) <= rel_tol:
             report.termination_reason = "rel_change_tol"
 
-    report.solution = G
+    report.solution = cur.G
     return report
 
 
@@ -403,7 +405,6 @@ def second_order_check(G, spec, samples, rng):
 
     rng = np.random.default_rng(rng)
     worst = np.inf
-    ok = True
     for _ in range(samples):
         H = sample_tangent(G, rng)
         nrm = np.linalg.norm(H)
@@ -414,9 +415,5 @@ def second_order_check(G, spec, samples, rng):
         rhs = e * float(np.einsum("ij,ij->", H, spec.A @ H)) - float(
             np.einsum("ij,ij->", H @ eta_m, H)
         )
-        margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-        if margin < worst:
-            worst = margin
-        if margin < -1e-8:
-            ok = False
-    return SecondOrderReport(passed=ok, worst_margin=float(worst), samples=samples)
+        worst = min(worst, (rhs - lhs) / max(1.0, abs(lhs), abs(rhs)))
+    return SecondOrderReport(passed=worst >= -1e-8, worst_margin=float(worst), samples=samples)

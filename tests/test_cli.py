@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import occakit
-from occakit import load_matrix, save_matrix
-from occakit.cli import main
+from occakit import AltConfig, OmccaConfig, ScfConfig, SyntheticSpec, load_matrix, save_matrix
+from occakit.cli import build_parser, main
 from occakit.data import read_report
 
 from cases import rank_tail_views
@@ -303,14 +304,45 @@ def test_two_view_commands_name_bad_y_file(tmp_path, capsys, command, bad_y, mes
 @pytest.mark.parametrize("command", ["occa", "omcca"])
 def test_scale_overflow_names_first_view_file(tmp_path, capsys, command):
     # at 1e-160 the subproblem's xi(G) is so small that 2/xi^2 overflows
+    # (occa) or the views' affinity underflows (omcca); at 1e-170 occa's
+    # partner view has a projected variance that underflows to 0
+    for scale in (1e-160, 1e-170):
+        paths = gen_pair(tmp_path, m=20, n=15, q=300, seed=1)
+        for path in paths:
+            save_matrix(scale * load_matrix(path), path)
+        x, y = paths
+        data = ("--views", x, y) if command == "omcca" else ("--x", x, "--y", y)
+        assert run(command, *data, "--k", 3, "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        view = int(re.search(r"view (\d+) leaves floating-point range; rescale the data", err)[1])
+        assert err.startswith(f"error: {paths[view]}: view {view} ")
+
+
+@pytest.mark.parametrize("weights", ["tree", "top:1", "uniform"])
+def test_tiny_views_fail_on_their_affinities_before_the_solve(tmp_path, capsys, weights):
+    # at 1e-150 the solve succeeds, but the product of the two views'
+    # powers underflows, so rho_hat, which every weighting reports, cannot
+    # be formed; omcca stops before it solves or writes anything
     x, y = gen_pair(tmp_path, m=20, n=15, q=300, seed=1)
     for path in (x, y):
-        save_matrix(1e-160 * load_matrix(path), path)
-    data = ("--views", x, y) if command == "omcca" else ("--x", x, "--y", y)
-    assert run(command, *data, "--k", 3, "--out", tmp_path / "o") == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {x}: view 0 ")
-    assert "rescale the data" in err
+        save_matrix(1e-150 * load_matrix(path), path)
+    out = tmp_path / "o"
+    assert run("omcca", "--views", x, y, "--k", 3, "--weights", weights, "--out", out) == 4
+    assert capsys.readouterr().err.startswith(f"error: {x}: view 0 leaves floating-point range")
+    assert not list(tmp_path.glob("o_*"))
+
+
+def test_solver_flag_defaults_are_the_config_defaults():
+    parse = build_parser().parse_args
+    gen = parse(["gen", "--m", "2", "--n", "2", "--q", "2", "--out", "o"])
+    occa = parse(["occa", "--x", "x", "--y", "y", "--k", "1", "--out", "o"])
+    omcca = parse(["omcca", "--views", "x", "y", "--k", "1", "--out", "o"])
+    spec, alt, om, scf = SyntheticSpec(2, 2, 2), AltConfig(), OmccaConfig(), ScfConfig()
+    assert (gen.lam, gen.seed) == (spec.lam, spec.seed)
+    assert (occa.eps_alt, occa.max_outer) == (alt.eps_alt, alt.max_outer)
+    assert (omcca.eps_outer, omcca.max_cycles) == (om.eps_outer, om.max_cycles)
+    for args in (occa, omcca):
+        assert (args.eps_scf, args.max_iter_scf) == (scf.eps_scf, scf.max_iter)
 
 
 def save_rank_tail_views(tmp_path):

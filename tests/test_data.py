@@ -156,6 +156,7 @@ class TestMatrixIo:
             pytest.param("1,2\n\n3,4\n", False, 2, None, "ragged row", id="blank-line"),
             pytest.param("1,2\n \t\n3,4\n", False, 2, None, "ragged row", id="whitespace-line"),
             pytest.param("1\n  \n3\n", False, 2, 1, "non-numeric token ''", id="whitespace-cell"),
+            pytest.param("1,,2\n", False, 1, 2, "non-numeric token ''", id="empty-cell"),
             pytest.param("1,2\n# comment\n3,4\n", False, 2, None, "ragged row", id="comment-row"),
             pytest.param('1,2\n3,"1"\n', False, 2, 2, """non-numeric token '"1"'""", id="quoted"),
             pytest.param("1,2\n0x10,4\n", False, 2, 1, "non-numeric token '0x10'", id="hex"),

@@ -184,6 +184,13 @@ class TestPairAlign:
         assert np.trace(W) == pytest.approx(sv.sum(), rel=1e-10)
         assert np.max(np.abs(W - W.T)) <= 1e-10
 
+    def test_zero_cross_product_returns_copies(self):
+        # X^T C Y = 0: every rotation is as good, so none is applied
+        X, Y = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
+        X2, Y2 = pair_align(X, Y, np.eye(3))
+        assert np.array_equal(X2, X) and np.array_equal(Y2, Y)
+        assert not np.shares_memory(X2, X) and not np.shares_memory(Y2, Y)
+
 
 class TestSvdFactors:
     # align and pair_align call numpy's dgesdd gufunc directly; they must

@@ -323,12 +323,15 @@ class TestRcomcca:
         assert exc.value.view == 0
 
     def test_scale_overflow_names_view(self):
-        # at 1e-160 the subproblem's xi(G) is so small that 2/xi^2 overflows
+        # at 1e-160 the subproblem's xi(G) is so small that 2/xi^2
+        # overflows (view 0); at 1e-170 view 1's projected variance
+        # underflows to 0 in view 0's pull (view 1)
         sx, sy = gen_synthetic(SyntheticSpec(m=20, n=15, q=300, seed=1))
-        views = [1e-160 * center(sx), 1e-160 * center(sy)]
-        with pytest.raises(ViewError, match="view 0 .*rescale the data") as exc:
-            rcomcca(views, 3, build_weights(views, "uniform"))
-        assert exc.value.view == 0
+        for scale, view in [(1e-160, 0), (1e-170, 1)]:
+            views = [scale * center(sx), scale * center(sy)]
+            with pytest.raises(ViewError, match=f"view {view} .*rescale the data") as exc:
+                rcomcca(views, 3, build_weights(views, "uniform"))
+            assert exc.value.view == view
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):

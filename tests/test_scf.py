@@ -446,12 +446,14 @@ class TestScfSolveChecks:
         (1e160, scf_solve),
         (1e-160, lambda spec: grad_eta(np.eye(3)[:, :1], spec)),
         (1e160, lambda spec: eta(np.eye(3)[:, :1], spec)),
+        (1e-309, lambda spec: grad_eta(np.eye(3)[:, :1], spec)),
     ],
-    ids=["solve-1e-160", "solve-1e160", "grad_eta-1e-160", "eta-1e160"],
+    ids=["solve-1e-160", "solve-1e160", "grad_eta-1e-160", "eta-1e160", "grad_eta-1e-309"],
 )
 def test_squares_past_the_float_range_ask_to_rescale_D(c, call):
-    # xi^2 (c = 1e-160) or tr(G^T D)^2 (c = 1e160) overflows; the
-    # maximizer does not depend on the scale of D, and at 1e+-150 it solves
+    # xi^2 (c = 1e-160) or tr(G^T D)^2 (c = 1e160) overflows, and at
+    # c = 1e-309 xi itself is inf; the maximizer does not depend on the
+    # scale of D, and at 1e+-150 it solves
     spec = SubproblemSpec(np.diag([1.0, 2.0, 3.0]), c * np.array([[1.0], [0.5], [0.0]]))
     with pytest.raises(ContractViolation, match="rescale D"):
         call(spec)
@@ -468,6 +470,18 @@ def test_grad_eta_at_large_D_is_finite_or_asks_to_rescale_D(c):
     else:
         with pytest.raises(ContractViolation, match="rescale D"):
             grad_eta(G, spec)
+
+
+def test_unevaluable_gradient_test_never_stops_the_solve():
+    # xi^2 (|A|_1 + |D|_1) overflows at every iterate, so the scaled
+    # gradient norm is inf and only the relative-change test stops
+    A = 1e10 * np.diag([1.0, 2.0, 3.0])
+    spec = SubproblemSpec(A, 1e-140 * np.array([[1.0], [0.5], [0.0]]))
+    rep = scf_solve(spec)
+    assert rep.termination_reason == "rel_change_tol"
+    assert rep.grad_norms and all(g == np.inf for g in rep.grad_norms)
+    x = np.linalg.solve(spec.A, spec.D)
+    assert np.allclose(rep.solution, x / np.linalg.norm(x), atol=1e-4)
 
 
 def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):

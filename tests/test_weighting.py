@@ -5,6 +5,7 @@ from occakit import (
     ContractViolation,
     DegenerateViewError,
     SyntheticSpec,
+    build_multiview,
     center,
     gen_synthetic,
     pairwise_rho_hat,
@@ -12,6 +13,7 @@ from occakit import (
     select_weights,
     softmax_normalize,
 )
+from occakit.errors import ViewError
 from occakit.weighting import WeightMatrix, build_weights, parse_scheme
 
 import oracles
@@ -194,6 +196,15 @@ class TestBuildWeights:
         w = WeightMatrix.custom(rho)
         assert w.rho[0, 1] == pytest.approx(0.25)
         assert w.rho[1, 2] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("scheme", ["tree", "top:1"])
+    def test_affinities_past_the_float_range_name_a_view(self, scheme):
+        # at 1e-160 the product of the two views' powers underflows to 0
+        sx, sy = gen_synthetic(SyntheticSpec(m=20, n=15, q=300, seed=1))
+        problem = build_multiview([1e-160 * center(sx), 1e-160 * center(sy)])
+        with pytest.raises(ViewError, match="view 0 leaves floating-point range") as exc:
+            build_weights(problem, scheme)
+        assert exc.value.view == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_custom_weights_must_be_finite(self, bad):
