@@ -5,11 +5,12 @@ Commands: ``gen`` (synthetic two-view data), ``occa`` (two-view solver),
 ``eval`` (re-score stored projections).  Exit codes: 0 success, 2 I/O or
 parse failure (including non-finite CSV values), 3 finished at the
 iteration cap (outputs still written), 4 domain error (rank deficiency,
-degenerate, isolated or, under ``--no-center``, uncentered views, bad
-shapes, a tolerance that is not positive and finite, a non-finite
-bandwidth, a rank tolerance outside [0, 1), a negative seed or a noise
-scale that is negative or not finite for ``gen``).  Flag defaults are
-the defaults of the solver configs.  Messages call the i-th data file
+degenerate, isolated or, under ``--no-center``, uncentered views, views
+on different sample counts, bad shapes, a tolerance that is not positive
+and finite, a non-finite bandwidth, a rank tolerance outside [0, 1), a
+negative seed or a noise scale that is negative or not finite for
+``gen``).  Flag defaults are those of the solver configs and
+``weighting``.  Messages call the i-th data file
 "view i", counting from 0; ``omcca`` writes view i's projection to
 ``<out>_view{i+1}_proj.csv``, counting from 1.
 """
@@ -80,7 +81,7 @@ def build_parser():
     om.add_argument("--k", type=int, required=True)
     om.add_argument("--scheme", choices=("gs", "jacobi"), default="gs")
     om.add_argument("--weights", default="uniform", help="uniform | tree | top:<p>")
-    om.add_argument("--bandwidth", type=float, default=20.0)
+    om.add_argument("--bandwidth", type=float, default=weighting.BANDWIDTH)
     om.add_argument("--eps-outer", type=float, default=multiset.OmccaConfig.eps_outer)
     om.add_argument("--max-cycles", type=int, default=multiset.OmccaConfig.max_cycles)
     scf_flags(om)
@@ -98,7 +99,7 @@ def build_parser():
     ev.add_argument("--data", nargs="+", required=True)
     ev.add_argument("--proj", nargs="+", required=True)
     ev.add_argument("--weights", default="uniform")
-    ev.add_argument("--bandwidth", type=float, default=20.0)
+    ev.add_argument("--bandwidth", type=float, default=weighting.BANDWIDTH)
     ev.add_argument("--orthogonalize", action="store_true")
     io_flags(ev)
     return top
@@ -233,52 +234,42 @@ def cmd_eval(args):
         raise ContractViolation(
             f"{len(projs)} projections supplied for {len(views)} data files"
         )
-    k = int(projs[0].shape[1])
+    prob = multiset.build_multiview(views)
+    w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rank_deficient = False
-    if args.orthogonalize:
-        fixed = []
-        for P in projs:
-            try:
-                fixed.append(twoview.post_orthogonalize(P))
-            except RankDeficiencyError:
-                rank_deficient = True
-                fixed.append(None)
-        projs = fixed
+    try:
+        # every projection is checked as given, orthogonalized or not
+        total = multiset.total_correlation(projs, prob, w)
+        if args.orthogonalize:
+            orth = [twoview.post_orthogonalize(P) for P in projs]
+            total = multiset.total_correlation(orth, prob, w)
+    except RankDeficiencyError:
+        # a deficient projection cannot span k orthogonal directions;
+        # report zero correlation and flag it
+        rank_deficient, total = True, 0.0
+    except ViewError as exc:
+        # the index names a projection here, so the --proj file is at fault
+        if exc.view is None:
+            raise
+        raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
 
     metrics = {
         "schema_version": dio.SCHEMA_VERSION,
         "solver": "eval",
-        "k": k,
+        "k": int(projs[0].shape[1]),
         "rank_deficient": rank_deficient,
         "orthogonalized": bool(args.orthogonalize),
         "seed": args.seed,
-        "wall_time_seconds": None,
         "config": _config(args, "weights", "bandwidth"),
+        "total_correlation": total,
     }
-    if rank_deficient:
-        # a deficient projection cannot span k orthogonal directions;
-        # report zero correlation and flag it
-        metrics["total_correlation"] = 0.0
-        if len(views) == 2:
-            metrics["f"] = 0.0
-            metrics["F"] = 0.0
-    else:
-        prob = multiset.build_multiview(views)
-        w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
-        try:
-            metrics["total_correlation"] = multiset.total_correlation(projs, prob, w)
-        except ViewError as exc:
-            # the index names a projection here, so the --proj file is at fault
-            if exc.view is None:
-                raise
-            raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
-        if len(views) == 2:
-            # every scheme weighs the one pair exactly 1, so this is objective_f
-            metrics["f"] = metrics["total_correlation"] / 2
-            metrics["F"] = metrics["f"] ** 2
+    if len(views) == 2:
+        # every scheme weighs the one pair exactly 1, so this is objective_f
+        metrics["f"] = total / 2
+        metrics["F"] = metrics["f"] ** 2
     metrics["wall_time_seconds"] = time.perf_counter() - t0
     dio.write_report(metrics, f"{args.out}_metrics.json")
-    print(f"eval: total_correlation={metrics['total_correlation']:.12g}")
+    print(f"eval: total_correlation={total:.12g}")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ class UndefinedRatioError(ContractViolation):
     Raised where xi is read at such a G (``grad_eta``, ``build_E``,
     ``kkt_residual``) and for D = 0.  The solvers never raise it for a
     nonzero D: they move such a G deterministically to tr(G^T D) > 0
-    (``scf._nonzero_ratio``).
+    (``scf._settled``).
     """
 
 

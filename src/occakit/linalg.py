@@ -102,15 +102,9 @@ def fix_svd_signs(U, Vt):
     nonnegative; the matching row of ``Vt`` absorbs the flip.  Guarantees
     run-to-run determinism wherever SVD factors feed outputs.
     """
-    U = U.copy()
-    Vt = Vt.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-            Vt[j, :] = -Vt[j, :]
-    return U, Vt
+    first = U[np.argmax(U != 0, axis=0), np.arange(U.shape[1])]
+    signs = np.where(first < 0, -1.0, 1.0)
+    return U * signs, Vt * signs[:, None]
 
 
 @dataclass

@@ -101,10 +101,10 @@ def _checked_views(views):
     """The views as float arrays, once they are finite, 2-d, nonzero and on
     one sample count; an error names the i-th view "view i" (``.view`` i)."""
     views = [as_matrix(v, f"view {idx}") for idx, v in enumerate(views)]
-    qs = {v.shape[1] for v in views}
-    if len(qs) > 1:
-        raise ContractViolation(f"views disagree on sample count: {sorted(qs)}")
     for idx, S in enumerate(views):
+        if S.shape[1] != views[0].shape[1]:
+            msg = f"view {idx} has {S.shape[1]} samples, view 0 has {views[0].shape[1]}"
+            raise ViewError(f"views disagree on sample count: {msg}", view=idx)
         if not S.any():
             raise DegenerateViewError(f"view {idx} is identically zero", view=idx)
     return views
@@ -275,7 +275,7 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     """Solve the subproblem of view ``s`` from ``hatX[s]`` against its
     partners' current iterates, without committing anything.
 
-    The start G is ``scf._settled``'s: hatX_s, or ``_nonzero_ratio`` of it
+    The start G is ``scf._settled``'s: hatX_s, moved by its rule only
     where tr(hatX_s^T D_s) = 0.  When 5k < r_s the subproblem is solved
     inside the search space W = orth[G, grad_s, D_s, Lambda_s grad_s]
     (Lambda_s = diag(sigma_s^2), grad_s the subproblem gradient at G): SCF on
@@ -310,6 +310,13 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     return X, e, rep.iterations
 
 
+def _selected_pairs(weights, ell):
+    """``weights.selected_pairs()``, once ``weights`` is for ``ell`` views."""
+    if weights.size != ell:
+        raise ContractViolation(f"weights are for {weights.size} views, got {ell} views")
+    return weights.selected_pairs()
+
+
 def compute_Ds(s, hatX, weights, reduced):
     """Weighted pull of the other views on view ``s`` in reduced
     coordinates:
@@ -321,7 +328,7 @@ def compute_Ds(s, hatX, weights, reduced):
     only for their selected edges.  Builds the blocks of view ``s`` on
     every call; ``rcomcca`` reads them from its problem, built once.
     """
-    pairs = [p for p in weights.selected_pairs() if s in p]
+    pairs = [p for p in _selected_pairs(weights, len(reduced)) if s in p]
     sigmas = [rv.sigma for rv in reduced]
     return _pull(s, hatX, weights.rho, _cross_blocks(reduced, pairs), sigmas)
 
@@ -329,7 +336,7 @@ def compute_Ds(s, hatX, weights, reduced):
 def g_objective(hatX, weights, reduced):
     """Total correlation in reduced coordinates; equals the original-
     coordinate objective through X_i = U_i hatX_i."""
-    pairs = weights.selected_pairs()
+    pairs = _selected_pairs(weights, len(reduced))
     sigmas = [rv.sigma for rv in reduced]
     return _g(hatX, weights.rho, pairs, _cross_blocks(reduced, pairs), sigmas)
 
@@ -364,7 +371,7 @@ def total_correlation(projections, views, weights):
     evaluated on the original data matrices."""
     Z = _unit_scores(projections, views)
     total = 0.0
-    for i, j in weights.selected_pairs():
+    for i, j in _selected_pairs(weights, len(Z)):
         total += 2.0 * weights.rho[i, j] * float(np.sum(Z[i] * Z[j]))
     return total
 
@@ -377,35 +384,28 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg):
     iterates, so a cycle depends on nothing but ``hatX``; the caller may
     rotate ``hatX`` between cycles.  ``loop_g`` sums the subproblem
     objectives at the kept iterates and ``sweeps`` holds each view's SCF
-    sweeps.  Gauss-Seidel solves and commits the views in order.  Jacobi
-    solves every view from the previous cycle's iterates, then commits
-    the results in view order and realigns each view against its fresh
-    partners.  A view's solve that leaves floating-point range raises a
-    ``ViewError`` naming the view.
+    sweeps.  Both orders solve the views in order and commit each result
+    at once; they differ only in the list the solves read.  Gauss-Seidel
+    reads ``hatX`` itself, so view s sees the fresh iterates of the views
+    before it.  Jacobi reads the Jacobi snapshot, a copy of the list as
+    the previous cycle left it, and then realigns each view against its
+    fresh partners.  A view's solve that leaves floating-point range
+    raises a ``ViewError`` naming the view.
     """
     ell = len(hatX)
-
-    def solve(s):
-        try:
-            return _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg)
-        except ViewError:
-            raise
-        except ContractViolation as exc:
-            msg = f"view {s} leaves floating-point range; rescale the data ({exc})"
-            raise ViewError(msg, view=s) from exc
-
     for cycle in itertools.count(1):
-        if scheme == "gauss_seidel":
-            outs = []
-            for s in range(ell):
-                outs.append(solve(s))
-                hatX[s] = outs[s][0]
-        else:
-            # every solve reads the previous cycle's iterates, so all of
-            # them finish before the first result is committed
-            outs = [solve(s) for s in range(ell)]
-            for s, (X, _, _) in enumerate(outs):
-                hatX[s] = X
+        read = hatX if scheme == "gauss_seidel" else list(hatX)
+        outs = []
+        for s in range(ell):
+            try:
+                outs.append(_solve_view(s, read, rho, blocks, sigmas, scf_cfg))
+            except ViewError:
+                raise
+            except ContractViolation as exc:
+                msg = f"view {s} leaves floating-point range; rescale the data ({exc})"
+                raise ViewError(msg, view=s) from exc
+            hatX[s] = outs[s][0]
+        if scheme == "jacobi":
             # simultaneous updates only align each view to its partners'
             # stale representatives, which can leave the merged set
             # mutually anti-aligned (the subspaces are fine, the signs
@@ -437,13 +437,10 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     prob = build_multiview(views)
     if threads < 1:
         raise ContractViolation(f"threads must be >= 1, got {threads}")
-    ell = len(prob.views)
-    if weights.size != ell:
-        raise ContractViolation(f"weights are for {weights.size} views, got {ell} views")
+    pairs = _selected_pairs(weights, len(prob.views))
     prob.require_rank_above(k)
 
     rho = weights.rho
-    pairs = weights.selected_pairs()
     blocks = prob.blocks(pairs)
     reduced = prob.reduced()
     sigmas = [rv.sigma for rv in reduced]

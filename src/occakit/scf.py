@@ -19,9 +19,9 @@ the unchecked kernels behind ``k_smallest_eigenbasis`` and ``align``
 (numpy's LAPACK gufuncs); ``_Iterate`` checks xi(G) where it forms it.
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
-``_nonzero_ratio``, moves such a G to tr(G^T D) > 0, and ``_settled``
-applies it: ``scf_solve`` to the start and to each sweep's iterate,
-the multiset step to a view's iterate before it picks its search space.
+``_settled``, moves such a G to tr(G^T D) > 0: ``scf_solve`` applies it
+to the start and to each sweep's iterate, the multiset step to a view's
+iterate before it picks its search space.
 """
 
 from __future__ import annotations
@@ -123,19 +123,19 @@ class ScfReport:
     """Per-iteration trace of one SCF solve plus final certificates.
 
     ``eta_trace[0]`` is the objective at the starting point as given
-    (moved by ``_nonzero_ratio`` only when tr(G^T D) = 0 there); entry
+    (moved by ``_settled`` only when tr(G^T D) = 0 there); entry
     ``nu`` corresponds to iterate ``nu``, and ``iterations``, the number
     of sweeps, is ``len(eta_trace) - 1``.  ``gaps`` and ``grad_norms``
     have one entry per sweep: the eigengap of E at the previous iterate
     and the scaled gradient norm used in the stopping test.
     ``zero_ratio_events`` counts the iterates, the start included, at
-    which tr(G^T D) = 0 called ``_nonzero_ratio``.
+    which tr(G^T D) = 0 made ``_settled`` move G.
 
     The certificates ``dtg_min_eigs`` (smallest eigenvalue of
     sym(D^T G) at each new iterate, the PSD certificate) and
     ``subspace_dists`` (distance from the previous iterate) are computed
     on first read from the stored ``iterates`` G_0 ... G_nu (each taken
-    after any ``_nonzero_ratio`` step) and ``D``, so a caller that never
+    after any ``_settled`` step) and ``D``, so a caller that never
     reads them pays nothing for them.
     """
 
@@ -262,30 +262,25 @@ def _scaled_grad_norm(it, norm_a1, norm_d1):
     return g1 / denom
 
 
-def _nonzero_ratio(G, D):
-    """The rule for an orthonormal G with tr(G^T D) = 0, where xi(G) is
-    undefined: G aligned against D, so that tr(G^T D) = ||G^T D||_* > 0.
+def _settled(G, D, times_A):
+    """The ``_Iterate`` at the orthonormal G, with ``times_A(G)`` = A G,
+    after the rule for tr(G^T D) = 0, where xi(G) is undefined: such a G
+    is aligned against D, so that tr(G^T D) = ||G^T D||_* > 0.
 
     Only when G^T D = 0 is G first moved to the Q of the QR of
     G + 1e-3 D/||D||_F; then Q^T D = 1e-3 R^-T D^T D / ||D||_F is nonzero,
     so one step always suffices.  Deterministic in (G, D); D = 0 raises
-    ``UndefinedRatioError``.
+    ``UndefinedRatioError``.  The iterate's ``G`` is the given array
+    exactly when no step was taken.
     """
-    if not (G.T @ D).any():
-        d = float(np.linalg.norm(D))
-        if d == 0.0:
-            raise UndefinedRatioError("D = 0: tr(G^T D) = 0 for every G")
-        G = orthonormalize(G + (_NUDGE / d) * D)
-    return _align(G, D)
-
-
-def _settled(G, D, times_A):
-    """The ``_Iterate`` at G, or at ``_nonzero_ratio(G, D)`` where
-    tr(G^T D) = 0; ``times_A(G)`` is A G.  Its ``G`` is the given array
-    exactly when no step was taken."""
     it = _Iterate(G, D, times_A(G))
     if it.phi_d == 0.0:
-        G = _nonzero_ratio(G, D)
+        if not it.GtD.any():
+            d = float(np.linalg.norm(D))
+            if d == 0.0:
+                raise UndefinedRatioError("D = 0: tr(G^T D) = 0 for every G")
+            G = orthonormalize(G + (_NUDGE / d) * D)
+        G = _align(G, D)
         it = _Iterate(G, D, times_A(G))
     return it
 
@@ -302,11 +297,10 @@ def scf_solve(spec, G0=None, cfg=None):
     The start defaults to the leading identity columns and is used as
     given.  An unaligned start matters: the sign of tr(G^T D) is the sign
     of xi in the first E(G), so it decides which eigenbasis the first
-    sweep takes and hence where the solve goes.  ``_settled`` replaces the
-    start, and every iterate a sweep returns, with tr(G^T D) = 0 by
-    ``_nonzero_ratio`` (one ``zero_ratio_events`` each), a deterministic
-    step that always ends at tr(G^T D) > 0; D = 0 raises
-    ``UndefinedRatioError``.
+    sweep takes and hence where the solve goes.  ``_settled`` moves the
+    start, and every iterate a sweep returns, with tr(G^T D) = 0 (one
+    ``zero_ratio_events`` each) by a deterministic step that always ends
+    at tr(G^T D) > 0; D = 0 raises ``UndefinedRatioError``.
 
     Checked once per solve, before the first sweep: A by
     ``symmetric_matrix`` (its result serves the whole solve), D finite

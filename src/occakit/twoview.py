@@ -196,12 +196,13 @@ def post_orthogonalize(X):
     """Thin-QR orthonormalization with the deterministic sign convention.
 
     Raises RankDeficiencyError when the columns of X are numerically
-    dependent (sigma_k <= 1e-12 sigma_1); policy for treating that case
-    as zero correlation belongs to the caller.
+    dependent (more columns than rows, or sigma_k <= 1e-12 sigma_1);
+    policy for treating that case as zero correlation belongs to the
+    caller.
     """
     X = as_matrix(X, "X")
     if X.shape[0] < X.shape[1]:
-        raise ContractViolation(f"X must be tall, got {X.shape}")
+        raise RankDeficiencyError(f"X must be tall, got {X.shape}")
     sv = np.linalg.svd(X, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficiencyError(

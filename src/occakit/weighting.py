@@ -19,6 +19,9 @@ from .errors import ContractViolation
 from .linalg import as_matrix
 from .multiset import build_multiview
 
+# Soft-max bandwidth of every weighting unless the caller gives one.
+BANDWIDTH = 20.0
+
 
 @dataclass
 class WeightMatrix:
@@ -136,7 +139,7 @@ def select_weights(rho_hat, scheme):
     return [(i, j, float(rho_hat[i, j])) for i, j in ranked[:p]]
 
 
-def softmax_normalize(edges, size, bandwidth=20.0, scheme="custom"):
+def softmax_normalize(edges, size, bandwidth=BANDWIDTH, scheme="custom"):
     """Soft-max the selected pair values into weights summing to 1.
 
     Uses the max-subtraction trick so bandwidth 20 cannot overflow, which
@@ -156,7 +159,7 @@ def softmax_normalize(edges, size, bandwidth=20.0, scheme="custom"):
     return WeightMatrix(rho=rho, scheme=str(scheme))
 
 
-def build_weights(views, scheme="uniform", bandwidth=20.0):
+def build_weights(views, scheme="uniform", bandwidth=BANDWIDTH):
     """Affinities -> selection -> soft-max, end to end, for a list of views
     or a problem.  Uniform selection reads no affinity, so reduces no view."""
     prob = build_multiview(views)

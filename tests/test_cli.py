@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import occakit
 from occakit import AltConfig, OmccaConfig, ScfConfig, SyntheticSpec, load_matrix, save_matrix
+from occakit import weighting
 from occakit.cli import build_parser, main
 from occakit.data import read_report
 
@@ -337,12 +339,35 @@ def test_solver_flag_defaults_are_the_config_defaults():
     gen = parse(["gen", "--m", "2", "--n", "2", "--q", "2", "--out", "o"])
     occa = parse(["occa", "--x", "x", "--y", "y", "--k", "1", "--out", "o"])
     omcca = parse(["omcca", "--views", "x", "y", "--k", "1", "--out", "o"])
+    ev = parse(["eval", "--data", "x", "y", "--proj", "p", "q", "--out", "o"])
     spec, alt, om, scf = SyntheticSpec(2, 2, 2), AltConfig(), OmccaConfig(), ScfConfig()
     assert (gen.lam, gen.seed) == (spec.lam, spec.seed)
     assert (occa.eps_alt, occa.max_outer) == (alt.eps_alt, alt.max_outer)
     assert (omcca.eps_outer, omcca.max_cycles) == (om.eps_outer, om.max_cycles)
     for args in (occa, omcca):
         assert (args.eps_scf, args.max_iter_scf) == (scf.eps_scf, scf.max_iter)
+    assert omcca.bandwidth == ev.bandwidth == weighting.BANDWIDTH
+    for fn in (weighting.softmax_normalize, weighting.build_weights):
+        assert inspect.signature(fn).parameters["bandwidth"].default == weighting.BANDWIDTH
+
+
+@pytest.mark.parametrize("command", ["omcca", "occa", "eval"])
+def test_sample_count_mismatch_names_the_file(tmp_path, capsys, command):
+    for prefix, q in (("d", 80), ("e", 60)):
+        assert run("gen", "--m", 6, "--n", 5, "--q", q, "--out", tmp_path / prefix) == 0
+    d_x, d_y, e_x, e_y = (tmp_path / f"{p}.csv" for p in ("d_x", "d_y", "e_x", "e_y"))
+    p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+    save_matrix(np.eye(6)[:, :2], p1)
+    save_matrix(np.eye(5)[:, :2], p2)
+    argv, bad = {
+        "omcca": (["--views", d_x, d_y, e_x, "--k", 2], e_x),
+        "occa": (["--x", d_x, "--y", e_y, "--k", 2], e_y),
+        "eval": (["--data", d_x, e_y, "--proj", p1, p2], e_y),
+    }[command]
+    assert run(command, *argv, "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "sample count" in err
 
 
 def save_rank_tail_views(tmp_path):
@@ -427,6 +452,31 @@ class TestEval:
         metrics = read_report(f"{ev}_metrics.json")
         assert metrics["rank_deficient"] is True
         assert metrics["k"] == 2
+
+    def test_orthogonalize_names_a_wide_projection_file(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=6, n=5, q=40)
+        wide, good = tmp_path / "wide.csv", tmp_path / "good.csv"
+        save_matrix(np.eye(2, 5), wide)
+        save_matrix(np.eye(5)[:, :2], good)
+        assert run("eval", "--data", x, y, "--proj", wide, good, "--orthogonalize",
+                   "--out", tmp_path / "ev") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wide}: ")
+        assert "projection 0 has shape (2, 5), expected (6, k)" in err
+
+    def test_rank_deficient_orthogonalize_still_checks_every_projection(self, tmp_path, capsys):
+        x, y = gen_pair(tmp_path, m=6, n=10, q=40)
+        bad, short = tmp_path / "bad.csv", tmp_path / "short.csv"
+        col = np.arange(6.0).reshape(-1, 1)
+        save_matrix(np.hstack([col, col]), bad)  # two identical columns
+        save_matrix(np.eye(7)[:, :2], short)
+        ev = tmp_path / "ev"
+        assert run("eval", "--data", x, y, "--proj", bad, short, "--orthogonalize",
+                   "--out", ev) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {short}: ")
+        assert "projection 1 has shape (7, 2), expected (10, k)" in err
+        assert not Path(f"{ev}_metrics.json").exists()
 
     def test_zero_cross_covariance_scores_zero(self, tmp_path):
         x1 = tmp_path / "x1.csv"

@@ -291,6 +291,32 @@ class TestOrthonormalize:
         assert np.array_equal(orthonormalize(M), orthonormalize(M.copy()))
 
 
+def test_fix_svd_signs_matches_the_column_loop():
+    def column_loop(U, Vt):
+        # the column-by-column rule, kept as the oracle
+        U, Vt = U.copy(), Vt.copy()
+        for j in range(U.shape[1]):
+            col = U[:, j]
+            nz = np.nonzero(col)[0]
+            if nz.size and col[nz[0]] < 0:
+                U[:, j] = -col
+                Vt[j, :] = -Vt[j, :]
+        return U, Vt
+
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((6, 5))
+    Vt = rng.standard_normal((5, 4))
+    U[0, 0] = -abs(U[0, 0])
+    U[:, 1] = 0.0                            # a zero column
+    U[:3, 2], U[3, 2] = 0.0, -1.5            # first nonzero below row 0, negative
+    U[:2, 3], U[2, 3] = 0.0, 0.5             # first nonzero below row 0, positive
+    U[0, 4], U[1, 4] = -0.0, -2.0            # a signed zero is not the first nonzero
+    before = (U.copy(), Vt.copy())
+    for got, want in zip(fix_svd_signs(U, Vt), column_loop(U, Vt)):
+        assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+    assert U.tobytes() == before[0].tobytes() and Vt.tobytes() == before[1].tobytes()
+
+
 def test_fix_svd_signs_preserves_product():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((5, 4))

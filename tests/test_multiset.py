@@ -424,6 +424,63 @@ def test_weights_for_another_view_count_rejected(n_weights):
         rcomcca(views, 1, WeightMatrix.custom(rho))
 
 
+@pytest.mark.parametrize("n_weights", [3, 2])
+@pytest.mark.parametrize("evaluator", ["total_correlation", "g_objective", "compute_Ds"])
+def test_evaluators_reject_weights_for_another_view_count(evaluator, n_weights):
+    views = three_views(seed=27)[: 5 - n_weights]
+    reduced = reduce_views(views)
+    hats = identity_hats(reduced, 1)
+    w = WeightMatrix.custom(np.ones((n_weights, n_weights)) - np.eye(n_weights))
+    call = {
+        "total_correlation": lambda: total_correlation(
+            [rv.U @ h for rv, h in zip(reduced, hats)], views, w),
+        "g_objective": lambda: g_objective(hats, w, reduced),
+        "compute_Ds": lambda: compute_Ds(0, hats, w, reduced),
+    }[evaluator]
+    with pytest.raises(ContractViolation, match=f"{n_weights} views, got {5 - n_weights}"):
+        call()
+
+
+@pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+def test_cycle_solves_read_the_iterates_of_their_order(monkeypatch, scheme):
+    # Jacobi: every solve of a cycle reads the iterates that ended the
+    # previous cycle; Gauss-Seidel: view s reads the fresh iterates of the
+    # views before it and the previous cycle's of the others
+    views = three_views(seed=41)
+    reduced = reduce_views(views)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    rho = build_weights(views, "uniform").rho
+    sigmas = [rv.sigma for rv in reduced]
+    hatX = identity_hats(reduced, 2)
+    solve_view = multiset._solve_view
+    calls = []
+
+    def recording_solve_view(s, read, *args):
+        out = solve_view(s, read, *args)
+        calls.append((s, list(read), out[0]))
+        return out
+
+    monkeypatch.setattr(multiset, "_solve_view", recording_solve_view)
+    cycles = multiset._cycles(
+        hatX, rho, multiset._cross_blocks(reduced, pairs), sigmas, scheme, ScfConfig()
+    )
+    ended = [list(hatX)]
+    for _ in range(3):
+        next(cycles)
+        ended.append(list(hatX))
+    assert [s for s, _, _ in calls] == [0, 1, 2] * 3
+    moved = 0
+    for c in range(3):
+        fresh = [X for _, _, X in calls[3 * c: 3 * c + 3]]
+        for s, read, _ in calls[3 * c: 3 * c + 3]:
+            expect = list(ended[c])
+            if scheme == "gauss_seidel":
+                expect[:s] = fresh[:s]
+            assert all(a is b for a, b in zip(read, expect))
+        moved += sum(X is not old for X, old in zip(fresh, ended[c]))
+    assert moved > 0  # fresh and old iterates differ, so the orders are told apart
+
+
 def test_solver_path_computes_no_certificate(monkeypatch):
     # the inner ScfReport certificates are computed only when read, and
     # no solver reads them
@@ -507,7 +564,7 @@ class TestOneProblem:
             ("zero", DegenerateViewError),
             ("1-d", ContractViolation),
             ("non-finite", ContractViolation),
-            ("sample count", ContractViolation),
+            ("sample count", ViewError),
         ],
     )
     def test_uniform_weights_still_check_the_views(self, reductions, bad, error):
@@ -522,7 +579,7 @@ class TestOneProblem:
         with pytest.raises(error) as exc:
             build_weights(views, "uniform")
         assert type(exc.value) is error
-        if bad == "zero":
+        if bad in ("zero", "sample count"):
             assert exc.value.view == 1
         assert reductions == []
 
