@@ -8,9 +8,9 @@ iteration cap (outputs still written), 4 domain error (rank deficiency,
 degenerate, isolated or, under ``--no-center``, uncentered views, views
 on different sample counts, bad shapes, a tolerance that is not positive
 and finite, a non-finite bandwidth, a rank tolerance outside [0, 1), a
-negative seed or a noise scale that is negative or not finite for
-``gen``).  Flag defaults are those of the solver configs and
-``weighting``.  Messages call the i-th data file
+negative seed or a noise scale that is negative, not finite or so
+large that ``gen``'s views overflow).  Flag defaults are those of the
+solver configs and ``weighting``.  Messages call the i-th data file
 "view i", counting from 0; ``omcca`` writes view i's projection to
 ``<out>_view{i+1}_proj.csv``, counting from 1.
 """
@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_MAXITER = 3
 EXIT_DOMAIN = 4
+
+# termination reasons of a solve stopped at its iteration cap (exit 3)
+_CAPS = ("max_outer", "max_cycles")
 
 
 def build_parser():
@@ -105,15 +108,29 @@ def build_parser():
     return top
 
 
-def _load_view(path, args):
-    M = dio.load_matrix(path, header=args.header)
-    if args.center:
-        M = dio.center(M)
-    return M
+def _load_views(args, paths):
+    """The data files in order, each centered on load unless ``--no-center``."""
+    center = dio.center if args.center else (lambda M: M)
+    return [center(dio.load_matrix(path, header=args.header)) for path in paths]
 
 
-def _config(args, *names):
-    return {name: getattr(args, name) for name in names}
+def _write_outputs(args, t0, projections, config, line, /, kind="report", **payload):
+    """Save each projection as ``<out>_{key}_proj.csv``; write ``payload``,
+    stamped with the solver, schema version, seed, the ``config`` options
+    and the wall time since ``t0``, to ``<out>_{kind}.json``; print
+    ``line``.  Returns exit code 3 for a solve stopped at its cap, else 0."""
+    for key, X in projections.items():
+        dio.save_matrix(X, f"{args.out}_{key}_proj.csv")
+    payload.update(
+        schema_version=dio.SCHEMA_VERSION,
+        solver=args.command,
+        seed=args.seed,
+        config={option: getattr(args, option) for option in config},
+        wall_time_seconds=time.perf_counter() - t0,
+    )
+    dio.write_report(payload, f"{args.out}_{kind}.json")
+    print(line)
+    return EXIT_MAXITER if payload.get("termination_reason") in _CAPS else EXIT_OK
 
 
 def cmd_gen(args):
@@ -127,41 +144,27 @@ def cmd_gen(args):
 
 def cmd_occa(args):
     t0 = time.perf_counter()
-    s1 = _load_view(args.x, args)
-    s2 = _load_view(args.y, args)
-    prob = twoview.build_two_view(s1, s2)
     rep = twoview.occa_alternate(
-        prob,
+        twoview.build_two_view(*_load_views(args, [args.x, args.y])),
         args.k,
         alt_cfg=twoview.AltConfig(eps_alt=args.eps_alt, max_outer=args.max_outer),
         scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
     )
-    dio.save_matrix(rep.X, f"{args.out}_x_proj.csv")
-    dio.save_matrix(rep.Y, f"{args.out}_y_proj.csv")
-    payload = dio.make_report(
-        solver="occa",
-        k=args.k,
-        objective_trace=rep.F_trace,
-        grad_norms=[rep.grad_norm_final],
-        gaps=[],
-        iterations=rep.outer_iterations,
-        termination_reason=rep.termination_reason,
-        wall_time_seconds=time.perf_counter() - t0,
-        seed=args.seed,
-        config=_config(args, "eps_alt", "max_outer", "eps_scf", "max_iter_scf", "center"),
-        f_final=rep.f_final,
-        xcy_min_eigs=rep.xcy_min_eigs,
+    return _write_outputs(
+        args, t0, {"x": rep.X, "y": rep.Y},
+        ("eps_alt", "max_outer", "eps_scf", "max_iter_scf", "center"),
+        f"occa: f={rep.f_final:.12g} ({rep.termination_reason}, {rep.outer_iterations} outer)",
+        k=args.k, objective_trace=rep.F_trace, grad_norms=[rep.grad_norm_final], gaps=[],
+        iterations=rep.outer_iterations, termination_reason=rep.termination_reason,
+        f_final=rep.f_final, xcy_min_eigs=rep.xcy_min_eigs,
     )
-    dio.write_report(payload, f"{args.out}_report.json")
-    print(f"occa: f={rep.f_final:.12g} ({rep.termination_reason}, {rep.outer_iterations} outer)")
-    return EXIT_MAXITER if rep.termination_reason == "max_outer" else EXIT_OK
 
 
 def cmd_omcca(args):
     t0 = time.perf_counter()
-    prob = multiset.build_multiview([_load_view(p, args) for p in args.views])
+    prob = multiset.build_multiview(_load_views(args, args.views))
     # read before the solve: every weighting reports rho_hat, which checks the views' scale
-    rho_hat = [[float(v) for v in row] for row in prob.rho_hat]
+    rho_hat = prob.rho_hat.tolist()
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rep = multiset.rcomcca(
         prob,
@@ -174,61 +177,33 @@ def cmd_omcca(args):
             scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
         ),
     )
-    for i, X in enumerate(rep.projections, start=1):
-        dio.save_matrix(X, f"{args.out}_view{i}_proj.csv")
-    payload = dio.make_report(
-        solver="omcca",
-        k=args.k,
-        objective_trace=rep.g_trace,
-        grad_norms=[],
-        gaps=[],
-        iterations=rep.cycles,
-        termination_reason=rep.termination_reason,
-        wall_time_seconds=time.perf_counter() - t0,
-        seed=args.seed,
-        config=_config(args, "scheme", "weights", "bandwidth", "eps_outer", "max_cycles",
-                       "eps_scf", "max_iter_scf", "center"),
-        weight_matrix=[[float(v) for v in row] for row in w.rho],
-        rho_hat=rho_hat,
-        loop_g_trace=rep.loop_g_trace,
-        ds_terms_per_cycle=rep.ds_terms_per_cycle,
+    return _write_outputs(
+        args, t0, {f"view{i}": X for i, X in enumerate(rep.projections, start=1)},
+        ("scheme", "weights", "bandwidth", "eps_outer", "max_cycles", "eps_scf",
+         "max_iter_scf", "center"),
+        f"omcca: g={rep.g_trace[-1]:.12g} ({rep.termination_reason}, {rep.cycles} cycles)",
+        k=args.k, objective_trace=rep.g_trace, grad_norms=[], gaps=[],
+        iterations=rep.cycles, termination_reason=rep.termination_reason,
+        weight_matrix=w.rho.tolist(), rho_hat=rho_hat,
+        loop_g_trace=rep.loop_g_trace, ds_terms_per_cycle=rep.ds_terms_per_cycle,
     )
-    dio.write_report(payload, f"{args.out}_report.json")
-    print(
-        f"omcca: g={rep.g_trace[-1]:.12g} ({rep.termination_reason}, {rep.cycles} cycles)"
-    )
-    return EXIT_MAXITER if rep.termination_reason == "max_cycles" else EXIT_OK
 
 
 def cmd_cca_baseline(args):
     t0 = time.perf_counter()
-    s1 = _load_view(args.x, args)
-    s2 = _load_view(args.y, args)
-    prob = twoview.build_two_view(s1, s2)
+    prob = twoview.build_two_view(*_load_views(args, [args.x, args.y]))
     X1, X2, corr = twoview.classical_cca(prob, args.k, rank_tol=args.rank_tol)
-    dio.save_matrix(X1, f"{args.out}_x_proj.csv")
-    dio.save_matrix(X2, f"{args.out}_y_proj.csv")
-    payload = dio.make_report(
-        solver="cca-baseline",
-        k=args.k,
-        objective_trace=[float(c) for c in corr],
-        grad_norms=[],
-        gaps=[],
-        iterations=0,
-        termination_reason="direct",
-        wall_time_seconds=time.perf_counter() - t0,
-        seed=args.seed,
-        config=_config(args, "rank_tol", "center"),
-        correlations=[float(c) for c in corr],
+    return _write_outputs(
+        args, t0, {"x": X1, "y": X2}, ("rank_tol", "center"),
+        f"cca-baseline: top correlation {corr[0]:.12g}",
+        k=args.k, objective_trace=corr.tolist(), grad_norms=[], gaps=[],
+        iterations=0, termination_reason="direct", correlations=corr.tolist(),
     )
-    dio.write_report(payload, f"{args.out}_report.json")
-    print(f"cca-baseline: top correlation {corr[0]:.12g}")
-    return EXIT_OK
 
 
 def cmd_eval(args):
     t0 = time.perf_counter()
-    views = [_load_view(p, args) for p in args.data]
+    views = _load_views(args, args.data)
     projs = [dio.load_matrix(p) for p in args.proj]
     if len(views) != len(projs):
         raise ContractViolation(
@@ -253,24 +228,13 @@ def cmd_eval(args):
             raise
         raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
 
-    metrics = {
-        "schema_version": dio.SCHEMA_VERSION,
-        "solver": "eval",
-        "k": int(projs[0].shape[1]),
-        "rank_deficient": rank_deficient,
-        "orthogonalized": bool(args.orthogonalize),
-        "seed": args.seed,
-        "config": _config(args, "weights", "bandwidth"),
-        "total_correlation": total,
-    }
-    if len(views) == 2:
-        # every scheme weighs the one pair exactly 1, so this is objective_f
-        metrics["f"] = total / 2
-        metrics["F"] = metrics["f"] ** 2
-    metrics["wall_time_seconds"] = time.perf_counter() - t0
-    dio.write_report(metrics, f"{args.out}_metrics.json")
-    print(f"eval: total_correlation={total:.12g}")
-    return EXIT_OK
+    # every scheme weighs the one pair of two views exactly 1, so f is objective_f
+    pair = {"f": total / 2, "F": (total / 2) ** 2} if len(views) == 2 else {}
+    return _write_outputs(
+        args, t0, {}, ("weights", "bandwidth"), f"eval: total_correlation={total:.12g}",
+        kind="metrics", k=int(projs[0].shape[1]), rank_deficient=rank_deficient,
+        orthogonalized=bool(args.orthogonalize), total_correlation=total, **pair,
+    )
 
 
 _DISPATCH = {

@@ -75,7 +75,8 @@ def gen_synthetic(spec):
     All factor matrices are standard normal, each drawn from its own
     substream of the seed in the fixed order Z, W, P_X, Q_X, P_Y, Q_Y,
     E_X, E_Y, so outputs are bitwise reproducible per seed.  Outputs are
-    NOT centered; callers center explicitly.
+    NOT centered; callers center explicitly.  A ``lam`` so large that a
+    view overflows raises ContractViolation.
     """
     m, n, q = spec.m, spec.n, spec.q
     d_z, d_w = spec.d_z, spec.d_w
@@ -89,8 +90,11 @@ def gen_synthetic(spec):
     Q_Y = draw[5].standard_normal((n, d_w))
     E_X = draw[6].standard_normal((m, q))
     E_Y = draw[7].standard_normal((n, q))
-    S_X = P_X @ Z + Q_X @ W + spec.lam * E_X
-    S_Y = P_Y @ Z + Q_Y @ W + spec.lam * E_Y
+    with np.errstate(over="ignore", invalid="ignore"):
+        S_X = P_X @ Z + Q_X @ W + spec.lam * E_X
+        S_Y = P_Y @ Z + Q_Y @ W + spec.lam * E_Y
+    if not (np.isfinite(S_X).all() and np.isfinite(S_Y).all()):
+        raise ContractViolation(f"lam={spec.lam!r} puts the views outside floating-point range")
     return S_X, S_Y
 
 
@@ -196,37 +200,6 @@ def save_matrix(M, path):
     row_format = ",".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(row_format % tuple(row.tolist()) for row in M)
-
-
-def make_report(
-    solver,
-    k,
-    objective_trace,
-    grad_norms,
-    gaps,
-    iterations,
-    termination_reason,
-    wall_time_seconds,
-    seed,
-    config,
-    **extra,
-):
-    """Assemble the canonical report payload; extra keys ride along."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "solver": solver,
-        "k": k,
-        "objective_trace": [float(v) for v in objective_trace],
-        "grad_norms": [float(v) for v in grad_norms],
-        "gaps": [float(v) for v in gaps],
-        "iterations": int(iterations),
-        "termination_reason": termination_reason,
-        "wall_time_seconds": float(wall_time_seconds),
-        "seed": seed,
-        "config": config,
-    }
-    payload.update(extra)
-    return payload
 
 
 def write_report(payload, path):

@@ -276,15 +276,15 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     partners' current iterates, without committing anything.
 
     The start G is ``scf._settled``'s: hatX_s, moved by its rule only
-    where tr(hatX_s^T D_s) = 0.  When 5k < r_s the subproblem is solved
-    inside the search space W = orth[G, grad_s, D_s, Lambda_s grad_s]
-    (Lambda_s = diag(sigma_s^2), grad_s the subproblem gradient at G): SCF on
-    (W^T Lambda_s W, W^T D_s) from [I_k; 0], lifted back as W Z.  A W of
-    k columns means G is already a KKT point.  Otherwise (5k >= r_s) SCF
-    runs on the full subproblem from G.  A solution that ends lower than
-    G (tolerance slack only) is dropped, so no step lowers the subproblem
-    objective.  Returns (the kept iterate, the objective at it, SCF
-    sweeps); the iterate is G itself when nothing moved.
+    where tr(hatX_s^T D_s) = 0.  SCF solves (W^T Lambda_s W, W^T D_s)
+    (Lambda_s = diag(sigma_s^2)) and its solution Z is lifted back as W Z.
+    When 5k < r_s, W is the search space orth[G, grad_s, D_s,
+    Lambda_s grad_s] (grad_s the subproblem gradient at G) and SCF starts
+    from [I_k; 0]; a W of k columns means G is already a KKT point.
+    Otherwise (5k >= r_s) W = I and SCF starts from G.  A solution that
+    ends lower than G (tolerance slack only) is dropped, so no step lowers
+    the subproblem objective.  Returns (the kept iterate, the objective at
+    it, SCF sweeps); the iterate is G itself when nothing moved.
     """
     r, k = hatX[s].shape
     lam = sigmas[s] ** 2
@@ -292,19 +292,18 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     cur = _settled(hatX[s], D, lambda X: lam[:, None] * X)
     G = cur.G
     if _SEARCH_BLOCKS * k >= r:
-        # only the full-space solve reads a dense diag(sigma_s^2)
-        rep = scf_solve(SubproblemSpec(np.diag(lam), D, validate=False), G0=G, cfg=scf_cfg)
-        X, e = rep.solution, rep.eta_trace[-1]
+        W, start = np.eye(r), G
     else:
         grad = cur.grad()
         W = _search_space(G, [grad, D, lam[:, None] * grad])
         if W.shape[1] == k:
             return G, cur.eta, 0
-        A = W.T @ (lam[:, None] * W)
-        sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
-        rep = scf_solve(sub, G0=np.eye(W.shape[1], k), cfg=scf_cfg)
-        X = ensure_orthonormal(W @ rep.solution)
-        e = _Iterate(X, D, lam[:, None] * X).eta
+        start = np.eye(W.shape[1], k)
+    A = W.T @ (lam[:, None] * W)
+    sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
+    rep = scf_solve(sub, G0=start, cfg=scf_cfg)
+    X = ensure_orthonormal(W @ rep.solution)
+    e = _Iterate(X, D, lam[:, None] * X).eta
     if e < cur.eta:
         return G, cur.eta, rep.iterations
     return X, e, rep.iterations

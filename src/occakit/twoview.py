@@ -206,6 +206,6 @@ def post_orthogonalize(X):
     sv = np.linalg.svd(X, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficiencyError(
-            f"columns are numerically dependent: sigma_k/sigma_1 = {sv[-1] / sv[0]:.3e}"
+            f"columns are numerically dependent: sigma_k = {sv[-1]:.3e}, sigma_1 = {sv[0]:.3e}"
         )
     return orthonormalize(X)

@@ -142,16 +142,17 @@ def select_weights(rho_hat, scheme):
 def softmax_normalize(edges, size, bandwidth=BANDWIDTH, scheme="custom"):
     """Soft-max the selected pair values into weights summing to 1.
 
-    Uses the max-subtraction trick so bandwidth 20 cannot overflow, which
-    also makes the result invariant to shifting all values by a constant.
-    Unselected pairs stay exactly zero.
+    Subtracts the largest value (the smallest under a negative bandwidth)
+    before exponentiating, so no exponent is positive and none can
+    overflow; this also makes the result invariant to shifting all values
+    by a constant.  Unselected pairs stay exactly zero.
     """
     if not np.isfinite(bandwidth):
         raise ContractViolation(f"bandwidth must be finite, got {bandwidth!r}")
     if not edges:
         raise ContractViolation("no selected pairs to normalize")
     vals = np.array([v for _, _, v in edges], dtype=float)
-    ex = np.exp(bandwidth * (vals - vals.max()))
+    ex = np.exp(bandwidth * (vals - (vals.max() if bandwidth >= 0 else vals.min())))
     w = ex / ex.sum()
     rho = np.zeros((size, size))
     for (i, j, _), wij in zip(edges, w):

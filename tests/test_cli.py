@@ -60,7 +60,7 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "option, field", [(("--seed", "-1"), "seed"), (("--lam", "nan"), "lam"),
-                          (("--lam", "inf"), "lam")]
+                          (("--lam", "inf"), "lam"), (("--lam", "1e308"), "lam")]
     )
     def test_bad_spec_is_domain_error_and_writes_nothing(self, tmp_path, capsys, option, field):
         assert run("gen", "--m", 2, "--n", 2, "--q", 3, *option, "--out", tmp_path / "p") == 4
@@ -204,6 +204,14 @@ class TestOmcca:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {files[isolated]}: ")
         assert f"view {isolated} has no nonzero pair weights" in err
+
+    def test_large_negative_bandwidth_leaves_a_view_without_weight(self, tmp_path, capsys):
+        # the soft-max puts all tree weight on the least similar pair; the
+        # weights stay finite, so the isolated view is named, not the data
+        x, y = gen_pair(tmp_path, m=12, n=10, q=80, seed=1)
+        assert run("omcca", "--views", x, y, x, "--k", 2, "--weights", "tree",
+                   "--bandwidth=-1e4", "--out", tmp_path / "run") == 4
+        assert capsys.readouterr().err == f"error: {x}: view 2 has no nonzero pair weights\n"
 
     @pytest.mark.parametrize("command", ["omcca", "occa"])
     def test_no_center_uncentered_view_named_by_file(self, tmp_path, capsys, command):
@@ -368,6 +376,45 @@ def test_sample_count_mismatch_names_the_file(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
     assert "sample count" in err
+
+
+_STAMP_KEYS = {"schema_version", "solver", "k", "seed", "config", "wall_time_seconds"}
+_RUN_KEYS = _STAMP_KEYS | {"objective_trace", "grad_norms", "gaps", "iterations",
+                           "termination_reason"}
+_EVAL_KEYS = _STAMP_KEYS | {"rank_deficient", "orthogonalized", "total_correlation"}
+
+
+@pytest.mark.parametrize(
+    "command, argv, keys, config",
+    [
+        ("occa", ["--x", "d_x.csv", "--y", "d_y.csv", "--k", "2"],
+         _RUN_KEYS | {"f_final", "xcy_min_eigs"},
+         {"eps_alt", "max_outer", "eps_scf", "max_iter_scf", "center"}),
+        ("omcca", ["--views", "d_x.csv", "d_y.csv", "--k", "2"],
+         _RUN_KEYS | {"weight_matrix", "rho_hat", "loop_g_trace", "ds_terms_per_cycle"},
+         {"scheme", "weights", "bandwidth", "eps_outer", "max_cycles", "eps_scf",
+          "max_iter_scf", "center"}),
+        ("cca-baseline", ["--x", "d_x.csv", "--y", "d_y.csv", "--k", "2"],
+         _RUN_KEYS | {"correlations"}, {"rank_tol", "center"}),
+        ("eval", ["--data", "d_x.csv", "d_y.csv", "--proj", "p_x_proj.csv", "p_y_proj.csv"],
+         _EVAL_KEYS | {"f", "F"}, {"weights", "bandwidth"}),
+        ("eval", ["--data", "d_x.csv", "d_y.csv", "d_x.csv",
+                  "--proj", "p_x_proj.csv", "p_y_proj.csv", "p_x_proj.csv"],
+         _EVAL_KEYS, {"weights", "bandwidth"}),
+    ],
+    ids=["occa", "omcca", "cca-baseline", "eval-two-views", "eval-three-views"],
+)
+def test_json_key_sets(tmp_path, monkeypatch, command, argv, keys, config):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--m", 8, "--n", 7, "--q", 50, "--out", "d") == 0
+    assert run("cca-baseline", "--x", "d_x.csv", "--y", "d_y.csv", "--k", 2, "--out", "p") == 0
+    assert run(command, *argv, "--seed", 9, "--out", "o") in (0, 3)
+    (path,) = tmp_path.glob("o_*.json")
+    assert path.name == ("o_metrics.json" if command == "eval" else "o_report.json")
+    rep = read_report(path)
+    assert set(rep) == keys
+    assert set(rep["config"]) == config
+    assert (rep["schema_version"], rep["solver"], rep["seed"]) == (1, command, 9)
 
 
 def save_rank_tail_views(tmp_path):

@@ -363,6 +363,10 @@ class TestPostOrthogonalize:
         with pytest.raises(RankDeficiencyError):
             post_orthogonalize(np.hstack([x, x]))
 
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(RankDeficiencyError, match="numerically dependent"):
+            post_orthogonalize(np.zeros((5, 2)))
+
     def test_spans_same_column_space(self):
         rng = np.random.default_rng(15)
         X = rng.standard_normal((7, 3))

@@ -162,6 +162,12 @@ class TestSoftmaxNormalize:
         total = sum(w.rho[i, j] for i in range(4) for j in range(i + 1, 4))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_large_negative_bandwidth_stays_finite(self):
+        w = softmax_normalize([(0, 1, 0.7), (0, 2, 0.4), (1, 2, 0.9)], size=3, bandwidth=-1e4)
+        assert np.all(np.isfinite(w.rho))
+        assert w.rho[0, 1] + w.rho[0, 2] + w.rho[1, 2] == pytest.approx(1.0, abs=1e-12)
+        assert w.rho[0, 2] == 1.0  # the smallest value takes all the weight
+
     @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_bandwidth_rejected(self, bandwidth):
         with pytest.raises(ContractViolation, match="bandwidth"):
