@@ -47,8 +47,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.m, self.n, self.q) < 1:
-            raise ContractViolation("m, n, q must all be >= 1")
+        if min(self.m, self.n) < 1:
+            raise ContractViolation("m and n must both be >= 1")
+        if self.q < 2:
+            # centering a single sample leaves both views identically zero
+            raise ContractViolation(f"q must be >= 2, got {self.q!r}")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ContractViolation(f"lam must be nonnegative and finite, got {self.lam!r}")
         if self.seed < 0:

@@ -11,11 +11,14 @@ solve ends lower; cycles follow either a Jacobi scheme (all updates read
 the previous cycle's iterates) or a Gauss-Seidel scheme (updates consume
 fresh iterates; the total correlation then never decreases).  Both run
 on the calling thread.  ``_cycles`` is that loop for both schemes and
-for the two-view solver.
+for the two-view solver.  ``rcomcca`` follows each Jacobi cycle with an
+Anderson extrapolation of the cycle map, kept only where it raises the
+total correlation.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,6 +47,9 @@ _DROP_TOL = 1e-6
 # Row means above this (relative to the matrix scale) fail the
 # centering contract.
 _CENTER_TOL = 1e-10
+# The Jacobi extrapolation mixes the last this-many-plus-one (snapshot,
+# committed) pairs of cycles, that is this many differences.
+_ANDERSON_DEPTH = 3
 
 
 @dataclass
@@ -86,6 +92,8 @@ class OmccaReport:
     ``ds_terms_per_cycle`` counts the nonzero off-diagonal weights, i.e.
     one K_sj hatX_j product per ordered pair of selected views (exactly
     2(l-1) per cycle under tree weighting).
+    ``extrapolated`` lists the Jacobi cycles whose Anderson candidate was
+    kept; their ``g_trace`` entry is the total correlation at it.
     """
 
     projections: list
@@ -94,6 +102,7 @@ class OmccaReport:
     cycles: int = 0
     per_cycle_subproblem_iters: list = field(default_factory=list)
     ds_terms_per_cycle: list = field(default_factory=list)
+    extrapolated: list = field(default_factory=list)
     termination_reason: str = "max_cycles"
 
 
@@ -375,21 +384,67 @@ def total_correlation(projections, views, weights):
     return total
 
 
+def _realign(hatX, rho, blocks, sigmas):
+    """The Jacobi realignment sweep: rotates each view of ``hatX`` in place,
+    in view order, inside its own span against the pull of its partners'
+    current iterates.  Simultaneous updates only align each view to its
+    partners' stale representatives, which can leave the merged set
+    mutually anti-aligned (the subspaces are fine, the signs oscillate);
+    this sweep repairs that without moving any subspace."""
+    for s in range(len(hatX)):
+        hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, sigmas))
+
+
+class _Extrapolation:
+    """Type-II Anderson extrapolation of the Jacobi cycle map x -> y
+    (Walker & Ni, SINUM 49, 2011) over the last ``_ANDERSON_DEPTH + 1``
+    (snapshot, committed) pairs.
+
+    ``propose(x, y)`` records the pair of the cycle just run and, once two
+    are stored, rotates every stored block of view s onto y_s by
+    orthogonal Procrustes, so the proposal depends on the stored subspaces
+    alone.  With the views flattened and f_i = y_i - x_i it solves
+    min ||f_c - dF gamma|| by least squares and returns the blocks of
+    z = y_c - dY gamma, not yet retracted onto the constraint set."""
+
+    def __init__(self):
+        self.pairs = collections.deque(maxlen=_ANDERSON_DEPTH + 1)
+
+    def propose(self, x, y):
+        self.pairs.append((list(x), list(y)))
+        if len(self.pairs) < 2:
+            return None
+        # per view, one batched SVD gives the polar factor of every stored
+        # block's M^T y_s; rows alternate x_0, y_0, x_1, y_1, ...
+        rows = []
+        for s, ref in enumerate(y):
+            M = np.stack([blocks[s] for pair in self.pairs for blocks in pair])
+            U, _, Vt = np.linalg.svd(M.transpose(0, 2, 1) @ ref)
+            rows.append((M @ (U @ Vt)).reshape(len(M), -1))
+        XY = np.hstack(rows).T
+        Y = XY[:, 1::2]
+        F = Y - XY[:, 0::2]
+        gamma = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
+        z = Y[:, -1] - np.diff(Y, axis=1) @ gamma
+        ends = np.cumsum([b.size for b in y])
+        return [part.reshape(b.shape) for part, b in zip(np.split(z, ends[:-1]), y)]
+
+
 def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg):
     """The outer cycle of every solver: updates ``hatX`` in place and
     yields (cycle, loop_g, sweeps) after each cycle, forever.
 
     Each view's step is ``_solve_view`` against its partners' current
     iterates, so a cycle depends on nothing but ``hatX``; the caller may
-    rotate ``hatX`` between cycles.  ``loop_g`` sums the subproblem
-    objectives at the kept iterates and ``sweeps`` holds each view's SCF
-    sweeps.  Both orders solve the views in order and commit each result
-    at once; they differ only in the list the solves read.  Gauss-Seidel
-    reads ``hatX`` itself, so view s sees the fresh iterates of the views
-    before it.  Jacobi reads the Jacobi snapshot, a copy of the list as
-    the previous cycle left it, and then realigns each view against its
-    fresh partners.  A view's solve that leaves floating-point range
-    raises a ``ViewError`` naming the view.
+    replace ``hatX``'s entries between cycles.  ``loop_g`` sums the
+    subproblem objectives at the kept iterates and ``sweeps`` holds each
+    view's SCF sweeps.  Both orders solve the views in order and commit
+    each result at once; they differ only in the list the solves read.
+    Gauss-Seidel reads ``hatX`` itself, so view s sees the fresh iterates
+    of the views before it.  Jacobi reads the Jacobi snapshot, a copy of
+    the list as the previous cycle left it, and then runs ``_realign``.
+    A view's solve that leaves floating-point range raises a
+    ``ViewError`` naming the view.
     """
     ell = len(hatX)
     for cycle in itertools.count(1):
@@ -405,13 +460,7 @@ def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg):
                 raise ViewError(msg, view=s) from exc
             hatX[s] = outs[s][0]
         if scheme == "jacobi":
-            # simultaneous updates only align each view to its partners'
-            # stale representatives, which can leave the merged set
-            # mutually anti-aligned (the subspaces are fine, the signs
-            # oscillate); one in-subspace realignment sweep against the
-            # fresh partners repairs that without moving any subspace
-            for s in range(ell):
-                hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, sigmas))
+            _realign(hatX, rho, blocks, sigmas)
         # summed left to right: builtin sum() compensates on Python >= 3.12
         loop_g = 0.0
         for _, e_s, _ in outs:
@@ -428,8 +477,12 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     identity columns and runs ``_cycles`` in the configured order, each
     view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
     sum of subproblem optima changes by at most ``eps_outer`` relative, or
-    at the cycle cap.  ``threads`` (at least 1) has no effect: every cycle
-    runs on the calling thread.  Raises ``RankDeficiencyError`` (0-based
+    at the cycle cap.  After each Jacobi cycle that does not stop, the
+    ``_Extrapolation`` candidate, orthonormalized view by view and
+    realigned by ``_realign``, replaces the committed iterates when its
+    total correlation is strictly higher; the returned projections are
+    thus always a plain cycle's output.  ``threads`` (at least 1) has no
+    effect: every cycle runs on the calling thread.  Raises ``RankDeficiencyError`` (0-based
     ``.view``) unless k is below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
@@ -447,6 +500,8 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
 
     report = OmccaReport(projections=[])
     loop_g_last = 0.0
+    extrapolation = _Extrapolation()
+    read = list(hatX)
     cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg)
     for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
         report.cycles = cycle
@@ -458,6 +513,17 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
             report.termination_reason = "rel_change_tol"
             break
         loop_g_last = loop_g
+        if cfg.scheme == "jacobi":
+            z = extrapolation.propose(read, hatX)
+            if z is not None:
+                z = [orthonormalize(b) for b in z]
+                _realign(z, rho, blocks, sigmas)
+                g_z = _g(z, rho, pairs, blocks, sigmas)
+                if g_z > report.g_trace[-1]:
+                    hatX[:] = z
+                    report.g_trace[-1] = g_z
+                    report.extrapolated.append(cycle)
+            read = list(hatX)
 
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
     return report

@@ -27,6 +27,7 @@ iterate before it picks its search space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 
@@ -101,12 +102,13 @@ def _symmetric_data(A, D):
 
 def require_stop_rule(cfg, tol, cap):
     """A solver config's tolerance field ``tol`` positive and finite, its
-    cap field ``cap`` at least 1."""
+    cap field ``cap`` an integer (not a bool) at least 1."""
     value = getattr(cfg, tol)
     if not (value > 0 and np.isfinite(value)):
         raise ContractViolation(f"{tol} must be positive and finite, got {value!r}")
-    if getattr(cfg, cap) < 1:
-        raise ContractViolation(f"{cap} must be at least 1")
+    count = getattr(cfg, cap)
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ContractViolation(f"{cap} must be an integer at least 1, got {count!r}")
 
 
 @dataclass

@@ -226,8 +226,12 @@ def _full_update(s, hat, rho, blocks, sigmas, scf_cfg):
 def full_space_rcomcca(views, k, weights, cfg):
     """The multiset alternation with every subproblem solved by SCF on the
     view's whole reduced space, replayed through ``view_spec``, the
-    public scf_solve and align.  Returns (projections, g_trace)."""
-    from occakit import align, g_objective, reduce_views, scf_solve
+    public scf_solve and align.  Jacobi cycles that do not stop are
+    followed by the library's Anderson proposal, retracted here through
+    the public orthonormalize and align and kept where g_objective rises.
+    Returns (projections, g_trace)."""
+    from occakit import align, g_objective, orthonormalize, reduce_views, scf_solve
+    from occakit.multiset import _Extrapolation
 
     reduced = reduce_views(views)
     rho = weights.rho
@@ -237,9 +241,16 @@ def full_space_rcomcca(views, k, weights, cfg):
         blocks[i, j] = np.diag(ri.sigma) @ ri.V.T @ rj.V @ np.diag(rj.sigma)
         blocks[j, i] = blocks[i, j].T
     sigmas = [rv.sigma for rv in reduced]
+
+    def realigned(hat):
+        for s in range(len(hat)):
+            hat[s] = align(hat[s], view_spec(s, hat, rho, blocks, sigmas).D)
+        return hat
+
     hat = [np.eye(rv.r)[:, :k] for rv in reduced]
     g_trace = []
     loop_prev = 0.0
+    extrapolation = _Extrapolation()
     for _ in range(cfg.max_cycles):
         if cfg.scheme == "gauss_seidel":
             loop_g = sum(
@@ -248,14 +259,19 @@ def full_space_rcomcca(views, k, weights, cfg):
         else:
             specs = [view_spec(s, hat, rho, blocks, sigmas) for s in range(len(hat))]
             reps = [scf_solve(sp, G0=h, cfg=cfg.scf_cfg) for sp, h in zip(specs, hat)]
-            hat = [rep.solution for rep in reps]
+            read, hat = hat, realigned([rep.solution for rep in reps])
             loop_g = sum(rep.eta_trace[-1] for rep in reps)
-            for s in range(len(hat)):
-                hat[s] = align(hat[s], view_spec(s, hat, rho, blocks, sigmas).D)
         g_trace.append(g_objective(hat, weights, reduced))
         if abs(loop_g - loop_prev) <= cfg.eps_outer * loop_g:
             break
         loop_prev = loop_g
+        if cfg.scheme == "jacobi":
+            z = extrapolation.propose(read, hat)
+            if z is not None:
+                z = realigned([orthonormalize(b) for b in z])
+                g_z = g_objective(z, weights, reduced)
+                if g_z > g_trace[-1]:
+                    hat, g_trace[-1] = z, g_z
     return [rv.U @ h for rv, h in zip(reduced, hat)], g_trace
 
 

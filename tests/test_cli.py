@@ -67,6 +67,12 @@ class TestGen:
         assert field in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_single_sample_is_domain_error_and_writes_nothing(self, tmp_path, capsys):
+        # centering one sample would leave both views identically zero
+        assert run("gen", "--m", 3, "--n", 2, "--q", 1, "--out", tmp_path / "q1") == 4
+        assert "q must be >= 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestOcca:
     def test_identical_views_unit_correlation(self, tmp_path):

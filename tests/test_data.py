@@ -80,6 +80,13 @@ class TestGenSynthetic:
         with pytest.raises(ContractViolation, match="lam"):
             SyntheticSpec(m=2, n=2, q=3, lam=lam)
 
+    def test_single_sample_rejected(self):
+        # centering one sample leaves both views identically zero
+        with pytest.raises(ContractViolation, match="q must be >= 2"):
+            SyntheticSpec(m=3, n=2, q=1)
+        with pytest.raises(ContractViolation, match="lam"):
+            SyntheticSpec(m=1, n=1, q=2, lam=-1.0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ContractViolation, match="seed"):
             SyntheticSpec(m=2, n=2, q=3, seed=-1)

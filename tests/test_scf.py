@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from occakit import (
+    AltConfig,
     ContractViolation,
+    OmccaConfig,
     ScfConfig,
     SolverFailure,
     SubproblemSpec,
@@ -505,6 +507,18 @@ def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):
 def test_input_checks_raise_their_documented_class(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("count", [2.5, float("nan"), True], ids=["fraction", "nan", "bool"])
+@pytest.mark.parametrize(
+    ("config", "cap"),
+    [(ScfConfig, "max_iter"), (OmccaConfig, "max_cycles"), (AltConfig, "max_outer")],
+)
+def test_iteration_cap_must_be_an_integer(config, cap, count):
+    # a fractional cap would run ceil(cap) sweeps or die inside islice
+    with pytest.raises(ContractViolation, match=cap):
+        config(**{cap: count})
+    assert getattr(config(**{cap: np.int64(3)}), cap) == 3
 
 
 class TestSecondOrderCheck:
