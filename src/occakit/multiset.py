@@ -10,10 +10,10 @@ when 5k is below the view's rank, and keeps the view's iterate when the
 solve ends lower; cycles follow either a Jacobi scheme (all updates read
 the previous cycle's iterates) or a Gauss-Seidel scheme (updates consume
 fresh iterates; the total correlation then never decreases).  Both run
-on the calling thread.  ``_cycles`` is that loop for both schemes and
-for the two-view solver.  ``rcomcca`` follows each Jacobi cycle with an
-Anderson extrapolation of the cycle map, kept only where it raises the
-total correlation.
+on the calling thread.  ``_run`` is the one outer loop, for both schemes
+and for the two-view solver; after each Jacobi cycle but the last it
+tries an Anderson extrapolation of the cycle map, kept only where it
+raises the total correlation.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import (
     ViewError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, require_stop_rule, scf_solve
+from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, require_count, require_stop_rule
+from .scf import scf_solve
 
 # The switch to the projected step: a view's subproblem is solved in a
 # search space of at most 4k columns only when this many blocks of k
@@ -203,10 +204,9 @@ class MultiViewProblem:
         return R
 
     def require_rank_above(self, k):
-        """Raise ``ContractViolation`` for k < 1 and ``RankDeficiencyError``
+        """Raise ``ContractViolation`` unless k is an integer >= 1 and ``RankDeficiencyError``
         (0-based ``.view``) unless k is below the numerical rank of every view."""
-        if k < 1:
-            raise ContractViolation(f"k must be >= 1, got {k}")
+        require_count("k", k)
         for view, rv in enumerate(self.reduced()):
             # a view's SCF subproblem has dimension rank and needs k below it
             if k >= rv.r:
@@ -430,42 +430,64 @@ class _Extrapolation:
         return [part.reshape(b.shape) for part, b in zip(np.split(z, ends[:-1]), y)]
 
 
-def _cycles(hatX, rho, blocks, sigmas, scheme, scf_cfg):
-    """The outer cycle of every solver: updates ``hatX`` in place and
-    yields (cycle, loop_g, sweeps) after each cycle, forever.
-
-    Each view's step is ``_solve_view`` against its partners' current
-    iterates, so a cycle depends on nothing but ``hatX``; the caller may
-    replace ``hatX``'s entries between cycles.  ``loop_g`` sums the
-    subproblem objectives at the kept iterates and ``sweeps`` holds each
-    view's SCF sweeps.  Both orders solve the views in order and commit
-    each result at once; they differ only in the list the solves read.
-    Gauss-Seidel reads ``hatX`` itself, so view s sees the fresh iterates
-    of the views before it.  Jacobi reads the Jacobi snapshot, a copy of
-    the list as the previous cycle left it, and then runs ``_realign``.
-    A view's solve that leaves floating-point range raises a
-    ``ViewError`` naming the view.
-    """
-    ell = len(hatX)
-    for cycle in itertools.count(1):
-        read = hatX if scheme == "gauss_seidel" else list(hatX)
-        outs = []
-        for s in range(ell):
-            try:
-                outs.append(_solve_view(s, read, rho, blocks, sigmas, scf_cfg))
-            except ViewError:
-                raise
-            except ContractViolation as exc:
-                msg = f"view {s} leaves floating-point range; rescale the data ({exc})"
-                raise ViewError(msg, view=s) from exc
-            hatX[s] = outs[s][0]
-        if scheme == "jacobi":
-            _realign(hatX, rho, blocks, sigmas)
+def _cycle(hatX, rho, blocks, sigmas, scheme, scf_cfg):
+    """One outer cycle: solves the views of ``hatX`` in order by
+    ``_solve_view``, committing each result in place at once, so a cycle
+    depends on nothing but ``hatX``.  Returns the list the solves read
+    (``hatX`` itself for Gauss-Seidel, so view s sees the fresh iterates of
+    the views before it; for Jacobi the Jacobi snapshot, a copy of ``hatX``
+    as the previous cycle left it), the sum of the subproblem objectives at
+    the kept iterates and each view's SCF sweeps.  A solve that leaves
+    floating-point range raises a ``ViewError`` naming the view."""
+    read = hatX if scheme == "gauss_seidel" else list(hatX)
+    loop_g, sweeps = 0.0, []
+    for s in range(len(hatX)):
+        try:
+            hatX[s], e_s, its = _solve_view(s, read, rho, blocks, sigmas, scf_cfg)
+        except ViewError:
+            raise
+        except ContractViolation as exc:
+            msg = f"view {s} leaves floating-point range; rescale the data ({exc})"
+            raise ViewError(msg, view=s) from exc
         # summed left to right: builtin sum() compensates on Python >= 3.12
-        loop_g = 0.0
-        for _, e_s, _ in outs:
-            loop_g += e_s
-        yield cycle, loop_g, [it for _, _, it in outs]
+        loop_g += e_s
+        sweeps.append(its)
+    return read, loop_g, sweeps
+
+
+def _run(hatX, rho, pairs, blocks, sigmas, scheme, scf_cfg, max_cycles, stop, realign):
+    """The outer loop of every solver: each cycle is ``_cycle`` on ``hatX``
+    in place, then ``realign(hatX)``; its loop_g, g and sweeps go into an
+    ``OmccaReport`` without projections, returned once ``stop(hatX,
+    record)`` gives a reason, or at the cap (reason ``max_cycles``).  After
+    a Jacobi cycle that does neither, the ``_Extrapolation`` candidate,
+    orthonormalized view by view and realigned by the same hook, replaces
+    the committed iterates when its total correlation is strictly higher."""
+    record = OmccaReport(projections=[])
+    extrapolation = _Extrapolation()
+    for cycle in range(1, max_cycles + 1):
+        read, loop_g, sweeps = _cycle(hatX, rho, blocks, sigmas, scheme, scf_cfg)
+        realign(hatX)
+        record.cycles = cycle
+        record.loop_g_trace.append(loop_g)
+        record.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
+        record.per_cycle_subproblem_iters.append(sweeps)
+        record.ds_terms_per_cycle.append(2 * len(pairs))
+        reason = stop(hatX, record)
+        if reason is not None:
+            record.termination_reason = reason
+            break
+        if scheme == "jacobi" and cycle < max_cycles:
+            z = extrapolation.propose(read, hatX)
+            if z is not None:
+                z = [orthonormalize(b) for b in z]
+                realign(z)
+                g_z = _g(z, rho, pairs, blocks, sigmas)
+                if g_z > record.g_trace[-1]:
+                    hatX[:] = z
+                    record.g_trace[-1] = g_z
+                    record.extrapolated.append(cycle)
+    return record
 
 
 def rcomcca(views, k, weights, cfg=None, threads=1):
@@ -474,16 +496,15 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     Takes the thin-SVD reduction and the reduced cross block of every
     selected pair from the problem, so a cycle costs nothing that grows
     with the sample count.  Starts each reduced projection at the leading
-    identity columns and runs ``_cycles`` in the configured order, each
-    view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
-    sum of subproblem optima changes by at most ``eps_outer`` relative, or
-    at the cycle cap.  After each Jacobi cycle that does not stop, the
-    ``_Extrapolation`` candidate, orthonormalized view by view and
-    realigned by ``_realign``, replaces the committed iterates when its
-    total correlation is strictly higher; the returned projections are
-    thus always a plain cycle's output.  ``threads`` (at least 1) has no
-    effect: every cycle runs on the calling thread.  Raises ``RankDeficiencyError`` (0-based
-    ``.view``) unless k is below the numerical rank of every view.
+    identity columns and runs ``_run`` in the configured order, each
+    view's subproblem solved by ``_solve_view`` and each Jacobi cycle
+    realigned by ``_realign``.  Stops when the per-cycle sum of subproblem
+    optima changes by at most ``eps_outer`` relative, or at the cycle cap
+    (``max_cycles``).  ``_run`` tries its extrapolation step only between
+    Jacobi cycles, so the returned projections are always a plain cycle's
+    output, at the cap too.  ``threads`` (at least 1) has no effect: every
+    cycle runs on the calling thread.  Raises ``RankDeficiencyError``
+    (0-based ``.view``) unless k is below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
     prob = build_multiview(views)
@@ -498,32 +519,15 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     sigmas = [rv.sigma for rv in reduced]
     hatX = [np.eye(rv.r, k) for rv in reduced]
 
-    report = OmccaReport(projections=[])
-    loop_g_last = 0.0
-    extrapolation = _Extrapolation()
-    read = list(hatX)
-    cycles = _cycles(hatX, rho, blocks, sigmas, cfg.scheme, cfg.scf_cfg)
-    for cycle, loop_g, sweeps in itertools.islice(cycles, cfg.max_cycles):
-        report.cycles = cycle
-        report.loop_g_trace.append(loop_g)
-        report.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
-        report.per_cycle_subproblem_iters.append(sweeps)
-        report.ds_terms_per_cycle.append(2 * len(pairs))
-        if abs(loop_g - loop_g_last) <= cfg.eps_outer * loop_g:
-            report.termination_reason = "rel_change_tol"
-            break
-        loop_g_last = loop_g
-        if cfg.scheme == "jacobi":
-            z = extrapolation.propose(read, hatX)
-            if z is not None:
-                z = [orthonormalize(b) for b in z]
-                _realign(z, rho, blocks, sigmas)
-                g_z = _g(z, rho, pairs, blocks, sigmas)
-                if g_z > report.g_trace[-1]:
-                    hatX[:] = z
-                    report.g_trace[-1] = g_z
-                    report.extrapolated.append(cycle)
-            read = list(hatX)
+    def stop(_, record):
+        loop_g_last, loop_g = [0.0, *record.loop_g_trace][-2:]
+        return "rel_change_tol" if abs(loop_g - loop_g_last) <= cfg.eps_outer * loop_g else None
 
+    def realign(hat):
+        if cfg.scheme == "jacobi":
+            _realign(hat, rho, blocks, sigmas)
+
+    report = _run(hatX, rho, pairs, blocks, sigmas, cfg.scheme, cfg.scf_cfg, cfg.max_cycles,
+                  stop, realign)
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
     return report

@@ -100,15 +100,18 @@ def _symmetric_data(A, D):
     return A, D
 
 
+def require_count(name, count):
+    """Raise ``ContractViolation`` unless ``count`` is an integer, not a bool, >= 1."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ContractViolation(f"{name} must be >= 1 and an integer, got {count!r}")
+
+
 def require_stop_rule(cfg, tol, cap):
-    """A solver config's tolerance field ``tol`` positive and finite, its
-    cap field ``cap`` an integer (not a bool) at least 1."""
+    """A config's tolerance field ``tol`` positive and finite, its cap ``cap`` a count."""
     value = getattr(cfg, tol)
     if not (value > 0 and np.isfinite(value)):
         raise ContractViolation(f"{tol} must be positive and finite, got {value!r}")
-    count = getattr(cfg, cap)
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise ContractViolation(f"{cap} must be an integer at least 1, got {count!r}")
+    require_count(cap, getattr(cfg, cap))
 
 
 @dataclass

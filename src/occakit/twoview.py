@@ -14,7 +14,6 @@ views) and QR post-orthogonalization are the baselines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,8 +22,8 @@ import numpy as np
 from .errors import ContractViolation, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_orthonormal
-from .multiset import MultiViewProblem, _cycles, _g, _pull, _unit_scores, build_multiview
-from .scf import ScfConfig, _Iterate, require_stop_rule
+from .multiset import MultiViewProblem, _pull, _run, _unit_scores, build_multiview
+from .scf import ScfConfig, _Iterate, require_count, require_stop_rule
 
 class TwoViewProblem(MultiViewProblem):
     """A centered two-view dataset S1 (n x q), S2 (m x q), made by
@@ -101,15 +100,15 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     """Alternating maximization of F as the two-view multiset problem on
     the shared reduction ``prob.reduced()``: view i enters as its spectrum
     sigma_i and the cross block K = diag(sigma_1) V_1^T V_2 diag(sigma_2),
-    so q < n needs nothing special.  Each outer step is one Gauss-Seidel
-    cycle of ``multiset._cycles`` (hatX, then hatY) followed by a joint
-    realignment.  Stops when the gradient norm is at most ``eps_alt``
-    (``grad_tol``) or at the outer-iteration cap (``max_outer``); a small
-    change of F alone does not stop it, since F can creep far from the
-    fixed point.  F never decreases, X^T C Y = hatX^T K hatY
-    is symmetric PSD after every step (``xcy_asyms`` scaled by max|K|),
-    and X = U_1 hatX lies in the range of its view.  The start is X0
-    (default: leading identity columns) projected onto the range and
+    so q < n needs nothing special.  The outer loop is ``multiset._run``:
+    each outer step is one Gauss-Seidel cycle (hatX, then hatY) followed
+    by the joint realignment ``pair_align``.  Stops when the gradient norm
+    is at most ``eps_alt`` (``grad_tol``) or at the outer-iteration cap
+    (``max_outer``); a small change of F alone does not stop it, since F
+    can creep far from the fixed point.  F never decreases, X^T C Y =
+    hatX^T K hatY is symmetric PSD after every step (``xcy_asyms`` scaled
+    by max|K|), and X = U_1 hatX lies in the range of its view.  The start
+    is X0 (default: leading identity columns) projected onto the range and
     orthonormalized, i.e. X0 itself at full rank; likewise for Y0.  Raises
     ``RankDeficiencyError`` unless k is below the numerical rank of both
     views, which ``reduce_views`` decides.
@@ -131,17 +130,16 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
 
     report = OccaReport(X=X0, Y=Y0)
     k_scale = max(1.0, float(np.max(np.abs(K))))
-    cycles = _cycles(hat, rho, blocks, sigmas, "gauss_seidel", scf_cfg)
-    for outer, _, sweeps in itertools.islice(cycles, alt_cfg.max_outer):
-        report.outer_iterations = outer
+
+    def realign(hat):
         hX, hY = pair_align(hat[0], hat[1], K)
         hat[:] = [ensure_orthonormal(hX), ensure_orthonormal(hY)]
 
+    def stop(hat, _):
         # X^T C Y = hatX^T K hatY
         W = hat[0].T @ K @ hat[1]
         report.xcy_asyms.append(float(np.max(np.abs(W - W.T))) / k_scale)
         report.xcy_min_eigs.append(float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]))
-        report.inner_iterations.append(tuple(sweeps))
 
         # F is eta of either subproblem at the realigned pair, and the
         # partial gradients of F are the subproblem gradients
@@ -149,18 +147,19 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
             _Iterate(h, _pull(s, hat, rho, blocks, sigmas), (sigmas[s] ** 2)[:, None] * h)
             for s, h in enumerate(hat)
         ]
-        F_val = its[0].eta
-        report.F_trace.append(F_val)
+        report.F_trace.append(its[0].eta)
         gx, gy = (it.grad() for it in its)
-        gnorm = float(np.sqrt(np.linalg.norm(gx) ** 2 + np.linalg.norm(gy) ** 2))
+        report.grad_norm_final = float(np.sqrt(np.linalg.norm(gx) ** 2 + np.linalg.norm(gy) ** 2))
+        return "grad_tol" if report.grad_norm_final <= alt_cfg.eps_alt else None
 
-        if gnorm <= alt_cfg.eps_alt:
-            report.termination_reason = "grad_tol"
-            break
-
+    record = _run(hat, rho, [(0, 1)], blocks, sigmas, "gauss_seidel", scf_cfg, alt_cfg.max_outer,
+                  stop, realign)
+    report.outer_iterations = record.cycles
+    report.inner_iterations = [tuple(sweeps) for sweeps in record.per_cycle_subproblem_iters]
+    if record.termination_reason != "max_cycles":
+        report.termination_reason = record.termination_reason
     report.X, report.Y = (rv.U @ h for rv, h in zip(reduced, hat))
-    report.f_final = _g(hat, rho, [(0, 1)], blocks, sigmas) / 2.0
-    report.grad_norm_final = gnorm
+    report.f_final = record.g_trace[-1] / 2.0
     return report
 
 
@@ -176,8 +175,7 @@ def classical_cca(prob, k, rank_tol=None):
     X1^T A X1 = X2^T B X2 = I.  Raises ``RankDeficiencyError`` when k
     exceeds the numerical rank of a view.
     """
-    if k < 1:
-        raise ContractViolation(f"k must be >= 1, got {k}")
+    require_count("k", k)
     reduced = prob.reduced(rank_tol)
     for view, rv in enumerate(reduced):
         if k > rv.r:

@@ -226,10 +226,10 @@ def _full_update(s, hat, rho, blocks, sigmas, scf_cfg):
 def full_space_rcomcca(views, k, weights, cfg):
     """The multiset alternation with every subproblem solved by SCF on the
     view's whole reduced space, replayed through ``view_spec``, the
-    public scf_solve and align.  Jacobi cycles that do not stop are
-    followed by the library's Anderson proposal, retracted here through
-    the public orthonormalize and align and kept where g_objective rises.
-    Returns (projections, g_trace)."""
+    public scf_solve and align.  Jacobi cycles that neither stop nor reach
+    the cap are followed by the library's Anderson proposal, retracted
+    here through the public orthonormalize and align and kept where
+    g_objective rises.  Returns (projections, g_trace)."""
     from occakit import align, g_objective, orthonormalize, reduce_views, scf_solve
     from occakit.multiset import _Extrapolation
 
@@ -251,7 +251,7 @@ def full_space_rcomcca(views, k, weights, cfg):
     g_trace = []
     loop_prev = 0.0
     extrapolation = _Extrapolation()
-    for _ in range(cfg.max_cycles):
+    for cycle in range(1, cfg.max_cycles + 1):
         if cfg.scheme == "gauss_seidel":
             loop_g = sum(
                 _full_update(s, hat, rho, blocks, sigmas, cfg.scf_cfg) for s in range(len(hat))
@@ -265,7 +265,7 @@ def full_space_rcomcca(views, k, weights, cfg):
         if abs(loop_g - loop_prev) <= cfg.eps_outer * loop_g:
             break
         loop_prev = loop_g
-        if cfg.scheme == "jacobi":
+        if cfg.scheme == "jacobi" and cycle < cfg.max_cycles:
             z = extrapolation.propose(read, hat)
             if z is not None:
                 z = realigned([orthonormalize(b) for b in z])

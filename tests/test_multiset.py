@@ -487,12 +487,16 @@ def test_cycle_solves_read_the_iterates_of_their_order(monkeypatch, scheme):
         return out
 
     monkeypatch.setattr(multiset, "_solve_view", recording_solve_view)
-    cycles = multiset._cycles(
-        hatX, rho, multiset._cross_blocks(reduced, pairs), sigmas, scheme, ScfConfig()
-    )
+    blocks = multiset._cross_blocks(reduced, pairs)
     ended = [list(hatX)]
     for _ in range(3):
-        next(cycles)
+        read, _, _ = multiset._cycle(hatX, rho, blocks, sigmas, scheme, ScfConfig())
+        # the cycle returns the list its solves read
+        if scheme == "gauss_seidel":
+            assert read is hatX
+        else:
+            assert read is not hatX and all(a is b for a, b in zip(read, ended[-1]))
+            multiset._realign(hatX, rho, blocks, sigmas)
         ended.append(list(hatX))
     assert [s for s, _, _ in calls] == [0, 1, 2] * 3
     moved = 0
@@ -516,13 +520,12 @@ def test_extrapolation_proposes_subspaces_only():
     rho = build_weights(views, "uniform").rho
     blocks = multiset._cross_blocks(reduced, [(0, 1), (0, 2), (1, 2)])
     hatX = identity_hats(reduced, 2)
-    cycles = multiset._cycles(hatX, rho, blocks, [rv.sigma for rv in reduced], "jacobi",
-                              ScfConfig())
+    sigmas = [rv.sigma for rv in reduced]
     rng = np.random.default_rng(43)
     plain, rotated = multiset._Extrapolation(), multiset._Extrapolation()
     for _ in range(multiset._ANDERSON_DEPTH + 2):
-        read = list(hatX)
-        next(cycles)
+        read, _, _ = multiset._cycle(hatX, rho, blocks, sigmas, "jacobi", ScfConfig())
+        multiset._realign(hatX, rho, blocks, sigmas)
         z = plain.propose(read, hatX)
         z_rot = rotated.propose(*([X @ random_stiefel(2, 2, rng) for X in it] for it in (read, hatX)))
     for a, b, y in zip(z, z_rot, hatX):
@@ -542,10 +545,28 @@ def test_solver_path_computes_no_certificate(monkeypatch):
     inner = ScfConfig(eps_scf=1e-12, max_iter=20)
     for scheme in ("gauss_seidel", "jacobi"):
         cfg = OmccaConfig(eps_outer=1e-15, max_cycles=5, scheme=scheme, scf_cfg=inner)
-        assert rcomcca(views, 2, w, cfg=cfg).cycles == 5
+        rep = rcomcca(views, 2, w, cfg=cfg)
+        assert rep.cycles == 5
+        assert rep.termination_reason == "max_cycles"
     prob = build_two_view(views[0], views[1])
     alt = occa_alternate(prob, 2, alt_cfg=AltConfig(eps_alt=1e-15, max_outer=5), scf_cfg=inner)
     assert alt.outer_iterations == 5
+    assert alt.termination_reason == "max_outer"
+    assert len(alt.inner_iterations) == alt.outer_iterations
+
+
+@pytest.mark.parametrize(
+    ("seed", "weighting", "cap"), [(0, "tree", 3), (1, "tree", 3), (0, "uniform", 6)]
+)
+def test_jacobi_cap_ends_on_a_plain_cycle(seed, weighting, cap):
+    # the extrapolation step runs only between cycles: a run stopped by
+    # the cap returns its last cycle's iterates, never a candidate after it
+    views = three_views(seed=seed)
+    w = build_weights(views, weighting)
+    rep = rcomcca(views, 2, w, cfg=OmccaConfig(scheme="jacobi", max_cycles=cap))
+    assert rep.termination_reason == "max_cycles" and rep.cycles == cap
+    assert cap not in rep.extrapolated
+    assert total_correlation(rep.projections, views, w) == pytest.approx(rep.g_trace[-1], rel=1e-12)
 
 
 def test_jacobi_starts_no_thread(monkeypatch):
@@ -642,8 +663,11 @@ class TestOneProblem:
         (lambda v, w: total_correlation(
             [np.eye(8)[:, :2], np.eye(6)[:, :2], np.eye(7)[:, :3]], v, w), ViewError),
         (lambda v, w: rcomcca(v, 0, w), ContractViolation),
+        (lambda v, w: rcomcca(v, 2.0, w), ContractViolation),
+        (lambda v, w: rcomcca(v, True, w), ContractViolation),
     ],
-    ids=["max_cycles-0", "scheme", "projection-count", "projection-k", "k-0"],
+    ids=["max_cycles-0", "scheme", "projection-count", "projection-k", "k-0", "k-float",
+         "k-bool"],
 )
 def test_input_checks_raise_their_documented_class(call, error):
     views = three_views()

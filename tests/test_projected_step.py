@@ -32,7 +32,7 @@ from occakit import (
     scf_solve,
 )
 from occakit import multiset
-from occakit.multiset import _cross_blocks, _cycles, _solve_view
+from occakit.multiset import _cross_blocks, _cycle, _realign, _solve_view
 from oracles import view_spec
 
 
@@ -181,13 +181,19 @@ def test_a_cycle_depends_on_the_iterates_alone(scheme):
     # a fresh loop started from the iterates after cycle 3 takes exactly
     # the running loop's cycle 4: no step carries state across cycles
     hat, rho, blocks, sigmas = q_below_n_problem()
-    args = (rho, blocks, sigmas, scheme, ScfConfig())
-    running = _cycles(hat, *args)
+
+    def cycle(hat):
+        # one cycle as the solvers run it, Jacobi's realignment included
+        out = _cycle(hat, rho, blocks, sigmas, scheme, ScfConfig())
+        if scheme == "jacobi":
+            _realign(hat, rho, blocks, sigmas)
+        return out
+
     for _ in range(3):
-        next(running)
+        cycle(hat)
     restarted = [h.copy() for h in hat]
-    _, loop_g, sweeps = next(running)
-    _, loop_g_fresh, sweeps_fresh = next(_cycles(restarted, *args))
+    _, loop_g, sweeps = cycle(hat)
+    _, loop_g_fresh, sweeps_fresh = cycle(restarted)
     assert loop_g_fresh == loop_g and sweeps_fresh == sweeps
     assert all(np.array_equal(a, b) for a, b in zip(restarted, hat))
 
@@ -209,10 +215,12 @@ def test_jacobi_keeps_an_iterate_whose_solve_ended_lower(monkeypatch):
         return rep
 
     monkeypatch.setattr(multiset, "scf_solve", lowering_scf_solve)
-    _, loop_g, _ = next(_cycles(hat, rho, blocks, sigmas, "jacobi", ScfConfig()))
+    _, loop_g, _ = _cycle(hat, rho, blocks, sigmas, "jacobi", ScfConfig())
     assert len(calls) == 2
     assert loop_g == e_start + e_1
-    # only the realignment sweep rotated view 0, inside its own span
+    assert hat[0] is start
+    # the realignment sweep rotates view 0 only inside its own span
+    _realign(hat, rho, blocks, sigmas)
     assert dist_tr(hat[0], start) <= 1e-12
 
 

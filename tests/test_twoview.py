@@ -394,10 +394,15 @@ def test_scf_beats_post_orthogonalized_baseline_most_of_the_time():
     [
         lambda prob: AltConfig(max_outer=0),
         lambda prob: occa_alternate(prob, 0),
+        lambda prob: occa_alternate(prob, 2.0),
+        lambda prob: occa_alternate(prob, True),
+        lambda prob: classical_cca(prob, 2.0),
+        lambda prob: classical_cca(prob, True),
         lambda prob: occa_alternate(prob, 2, X0=np.eye(prob.n)[:, :3]),
         lambda prob: post_orthogonalize(np.eye(3)[:2]),
     ],
-    ids=["max_outer-0", "k-0", "X0-shape", "post_orthogonalize-wide"],
+    ids=["max_outer-0", "k-0", "k-float", "k-bool", "classical-k-float", "classical-k-bool",
+         "X0-shape", "post_orthogonalize-wide"],
 )
 def test_input_checks_raise_contract_violation(call):
     prob = build_two_view(*synthetic_problem(m=6, n=5, q=40))
