@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParseError
+from .linalg import require_count
 
 SCHEMA_VERSION = 1
 
@@ -38,7 +39,7 @@ SCHEMA_VERSION = 1
 class SyntheticSpec:
     """Two latent-factor views: a shared factor of dimension
     ceil(max(m, n)/2), a second factor of dimension ceil(2 max(m, n)/5),
-    plus isotropic noise of scale ``lam``."""
+    plus isotropic noise of scale ``lam``; q >= 2, as one centered sample is 0."""
 
     m: int
     n: int
@@ -47,15 +48,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.m, self.n) < 1:
-            raise ContractViolation("m and n must both be >= 1")
-        if self.q < 2:
-            # centering a single sample leaves both views identically zero
-            raise ContractViolation(f"q must be >= 2, got {self.q!r}")
+        for name, least in (("m", 1), ("n", 1), ("q", 2), ("seed", 0)):
+            require_count(name, getattr(self, name), least)
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ContractViolation(f"lam must be nonnegative and finite, got {self.lam!r}")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be nonnegative, got {self.seed!r}")
 
     @property
     def d_z(self):

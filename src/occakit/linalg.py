@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +33,38 @@ def as_matrix(M, what="matrix"):
     return M
 
 
+def scale_of(*arrays):
+    """The largest magnitude in ``arrays`` (1 if all are zero): the unit of their tolerances."""
+    return max(float(np.max(np.abs(a))) for a in arrays) or 1.0
+
+
 def symmetric_matrix(M, what):
-    """``M`` checked finite and square; an asymmetry up to 1e-10 is averaged
-    away, a larger one raises.  A symmetric ``M`` comes back as given."""
+    """``M`` checked finite and square; an asymmetry up to 1e-10 of
+    ``scale_of(M)`` is averaged away, a larger one raises.  A symmetric
+    ``M`` comes back as given, without its scale being computed."""
     M = as_matrix(M, what)
     if M.shape[1] != M.shape[0]:
         raise ContractViolation(f"{what} must be square, got shape {M.shape}")
     asym = float(abs(M - M.T).max())
-    if asym > 1e-10:
+    if asym > 0.0 and asym > 1e-10 * scale_of(M):
         raise ContractViolation(f"{what} is not symmetric: max|{what} - {what}^T| = {asym:.3e}")
     if asym > 0.0:
         M = 0.5 * (M + M.T)
     return M
+
+
+def require_count(name, count, least=1):
+    """Raise ``ContractViolation`` unless ``count`` is an integer, not a bool, >= ``least``."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+        raise ContractViolation(f"{name} must be >= {least} and an integer, got {count!r}")
+
+
+def require_stop_rule(cfg, tol, cap):
+    """A config's tolerance field ``tol`` positive, finite, not a bool; its cap ``cap`` a count."""
+    value = getattr(cfg, tol)
+    if isinstance(value, (bool, np.bool_)) or not (value > 0 and np.isfinite(value)):
+        raise ContractViolation(f"{tol} must be positive and finite, got {value!r}")
+    require_count(cap, getattr(cfg, cap))
 
 
 def require_subspace_size(k, n):

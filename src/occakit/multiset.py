@@ -33,8 +33,8 @@ from .errors import (
     ViewError,
 )
 from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
-from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, require_count, require_stop_rule
-from .scf import scf_solve
+from .linalg import require_count, require_stop_rule, scale_of
+from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, scf_solve
 
 # The switch to the projected step: a view's subproblem is solved in a
 # search space of at most 4k columns only when this many blocks of k
@@ -45,7 +45,7 @@ _SEARCH_BLOCKS = 5
 # Unit search directions keep only the part of their span whose singular
 # values exceed this; below it the Gram matrix that measures them is noise.
 _DROP_TOL = 1e-6
-# Row means above this (relative to the matrix scale) fail the
+# Row means above this (relative to the view's ``scale_of``) fail the
 # centering contract.
 _CENTER_TOL = 1e-10
 # The Jacobi extrapolation mixes the last this-many-plus-one (snapshot,
@@ -122,9 +122,9 @@ def _checked_views(views):
 
 def _check_centered(views):
     """Raise ``ViewError`` (0-based ``.view``) for the first view whose row
-    means are not zero to within ``_CENTER_TOL`` of its largest entry."""
+    means exceed ``_CENTER_TOL`` times its ``scale_of``, in any units."""
     for idx, S in enumerate(views):
-        scale = max(1.0, float(np.max(np.abs(S))))
+        scale = scale_of(S)
         worst = float(np.max(np.abs(S.mean(axis=1))))
         if worst > _CENTER_TOL * scale:
             raise ViewError(
@@ -502,14 +502,14 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     optima changes by at most ``eps_outer`` relative, or at the cycle cap
     (``max_cycles``).  ``_run`` tries its extrapolation step only between
     Jacobi cycles, so the returned projections are always a plain cycle's
-    output, at the cap too.  ``threads`` (at least 1) has no effect: every
-    cycle runs on the calling thread.  Raises ``RankDeficiencyError``
-    (0-based ``.view``) unless k is below the numerical rank of every view.
+    output, at the cap too.  ``threads`` must be a positive integer and
+    has no effect: every cycle runs on the calling thread.  Raises
+    ``RankDeficiencyError`` (0-based ``.view``) unless k is below the
+    numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
     prob = build_multiview(views)
-    if threads < 1:
-        raise ContractViolation(f"threads must be >= 1, got {threads}")
+    require_count("threads", threads)
     pairs = _selected_pairs(weights, len(prob.views))
     prob.require_rank_above(k)
 

@@ -27,7 +27,6 @@ iterate before it picks its search space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 
@@ -41,9 +40,12 @@ from .linalg import (
     dist_tr,
     ensure_orthonormal,
     orthonormalize,
+    require_count,
     require_orthonormal,
+    require_stop_rule,
     require_subspace_size,
     sample_tangent,
+    scale_of,
     symmetric_matrix,
 )
 
@@ -76,7 +78,7 @@ class SubproblemSpec:
             if not self.D.any():
                 raise ContractViolation("D must be nonzero")
             lam_min = float(np.linalg.eigvalsh(self.A)[0])
-            if lam_min <= 1e-12 * float(np.max(np.abs(self.A))):
+            if lam_min <= 1e-12 * scale_of(self.A):
                 raise ContractViolation(
                     f"A must be positive definite; smallest eigenvalue {lam_min:.3e}"
                 )
@@ -98,20 +100,6 @@ def _symmetric_data(A, D):
     if D.shape[0] != A.shape[0]:
         raise ContractViolation(f"D must have {A.shape[0]} rows to match A, got {D.shape}")
     return A, D
-
-
-def require_count(name, count):
-    """Raise ``ContractViolation`` unless ``count`` is an integer, not a bool, >= 1."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise ContractViolation(f"{name} must be >= 1 and an integer, got {count!r}")
-
-
-def require_stop_rule(cfg, tol, cap):
-    """A config's tolerance field ``tol`` positive and finite, its cap ``cap`` a count."""
-    value = getattr(cfg, tol)
-    if not (value > 0 and np.isfinite(value)):
-        raise ContractViolation(f"{tol} must be positive and finite, got {value!r}")
-    require_count(cap, getattr(cfg, cap))
 
 
 @dataclass
@@ -378,16 +366,16 @@ def second_order_check(G, spec, samples, rng):
 
         tr^2(D^T H) <= eta(G) (tr(H^T A H) - tr(H M(G) H^T)).
 
-    Draws ``samples`` random tangent vectors (unit Frobenius norm) and
-    reports the worst margin, normalized by max(1, |lhs|, |rhs|); the
-    check passes when every margin is >= -1e-8.  Raises when called at a
-    clearly non-stationary point (scaled first-order residual > 1e-4).
+    Draws ``samples`` (a count) random tangent vectors (unit Frobenius
+    norm) and reports the worst margin rhs - lhs over ``scale_of(lhs,
+    rhs)``; the check passes when every margin is >= -1e-8.  Raises at a
+    clearly non-stationary point, a ``kkt_residual`` above 1e-4 of
+    ``scale_of(A, D)``; both tests are unchanged by A, D -> cA, cD.
     """
-    if samples < 1:
-        raise ContractViolation("samples must be >= 1")
+    require_count("samples", samples)
     G = require_orthonormal(np.asarray(G, dtype=float), "G")
     it = _Iterate(G, spec.D, spec.A @ G)
-    scale = max(1.0, float(np.max(np.abs(spec.A))), float(np.max(np.abs(spec.D))))
+    scale = scale_of(spec.A, spec.D)
     # the gradient of eta is exactly zero where tr(G^T D) = 0, though xi is undefined
     resid = kkt_residual(G, spec) if it.phi_d != 0.0 else 0.0
     if resid > 1e-4 * scale:
@@ -414,5 +402,5 @@ def second_order_check(G, spec, samples, rng):
         rhs = e * float(np.einsum("ij,ij->", H, spec.A @ H)) - float(
             np.einsum("ij,ij->", H @ eta_m, H)
         )
-        worst = min(worst, (rhs - lhs) / max(1.0, abs(lhs), abs(rhs)))
+        worst = min(worst, (rhs - lhs) / scale_of(lhs, rhs))
     return SecondOrderReport(passed=worst >= -1e-8, worst_margin=float(worst), samples=samples)

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ContractViolation, RankDeficiencyError
 from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
-from .linalg import require_orthonormal
+from .linalg import require_count, require_orthonormal, require_stop_rule, scale_of
 from .multiset import MultiViewProblem, _pull, _run, _unit_scores, build_multiview
-from .scf import ScfConfig, _Iterate, require_count, require_stop_rule
+from .scf import ScfConfig, _Iterate
 
 class TwoViewProblem(MultiViewProblem):
     """A centered two-view dataset S1 (n x q), S2 (m x q), made by
@@ -106,8 +106,8 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     is at most ``eps_alt`` (``grad_tol``) or at the outer-iteration cap
     (``max_outer``); a small change of F alone does not stop it, since F
     can creep far from the fixed point.  F never decreases, X^T C Y =
-    hatX^T K hatY is symmetric PSD after every step (``xcy_asyms`` scaled
-    by max|K|), and X = U_1 hatX lies in the range of its view.  The start
+    hatX^T K hatY is symmetric PSD after every step (``xcy_asyms`` over
+    ``scale_of(K)``), and X = U_1 hatX lies in the range of its view.  The start
     is X0 (default: leading identity columns) projected onto the range and
     orthonormalized, i.e. X0 itself at full rank; likewise for Y0.  Raises
     ``RankDeficiencyError`` unless k is below the numerical rank of both
@@ -129,7 +129,7 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     rho = np.array([[0.0, 1.0], [1.0, 0.0]])
 
     report = OccaReport(X=X0, Y=Y0)
-    k_scale = max(1.0, float(np.max(np.abs(K))))
+    k_scale = scale_of(K)
 
     def realign(hat):
         hX, hY = pair_align(hat[0], hat[1], K)

@@ -74,6 +74,9 @@ class TestGenSynthetic:
             SyntheticSpec(m=0, n=3, q=5)
         with pytest.raises(ContractViolation):
             SyntheticSpec(m=1, n=1, q=1, lam=-1.0)
+        for bad in ({"m": 2.5}, {"q": 10.5}, {"seed": 1.5}, {"m": True}):
+            with pytest.raises(ContractViolation, match=next(iter(bad))):
+                SyntheticSpec(**{"m": 2, "n": 3, "q": 5, **bad})
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_noise_scale_rejected(self, lam):

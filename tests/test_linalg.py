@@ -5,13 +5,19 @@ import occakit.linalg as linalg_module
 from occakit import (
     ContractViolation,
     SolverFailure,
+    SubproblemSpec,
     align,
+    build_multiview,
+    center,
     dist_tr,
     k_smallest_eigenbasis,
     orthonormalize,
     pair_align,
     sample_tangent,
+    scf_solve,
+    second_order_check,
 )
+from occakit.errors import ViewError
 from occakit.linalg import ensure_orthonormal, fix_svd_signs, orthonormality_error
 
 import oracles
@@ -344,3 +350,37 @@ def test_fix_svd_signs_preserves_product():
 def test_input_checks_raise_contract_violation(call):
     with pytest.raises(ContractViolation):
         call()
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-6, 1e-3, 1.0, 1e4, 1e8, 1e150])
+def test_every_check_decides_as_at_unit_scale(c):
+    # each tolerance is relative to scale_of its operands, so multiplying
+    # the data by c changes no decision of the symmetry, centering,
+    # stationarity or second-order test
+    rng = np.random.default_rng(24)
+    Q = orthonormalize(rng.standard_normal((5, 5)))
+    A = (Q * np.arange(1.0, 6.0)) @ Q.T
+    D = rng.standard_normal((5, 2))
+    assert (A != A.T).any()  # SPD and symmetric only to rounding
+    eta_1 = scf_solve(SubproblemSpec(A, D)).eta_trace[-1]
+    assert scf_solve(SubproblemSpec(c * A, c * D)).eta_trace[-1] / c == pytest.approx(
+        eta_1, rel=1e-12
+    )
+
+    off = A.copy()
+    off[0, 1] += 1e-8 * np.max(np.abs(A))
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        SubproblemSpec(c * off, c * D)
+
+    views = [center(rng.standard_normal((4, 30))) for _ in range(2)]
+    views[0] += 1e-9 * np.max(np.abs(views[0]))
+    with pytest.raises(ViewError, match="not centered") as exc:
+        build_multiview([c * v for v in views])
+    assert exc.value.view == 0
+
+    spec = SubproblemSpec(c * np.diag([1.0, 2.0, 3.0]), c * np.array([[1.0], [0.5], [0.0]]))
+    with pytest.raises(ContractViolation, match="stationary"):
+        second_order_check(np.eye(3)[:, :1], spec, samples=10, rng=0)
+
+    saddle = SubproblemSpec(c * np.diag([1.0, 2.0]), c * np.array([[0.0], [1.0]]))
+    assert not second_order_check(np.array([[1.0], [0.0]]), saddle, samples=500, rng=1).passed

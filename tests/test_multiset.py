@@ -366,7 +366,7 @@ class TestRcomcca:
         with pytest.raises(ContractViolation, match="threads"):
             rcomcca(views, 1, w, cfg=OmccaConfig(scheme="jacobi"), threads=threads)
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_outer_tolerance_must_be_positive_and_finite(self, eps):
         with pytest.raises(ContractViolation, match="eps_outer"):
             OmccaConfig(eps_outer=eps)
@@ -665,9 +665,11 @@ class TestOneProblem:
         (lambda v, w: rcomcca(v, 0, w), ContractViolation),
         (lambda v, w: rcomcca(v, 2.0, w), ContractViolation),
         (lambda v, w: rcomcca(v, True, w), ContractViolation),
+        (lambda v, w: rcomcca(v, 1, w, threads=2.5), ContractViolation),
+        (lambda v, w: rcomcca(v, 1, w, threads=True), ContractViolation),
     ],
     ids=["max_cycles-0", "scheme", "projection-count", "projection-k", "k-0", "k-float",
-         "k-bool"],
+         "k-bool", "threads-float", "threads-bool"],
 )
 def test_input_checks_raise_their_documented_class(call, error):
     views = three_views()

@@ -38,7 +38,7 @@ from occakit.multiset import _cross_blocks
 from oracles import view_spec
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), True, np.True_])
 def test_config_tolerance_must_be_positive_and_finite(eps):
     with pytest.raises(ContractViolation, match="eps_scf"):
         ScfConfig(eps_scf=eps)
@@ -490,6 +490,10 @@ def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):
     return SubproblemSpec(A, D, validate=False)
 
 
+# the maximizer A^-1 D / ||A^-1 D|| of _spec_3x1(): stationary, so only the count is at fault
+_ARGMAX_3X1 = np.array([[6.0], [3.0], [2.0]]) / 7.0
+
+
 @pytest.mark.parametrize(
     ("call", "error"),
     [
@@ -499,10 +503,12 @@ def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):
         (lambda: scf_solve(_spec_3x1(), G0=np.eye(3)[:, :2]), ContractViolation),
         (lambda: scf_solve(_spec_3x1(D=np.zeros((3, 1)))), UndefinedRatioError),
         (lambda: ScfConfig(max_iter=0), ContractViolation),
-        (lambda: second_order_check(np.eye(3)[:, :1], _spec_3x1(), 0, 0), ContractViolation),
+        (lambda: second_order_check(_ARGMAX_3X1, _spec_3x1(), 0, 0), ContractViolation),
+        (lambda: second_order_check(_ARGMAX_3X1, _spec_3x1(), 2.5, 0), ContractViolation),
+        (lambda: second_order_check(_ARGMAX_3X1, _spec_3x1(), True, 0), ContractViolation),
     ],
     ids=["A-not-square", "D-rows", "k-not-below-n", "G0-shape", "D-zero", "max_iter-0",
-         "samples-0"],
+         "samples-0", "samples-float", "samples-bool"],
 )
 def test_input_checks_raise_their_documented_class(call, error):
     with pytest.raises(error):
