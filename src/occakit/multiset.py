@@ -309,7 +309,7 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
             return G, cur.eta, 0
         start = np.eye(W.shape[1], k)
     A = W.T @ (lam[:, None] * W)
-    sub = SubproblemSpec(0.5 * (A + A.T), W.T @ D, validate=False)
+    sub = SubproblemSpec(A, W.T @ D, validate=False)
     rep = scf_solve(sub, G0=start, cfg=scf_cfg)
     X = ensure_orthonormal(W @ rep.solution)
     e = _Iterate(X, D, lam[:, None] * X).eta

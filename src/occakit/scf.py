@@ -11,9 +11,9 @@ whose k-smallest eigenbasis, realigned against D, is the next iterate.
 The objective never decreases along the iteration, and every iterate
 after the first satisfies D^T G >= 0 (positive semidefinite).
 
-A sweep pays only for its arithmetic.  The facts that hold for a whole
-solve are checked once at its start: A by ``linalg.symmetric_matrix``,
-D finite with A's row count.  Every E(G) is then exactly symmetric by
+A sweep pays only for its arithmetic.  The data are checked once, where a
+``SubproblemSpec`` is made: A by ``linalg.symmetric_matrix``, D finite
+with A's row count.  Every E(G) is then exactly symmetric by
 construction, so a sweep checks only that LAPACK succeeded, and calls
 the unchecked kernels behind ``k_smallest_eigenbasis`` and ``align``
 (numpy's LAPACK gufuncs); ``_Iterate`` checks xi(G) where it forms it.
@@ -55,15 +55,14 @@ _NUDGE = 1e-3
 
 @dataclass
 class SubproblemSpec:
-    """Data (A, D) of one trace-fractional subproblem.
+    """Data (A, D) of one trace-fractional subproblem, checked once, here:
+    no function that takes a spec checks its data again.
 
-    ``A`` must be symmetric positive definite and ``D`` nonzero; both are
-    checked once at construction (skip with ``validate=False`` when the
-    caller already guarantees them, e.g. in inner solver loops).  A
-    validated ``A`` that is not exactly symmetric becomes (A + A^T)/2.
-    ``scf_solve`` checks finiteness, shapes and symmetry again once per
-    solve, so it rejects an unvalidated spec with non-finite or
-    asymmetric data too.
+    Construction always checks ``A`` by ``symmetric_matrix`` (finite and
+    square; an asymmetry at rounding level becomes (A + A^T)/2, a larger
+    one raises) and ``D`` finite with A's row count.  ``validate=False``
+    skips only the costlier ``D`` nonzero and ``A`` positive definite (an
+    eigensolve), for a caller that guarantees them (an inner solver loop).
     """
 
     A: np.ndarray          # n x n symmetric positive definite
@@ -71,10 +70,11 @@ class SubproblemSpec:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
-        self.A = np.asarray(self.A, dtype=float)
-        self.D = np.asarray(self.D, dtype=float)
+        self.A = symmetric_matrix(self.A, "A")
+        self.D = as_matrix(self.D, "D")
+        if self.D.shape[0] != self.n:
+            raise ContractViolation(f"D must have {self.n} rows to match A, got {self.D.shape}")
         if validate:
-            self.A, self.D = _symmetric_data(self.A, self.D)
             if not self.D.any():
                 raise ContractViolation("D must be nonzero")
             lam_min = float(np.linalg.eigvalsh(self.A)[0])
@@ -90,16 +90,6 @@ class SubproblemSpec:
     @property
     def k(self):
         return self.D.shape[1]
-
-
-def _symmetric_data(A, D):
-    """(A, D) checked: A by ``symmetric_matrix``, D finite with A's row
-    count.  A valid pair comes back as given."""
-    A = symmetric_matrix(A, "A")
-    D = as_matrix(D, "D")
-    if D.shape[0] != A.shape[0]:
-        raise ContractViolation(f"D must have {A.shape[0]} rows to match A, got {D.shape}")
-    return A, D
 
 
 @dataclass
@@ -295,23 +285,19 @@ def scf_solve(spec, G0=None, cfg=None):
     ``zero_ratio_events`` each) by a deterministic step that always ends
     at tr(G^T D) > 0; D = 0 raises ``UndefinedRatioError``.
 
-    Checked once per solve, before the first sweep: A by
-    ``symmetric_matrix`` (its result serves the whole solve), D finite
-    with n rows, ``1 <= k < n`` and ``G0``.  Checked on every sweep:
-    that LAPACK returned no NaN (``SolverFailure``; an E that overflows
-    despite a finite xi fails there).  E is exactly symmetric by
-    construction, so the sweep calls the kernels of
-    ``k_smallest_eigenbasis`` and ``align`` without their input checks;
-    the results are the ones those functions return.  Data whose xi(G)
-    is not finite (checked where ``_Iterate`` forms it), or whose
-    tr(G^T D) or xi(G) overflows when squared, raises
-    ``ContractViolation``: the maximizer does not depend on the scale of
-    D, so rescaling D avoids it.
+    The spec's data were checked when it was made (``SubproblemSpec``).
+    Checked once per solve, before the first sweep: ``1 <= k < n`` and
+    ``G0``.  Checked on every sweep: that LAPACK returned no NaN
+    (``SolverFailure``; an E that overflows despite a finite xi fails
+    there).  E is exactly symmetric by construction, so the sweep calls the
+    kernels of ``k_smallest_eigenbasis`` and ``align`` without their input
+    checks; the results are the ones those functions return.  Data whose
+    xi(G) is not finite (checked where ``_Iterate`` forms it), or whose
+    tr(G^T D) or xi(G) overflows when squared, raises ``ContractViolation``:
+    the maximizer does not depend on the scale of D, so rescaling D avoids
+    it.
     """
     cfg = cfg or ScfConfig()
-    A, D = _symmetric_data(spec.A, spec.D)
-    if A is not spec.A or D is not spec.D:
-        spec = SubproblemSpec(A, D, validate=False)
     k = spec.k
     n = spec.n
     require_subspace_size(k, n)

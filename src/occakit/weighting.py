@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import as_matrix
+from .linalg import symmetric_matrix
 from .multiset import build_multiview
 
 # Soft-max bandwidth of every weighting unless the caller gives one.
@@ -47,12 +47,12 @@ class WeightMatrix:
 
     @classmethod
     def custom(cls, rho):
-        """Wrap caller-supplied weights, normalizing them to unit sum over
-        unordered pairs."""
-        rho = as_matrix(rho, "custom weights")
+        """Wrap caller-supplied weights (symmetric by ``symmetric_matrix``'s
+        rule, zero diagonal), normalizing them to unit sum over unordered pairs."""
+        rho = symmetric_matrix(rho, "custom weights")
         ell = rho.shape[0]
-        if rho.shape != (ell, ell) or np.max(np.abs(rho - rho.T)) > 0 or np.any(np.diag(rho) != 0):
-            raise ContractViolation("custom weights must be symmetric with zero diagonal")
+        if np.any(np.diag(rho) != 0):
+            raise ContractViolation("custom weights must have a zero diagonal")
         if np.any(rho < 0):
             raise ContractViolation("custom weights must be nonnegative")
         total = sum(rho[i, j] for i in range(ell) for j in range(i + 1, ell))

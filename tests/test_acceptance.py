@@ -43,6 +43,7 @@ from occakit import (
 )
 from occakit.cli import main as cli_main
 from occakit.data import read_report
+from occakit.linalg import scale_of
 
 import oracles
 from cases import (
@@ -212,7 +213,7 @@ def test_criterion5_psd_certificates(subproblem_runs, twoview_runs):
     sub, _ = subproblem_runs
     two, _ = twoview_runs
     for spec, rep in sub:
-        bound = -1e-10 * max(1.0, float(np.max(np.abs(spec.D))))
+        bound = -1e-10 * scale_of(spec.D)
         assert all(v >= bound for v in rep.dtg_min_eigs)
     for prob, rep in two:
         bound = -1e-9 * float(np.max(np.abs(prob.C)))

@@ -32,6 +32,7 @@ from occakit import (
     scf_solve,
 )
 from occakit import multiset
+from occakit.linalg import scale_of
 from occakit.multiset import _cross_blocks, _cycle, _realign, _solve_view
 from oracles import view_spec
 
@@ -124,7 +125,7 @@ def test_projected_path_invariants(monkeypatch):
     # (equal to that of the lifted iterate) stayed PSD
     assert inner and all(k < spec.n <= 4 * k for spec, _ in inner)
     for spec, rep in inner:
-        assert min(rep.dtg_min_eigs) >= -1e-10 * max(1.0, float(np.max(np.abs(spec.D))))
+        assert min(rep.dtg_min_eigs) >= -1e-10 * scale_of(spec.D)
     for trace in (gs.g_trace, alt.F_trace):
         tr = np.array(trace)
         assert np.all(np.diff(tr) >= -1e-12 * np.abs(tr[1:]))
@@ -134,7 +135,7 @@ def test_projected_path_invariants(monkeypatch):
     outputs += [(alt.X, reduced[0]), (alt.Y, reduced[1])]
     for X, rv in outputs:
         assert np.max(np.abs(X.T @ X - np.eye(k))) <= 1e-10
-        scale = max(1.0, float(np.max(np.abs(X))))
+        scale = scale_of(X)
         assert np.max(np.abs(X - rv.U @ (rv.U.T @ X))) <= 1e-10 * scale
 
 

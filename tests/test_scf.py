@@ -34,6 +34,7 @@ from cases import (
     ref_spec,
     rounded_start,
 )
+from occakit.linalg import scale_of
 from occakit.multiset import _cross_blocks
 from oracles import view_spec
 
@@ -102,7 +103,7 @@ class TestGradEta:
         spec = random_spec(rng, 7, 2)
         G = random_stiefel(7, 2, rng)
         g = grad_eta(G, spec)
-        scale = max(1.0, np.max(np.abs(g)))
+        scale = scale_of(g)
         assert np.max(np.abs(G.T @ g + g.T @ G)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("seed", range(10))
@@ -280,7 +281,7 @@ class TestScfSolve:
             G = rep.solution
             E = build_E(G, spec)
             resid = np.max(np.abs(E @ G - G @ (G.T @ E @ G)))
-            assert resid <= 1e-6 * max(1.0, np.max(np.abs(E)))
+            assert resid <= 1e-6 * scale_of(E)
 
     def test_subspace_convergence(self):
         rng = np.random.default_rng(10)
@@ -392,8 +393,9 @@ class TestScfSolve:
 
 
 class TestScfSolveChecks:
-    """An unvalidated spec reaches scf_solve's own checks: its data once
-    per solve, LAPACK's status on every sweep."""
+    """An unvalidated spec is checked where it is made: its data when
+    ``SubproblemSpec`` is constructed, before any function reads them;
+    scf_solve then checks LAPACK's status on every sweep."""
 
     CFG = ScfConfig(eps_scf=1e-12, max_iter=20)
 
@@ -413,6 +415,31 @@ class TestScfSolveChecks:
         # rejected whether or not products such as inf * 0 ran first
         with np.errstate(invalid="ignore"), pytest.raises(ContractViolation, match="non-finite"):
             scf_solve(SubproblemSpec(A, D, validate=False), cfg=self.CFG)
+
+    @pytest.mark.parametrize("case", ["A-nan", "A-inf", "D-nan", "A-asymmetric", "A-3x2", "D-rows"])
+    def test_construction_rejects_bad_data(self, case):
+        A, D = self.data()
+        if case == "A-nan":
+            A[3, 1] = A[1, 3] = np.nan
+        elif case == "A-inf":
+            A[3, 1] = A[1, 3] = np.inf
+        elif case == "D-nan":
+            D[3, 1] = np.nan
+        elif case == "A-asymmetric":
+            A[0, 2] += 1e-8 * scale_of(A)
+        elif case == "A-3x2":
+            A = np.ones((3, 2))
+        else:
+            D = D[:5]
+        # raised where the spec is made, naming A or D, before any function reads it
+        with pytest.raises(ContractViolation, match=f"^{case[0]} "):
+            SubproblemSpec(A, D, validate=False)
+
+    def test_construction_averages_rounding_asymmetry(self):
+        A, D = self.data()
+        A[0, 2] += 1e-13
+        spec = SubproblemSpec(A, D, validate=False)
+        assert np.array_equal(spec.A, spec.A.T)
 
     def test_rejects_asymmetric_A(self):
         A, D = self.data()

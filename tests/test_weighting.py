@@ -212,6 +212,14 @@ class TestBuildWeights:
             build_weights(problem, scheme)
         assert exc.value.view == 0
 
+    def test_custom_weights_symmetric_to_rounding_are_averaged(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(24).standard_normal((3, 3)))
+        rho = np.abs((Q * [1.0, 2.0, 3.0]) @ Q.T)
+        np.fill_diagonal(rho, 0.0)
+        assert 0.0 < np.max(np.abs(rho - rho.T)) <= 1e-15
+        w = WeightMatrix.custom(rho)
+        assert np.array_equal(w.rho, w.rho.T)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_custom_weights_must_be_finite(self, bad):
         # rejected before any arithmetic, so no RuntimeWarning fires
