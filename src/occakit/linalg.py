@@ -2,14 +2,13 @@
 
 All matrices are plain ``numpy.ndarray`` with real (float64) entries.
 Matrices with orthonormal columns ("Stiefel points") are ordinary arrays
-that satisfy ``max|G^T G - I| <= ORTH_TOL``; helpers below test, enforce
-and repair that invariant.  The eigensolve and the SVD of the SCF sweep
+that satisfy ``max|G^T G - I| <= ORTH_TOL``; helpers below test and
+enforce that invariant.  The eigensolve and the SVD of the SCF sweep
 call numpy's LAPACK gufuncs directly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from numpy.linalg._umath_linalg import eigh_lo, svd_f
 
 from .errors import ContractViolation, SolverFailure
 
-# Orthonormality drift beyond this triggers a thin-QR repair.
+# Largest drift max|G^T G - I| that ``require_orthonormal`` accepts.
 ORTH_TOL = 1e-10
 
 
@@ -76,15 +75,7 @@ def require_subspace_size(k, n):
 def orthonormality_error(G):
     """max|G^T G - I|, the drift measured against ``ORTH_TOL``."""
     G = np.asarray(G)
-    return float(abs(G.T @ G - _identity(G.shape[1])).max())
-
-
-@functools.cache
-def _identity(k):
-    """A read-only k x k identity, built once per k."""
-    I = np.eye(k)
-    I.flags.writeable = False
-    return I
+    return float(abs(G.T @ G - np.eye(G.shape[1])).max())
 
 
 def require_orthonormal(G, what="G"):
@@ -107,13 +98,6 @@ def orthonormalize(G):
     d = np.diag(R).copy()
     d[d == 0] = 1.0
     return Q * np.sign(d)
-
-
-def ensure_orthonormal(G):
-    """Return ``G`` itself if within drift tolerance, else a QR repair."""
-    if orthonormality_error(G) > ORTH_TOL:
-        return orthonormalize(G)
-    return G
 
 
 def fix_svd_signs(U, Vt):

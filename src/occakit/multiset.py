@@ -32,7 +32,7 @@ from .errors import (
     RankDeficiencyError,
     ViewError,
 )
-from .linalg import align, as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize
+from .linalg import align, as_matrix, fix_svd_signs, orthonormalize
 from .linalg import require_count, require_stop_rule, scale_of
 from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, scf_solve
 
@@ -311,7 +311,7 @@ def _solve_view(s, hatX, rho, blocks, sigmas, scf_cfg):
     A = W.T @ (lam[:, None] * W)
     sub = SubproblemSpec(A, W.T @ D, validate=False)
     rep = scf_solve(sub, G0=start, cfg=scf_cfg)
-    X = ensure_orthonormal(W @ rep.solution)
+    X = W @ rep.solution
     e = _Iterate(X, D, lam[:, None] * X).eta
     if e < cur.eta:
         return G, cur.eta, rep.iterations

@@ -38,13 +38,10 @@ from .linalg import (
     _k_smallest,
     as_matrix,
     dist_tr,
-    ensure_orthonormal,
     orthonormalize,
-    require_count,
     require_orthonormal,
     require_stop_rule,
     require_subspace_size,
-    sample_tangent,
     scale_of,
     symmetric_matrix,
 )
@@ -321,7 +318,7 @@ def scf_solve(spec, G0=None, cfg=None):
 
     while report.termination_reason == "max_iter" and report.iterations < cfg.max_iter:
         eig = _k_smallest(build_E(cur.G, spec, xi=cur.xi), k)
-        G = ensure_orthonormal(_align(eig.basis, spec.D))
+        G = _align(eig.basis, spec.D)
         cur = _settled(G, spec.D, times_A)
         report.zero_ratio_events += cur.G is not G
         e_prev, e_new = report.eta_trace[-1], cur.eta
@@ -343,23 +340,32 @@ def scf_solve(spec, G0=None, cfg=None):
 class SecondOrderReport:
     passed: bool
     worst_margin: float
-    samples: int
+    dimension: int         # p = nk - k(k+1)/2, the tangent space's dimension
 
 
-def second_order_check(G, spec, samples, rng):
-    """Sampled test of the second-order optimality condition at a
-    stationary G: for tangent directions H,
+def second_order_check(G, spec):
+    """Exact test of the second-order optimality condition at a
+    stationary G: for every tangent direction H,
 
         tr^2(D^T H) <= eta(G) (tr(H^T A H) - tr(H M(G) H^T)).
 
-    Draws ``samples`` (a count) random tangent vectors (unit Frobenius
-    norm) and reports the worst margin rhs - lhs over ``scale_of(lhs,
-    rhs)``; the check passes when every margin is >= -1e-8.  Raises at a
-    clearly non-stationary point, a ``kkt_residual`` above 1e-4 of
-    ``scale_of(A, D)``; both tests are unchanged by A, D -> cA, cD.
+    With H = U [Omega; J], U = [G, G_perp] from a complete QR of G, Omega
+    skew and J free, rhs - lhs is the quadratic form
+    eta (I_k (x) U^T A U) - (eta M (x) I_n) - vec(U^T D) vec(U^T D)^T in
+    vec([Omega; J]).  Restricted to the orthonormal tangent basis (each
+    entry of J, and (e_a e_b^T - e_b e_a^T)/sqrt(2) for a < b) of dimension
+    p = nk - k(k+1)/2, its smallest eigenvalue over its largest eigenvalue
+    magnitude (the form's spectral norm; 1 for a zero form) is
+    ``worst_margin``, and the check passes when that is >= -1e-8.  Dense in
+    nk: O((nk)^2) memory, O((nk)^3) time.
+
+    Needs 1 <= k < n.  Raises at a clearly non-stationary point, a
+    ``kkt_residual`` above 1e-4 of ``scale_of(A, D)``; both tests are
+    unchanged by A, D -> cA, cD.
     """
-    require_count("samples", samples)
     G = require_orthonormal(np.asarray(G, dtype=float), "G")
+    n, k = G.shape
+    require_subspace_size(k, n)
     it = _Iterate(G, spec.D, spec.A @ G)
     scale = scale_of(spec.A, spec.D)
     # the gradient of eta is exactly zero where tr(G^T D) = 0, though xi is undefined
@@ -376,17 +382,14 @@ def second_order_check(G, spec, samples, rng):
     GtD = it.GtD
     eta_m = e * 0.5 * (GtAG + GtAG.T) - it.phi_d * 0.5 * (GtD + GtD.T)
 
-    rng = np.random.default_rng(rng)
-    worst = np.inf
-    for _ in range(samples):
-        H = sample_tangent(G, rng)
-        nrm = np.linalg.norm(H)
-        if nrm == 0.0:
-            continue
-        H = H / nrm
-        lhs = float(np.trace(spec.D.T @ H)) ** 2
-        rhs = e * float(np.einsum("ij,ij->", H, spec.A @ H)) - float(
-            np.einsum("ij,ij->", H @ eta_m, H)
-        )
-        worst = min(worst, (rhs - lhs) / scale_of(lhs, rhs))
-    return SecondOrderReport(passed=worst >= -1e-8, worst_margin=float(worst), samples=samples)
+    U = np.hstack([G, np.linalg.qr(G, mode="complete")[0][:, k:]])
+    d = (U.T @ spec.D).ravel(order="F")
+    Q = e * np.kron(np.eye(k), U.T @ spec.A @ U) - np.kron(eta_m, np.eye(n)) - np.outer(d, d)
+    at = np.arange(n * k).reshape(k, n)  # at[c, i]: the place of entry (i, c) in vec
+    a, b = np.triu_indices(k, 1)
+    eye = np.eye(n * k)
+    skew = math.sqrt(0.5) * (eye[:, at[b, a]] - eye[:, at[a, b]])
+    B = np.hstack([eye[:, at[:, k:].ravel()], skew])
+    vals = np.linalg.eigvalsh(B.T @ Q @ B)
+    worst = float(vals[0] / scale_of(vals))
+    return SecondOrderReport(passed=worst >= -1e-8, worst_margin=worst, dimension=B.shape[1])

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation, RankDeficiencyError
-from .linalg import as_matrix, ensure_orthonormal, fix_svd_signs, orthonormalize, pair_align
+from .linalg import as_matrix, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_count, require_orthonormal, require_stop_rule, scale_of
 from .multiset import MultiViewProblem, _pull, _run, _unit_scores, build_multiview
 from .scf import ScfConfig, _Iterate
@@ -132,8 +132,7 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     k_scale = scale_of(K)
 
     def realign(hat):
-        hX, hY = pair_align(hat[0], hat[1], K)
-        hat[:] = [ensure_orthonormal(hX), ensure_orthonormal(hY)]
+        hat[:] = pair_align(hat[0], hat[1], K)
 
     def stop(hat, _):
         # X^T C Y = hatX^T K hatY

@@ -2,7 +2,7 @@
 
 A 5x5 / k=2 trace-fractional problem that is known to carry two distinct
 local maximizers, found independently with a general-purpose NLP solver
-and certified here by gradient norms and sampled second-order margins.
+and certified here by gradient norms and exact second-order margins.
 The one at objective ~10.16 is the global maximizer; the one at ~2.303
 is local only, and its cross product G^T D is symmetric but indefinite,
 so it is not a fixed point of the aligned SCF map (see

@@ -18,7 +18,7 @@ from occakit import (
     second_order_check,
 )
 from occakit.errors import ViewError
-from occakit.linalg import ensure_orthonormal, fix_svd_signs, orthonormality_error, scale_of
+from occakit.linalg import fix_svd_signs, orthonormality_error, scale_of
 
 import oracles
 from cases import random_stiefel
@@ -280,17 +280,6 @@ class TestSampleTangent:
 
 
 class TestOrthonormalize:
-    def test_repairs_drift(self):
-        rng = np.random.default_rng(9)
-        G = random_stiefel(6, 3, rng) + 1e-6 * rng.standard_normal((6, 3))
-        fixed = ensure_orthonormal(G)
-        assert orthonormality_error(fixed) <= 1e-12
-
-    def test_leaves_clean_input_alone(self):
-        rng = np.random.default_rng(10)
-        G = random_stiefel(6, 3, rng)
-        assert ensure_orthonormal(G) is G
-
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(12)
         M = rng.standard_normal((5, 3))
@@ -380,7 +369,7 @@ def test_every_check_decides_as_at_unit_scale(c):
 
     spec = SubproblemSpec(c * np.diag([1.0, 2.0, 3.0]), c * np.array([[1.0], [0.5], [0.0]]))
     with pytest.raises(ContractViolation, match="stationary"):
-        second_order_check(np.eye(3)[:, :1], spec, samples=10, rng=0)
+        second_order_check(np.eye(3)[:, :1], spec)
 
     saddle = SubproblemSpec(c * np.diag([1.0, 2.0]), c * np.array([[0.0], [1.0]]))
-    assert not second_order_check(np.array([[1.0], [0.0]]), saddle, samples=500, rng=1).passed
+    assert not second_order_check(np.array([[1.0], [0.0]]), saddle).passed

@@ -233,16 +233,18 @@ class TestBuildWeights:
 
 
 @pytest.mark.parametrize(
-    "call",
+    ("call", "match"),
     [
-        lambda: WeightMatrix.custom(np.array([[0.0, 1.0], [2.0, 0.0]])),
-        lambda: WeightMatrix.custom(np.array([[0.0, -1.0], [-1.0, 0.0]])),
-        lambda: WeightMatrix.custom(np.zeros((2, 2))),
-        lambda: parse_scheme("top:x"),
-        lambda: select_weights(np.zeros((1, 1)), "uniform"),
+        (lambda: WeightMatrix.custom(np.array([[0.0, 1.0], [2.0, 0.0]])), "not symmetric"),
+        (lambda: WeightMatrix.custom(np.array([[0.0, -1.0], [-1.0, 0.0]])), "nonnegative"),
+        (lambda: WeightMatrix.custom(np.zeros((2, 2))), "positive sum"),
+        (lambda: WeightMatrix.custom([[1.0, 1.0], [1.0, 0.0]]), "zero diagonal"),
+        (lambda: parse_scheme("top:x"), "bad top-p"),
+        (lambda: select_weights(np.zeros((1, 1)), "uniform"), "two views"),
     ],
-    ids=["custom-asymmetric", "custom-negative", "custom-zero-sum", "top-x", "one-view"],
+    ids=["custom-asymmetric", "custom-negative", "custom-zero-sum", "custom-diagonal", "top-x",
+         "one-view"],
 )
-def test_input_checks_raise_contract_violation(call):
-    with pytest.raises(ContractViolation):
+def test_input_checks_raise_contract_violation(call, match):
+    with pytest.raises(ContractViolation, match=match):
         call()
