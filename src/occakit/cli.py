@@ -224,8 +224,6 @@ def cmd_eval(args):
         rank_deficient, total = True, 0.0
     except ViewError as exc:
         # the index names a projection here, so the --proj file is at fault
-        if exc.view is None:
-            raise
         raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
 
     # every scheme weighs the one pair of two views exactly 1, so f is objective_f

@@ -11,9 +11,9 @@ solve ends lower; cycles follow either a Jacobi scheme (all updates read
 the previous cycle's iterates) or a Gauss-Seidel scheme (updates consume
 fresh iterates; the total correlation then never decreases).  Both run
 on the calling thread.  ``_run`` is the one outer loop, for both schemes
-and for the two-view solver; after each Jacobi cycle but the last it
-tries an Anderson extrapolation of the cycle map, kept only where it
-raises the total correlation.
+and for the two-view solver; it realigns every cycle by ``_realign``, and
+after each Jacobi cycle but the last it tries an Anderson extrapolation
+of the cycle map, kept only where it raises the total correlation.
 """
 
 from __future__ import annotations
@@ -385,12 +385,11 @@ def total_correlation(projections, views, weights):
 
 
 def _realign(hatX, rho, blocks, sigmas):
-    """The Jacobi realignment sweep: rotates each view of ``hatX`` in place,
-    in view order, inside its own span against the pull of its partners'
-    current iterates.  Simultaneous updates only align each view to its
-    partners' stale representatives, which can leave the merged set
-    mutually anti-aligned (the subspaces are fine, the signs oscillate);
-    this sweep repairs that without moving any subspace."""
+    """The realignment of every cycle and extrapolation candidate: rotates
+    each view of ``hatX`` in place, in view order, inside its own span so
+    that hatX_s^T D_s, D_s its partners' current pull, is symmetric PSD.
+    g never falls, no subspace moves, and views cannot end anti-aligned.
+    For two views it is ``pair_align`` up to a joint rotation, at rounding."""
     for s in range(len(hatX)):
         hatX[s] = align(hatX[s], _pull(s, hatX, rho, blocks, sigmas))
 
@@ -455,19 +454,19 @@ def _cycle(hatX, rho, blocks, sigmas, scheme, scf_cfg):
     return read, loop_g, sweeps
 
 
-def _run(hatX, rho, pairs, blocks, sigmas, scheme, scf_cfg, max_cycles, stop, realign):
+def _run(hatX, rho, pairs, blocks, sigmas, scheme, scf_cfg, max_cycles, stop):
     """The outer loop of every solver: each cycle is ``_cycle`` on ``hatX``
-    in place, then ``realign(hatX)``; its loop_g, g and sweeps go into an
+    in place, then ``_realign``; its loop_g, g and sweeps go into an
     ``OmccaReport`` without projections, returned once ``stop(hatX,
     record)`` gives a reason, or at the cap (reason ``max_cycles``).  After
     a Jacobi cycle that does neither, the ``_Extrapolation`` candidate,
-    orthonormalized view by view and realigned by the same hook, replaces
+    orthonormalized view by view and realigned by ``_realign``, replaces
     the committed iterates when its total correlation is strictly higher."""
     record = OmccaReport(projections=[])
     extrapolation = _Extrapolation()
     for cycle in range(1, max_cycles + 1):
         read, loop_g, sweeps = _cycle(hatX, rho, blocks, sigmas, scheme, scf_cfg)
-        realign(hatX)
+        _realign(hatX, rho, blocks, sigmas)
         record.cycles = cycle
         record.loop_g_trace.append(loop_g)
         record.g_trace.append(_g(hatX, rho, pairs, blocks, sigmas))
@@ -481,7 +480,7 @@ def _run(hatX, rho, pairs, blocks, sigmas, scheme, scf_cfg, max_cycles, stop, re
             z = extrapolation.propose(read, hatX)
             if z is not None:
                 z = [orthonormalize(b) for b in z]
-                realign(z)
+                _realign(z, rho, blocks, sigmas)
                 g_z = _g(z, rho, pairs, blocks, sigmas)
                 if g_z > record.g_trace[-1]:
                     hatX[:] = z
@@ -497,15 +496,14 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     selected pair from the problem, so a cycle costs nothing that grows
     with the sample count.  Starts each reduced projection at the leading
     identity columns and runs ``_run`` in the configured order, each
-    view's subproblem solved by ``_solve_view`` and each Jacobi cycle
-    realigned by ``_realign``.  Stops when the per-cycle sum of subproblem
-    optima changes by at most ``eps_outer`` relative, or at the cycle cap
-    (``max_cycles``).  ``_run`` tries its extrapolation step only between
-    Jacobi cycles, so the returned projections are always a plain cycle's
-    output, at the cap too.  ``threads`` must be a positive integer and
-    has no effect: every cycle runs on the calling thread.  Raises
-    ``RankDeficiencyError`` (0-based ``.view``) unless k is below the
-    numerical rank of every view.
+    view's subproblem solved by ``_solve_view``.  Stops when the per-cycle
+    sum of subproblem optima changes by at most ``eps_outer`` relative, or
+    at the cycle cap (``max_cycles``).  ``_run`` tries its extrapolation
+    step only between Jacobi cycles, so the returned projections are always
+    a plain realigned cycle's output, at the cap too.  ``threads`` must be
+    a positive integer and has no effect: every cycle runs on the calling
+    thread.  Raises ``RankDeficiencyError`` (0-based ``.view``) unless k
+    is below the numerical rank of every view.
     """
     cfg = cfg or OmccaConfig()
     prob = build_multiview(views)
@@ -523,11 +521,6 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
         loop_g_last, loop_g = [0.0, *record.loop_g_trace][-2:]
         return "rel_change_tol" if abs(loop_g - loop_g_last) <= cfg.eps_outer * loop_g else None
 
-    def realign(hat):
-        if cfg.scheme == "jacobi":
-            _realign(hat, rho, blocks, sigmas)
-
-    report = _run(hatX, rho, pairs, blocks, sigmas, cfg.scheme, cfg.scf_cfg, cfg.max_cycles,
-                  stop, realign)
+    report = _run(hatX, rho, pairs, blocks, sigmas, cfg.scheme, cfg.scf_cfg, cfg.max_cycles, stop)
     report.projections = [rv.U @ hx for rv, hx in zip(reduced, hatX)]
     return report

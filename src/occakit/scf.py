@@ -15,8 +15,9 @@ A sweep pays only for its arithmetic.  The data are checked once, where a
 ``SubproblemSpec`` is made: A by ``linalg.symmetric_matrix``, D finite
 with A's row count.  Every E(G) is then exactly symmetric by
 construction, so a sweep checks only that LAPACK succeeded, and calls
-the unchecked kernels behind ``k_smallest_eigenbasis`` and ``align``
-(numpy's LAPACK gufuncs); ``_Iterate`` checks xi(G) where it forms it.
+the unchecked kernels behind ``build_E``, ``k_smallest_eigenbasis`` and
+``align``; ``_Iterate`` checks xi(G) where it forms it.  Every public
+function of a point G checks G once, by ``_at``: finite, of shape (n, k).
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
 ``_settled``, moves such a G to tr(G^T D) > 0: ``scf_solve`` applies it
@@ -199,24 +200,35 @@ def _square(x, what):
         ) from None
 
 
+def _at(G, spec):
+    """The ``_Iterate`` at G, once G is finite of shape (spec.n, spec.k)."""
+    G = as_matrix(G, "G")
+    if G.shape != (spec.n, spec.k):
+        raise ContractViolation(f"G must be {spec.n}x{spec.k} to match (A, D), got {G.shape}")
+    return _Iterate(G, spec.D, spec.A @ G)
+
+
 def eta(G, spec):
     """Objective value tr^2(G^T D) / tr(G^T A G); invariant under D -> -D."""
-    return _Iterate(G, spec.D, spec.A @ G).eta
+    return _at(G, spec).eta
 
 
 def grad_eta(G, spec):
     """Riemannian gradient of eta at G (tangent to the orthonormality
     constraint): -(2/xi^2) ([A G - xi D] - G M(G)) with
     M(G) = sym(G^T A G - xi G^T D).  Undefined when tr(G^T D) = 0."""
-    return _Iterate(G, spec.D, spec.A @ G).grad()
+    return _at(G, spec).grad()
 
 
-def build_E(G, spec, xi=None):
+def build_E(G, spec):
     """The eigenvector-dependent operator E(G) = A - xi(G)(D G^T + G D^T),
-    exactly symmetric when A is.  ``xi`` is xi(G) when the caller already
-    has it, else it is computed here."""
-    if xi is None:
-        xi = _Iterate(G, spec.D, spec.A @ G).xi
+    exactly symmetric when A is."""
+    it = _at(G, spec)
+    return _build_E(it.G, spec, it.xi)
+
+
+def _build_E(G, spec, xi):
+    """``build_E``'s unchecked kernel, run by every ``scf_solve`` sweep."""
     S = spec.D @ G.T
     return spec.A - xi * (S + S.T)
 
@@ -225,7 +237,7 @@ def kkt_residual(G, spec):
     """Joint first-order residual: max of the stationarity residual
     max|A G - xi D - G M(G)| and the symmetry residual max|G^T D - D^T G|.
     The first block equals (xi^2/2) * grad_eta(G) entrywise."""
-    it = _Iterate(G, spec.D, spec.A @ G)
+    it = _at(G, spec)
     r_stat = float(np.max(np.abs(it.stationarity())))
     r_sym = float(np.max(np.abs(it.GtD - it.GtD.T)))
     return max(r_stat, r_sym)
@@ -284,15 +296,13 @@ def scf_solve(spec, G0=None, cfg=None):
 
     The spec's data were checked when it was made (``SubproblemSpec``).
     Checked once per solve, before the first sweep: ``1 <= k < n`` and
-    ``G0``.  Checked on every sweep: that LAPACK returned no NaN
-    (``SolverFailure``; an E that overflows despite a finite xi fails
-    there).  E is exactly symmetric by construction, so the sweep calls the
-    kernels of ``k_smallest_eigenbasis`` and ``align`` without their input
-    checks; the results are the ones those functions return.  Data whose
-    xi(G) is not finite (checked where ``_Iterate`` forms it), or whose
-    tr(G^T D) or xi(G) overflows when squared, raises ``ContractViolation``:
-    the maximizer does not depend on the scale of D, so rescaling D avoids
-    it.
+    ``G0``.  Checked on every sweep, whose kernels are unchecked (see the
+    module docstring): that LAPACK returned no NaN (``SolverFailure``; an
+    E that overflows despite a finite xi fails there).  Data whose xi(G)
+    is not finite (checked where ``_Iterate`` forms it), or whose
+    tr(G^T D) or xi(G) overflows when squared, raises
+    ``ContractViolation``: the maximizer does not depend on the scale of
+    D, so rescaling D avoids it.
     """
     cfg = cfg or ScfConfig()
     k = spec.k
@@ -317,7 +327,7 @@ def scf_solve(spec, G0=None, cfg=None):
     report.iterates.append(cur.G)
 
     while report.termination_reason == "max_iter" and report.iterations < cfg.max_iter:
-        eig = _k_smallest(build_E(cur.G, spec, xi=cur.xi), k)
+        eig = _k_smallest(_build_E(cur.G, spec, cur.xi), k)
         G = _align(eig.basis, spec.D)
         cur = _settled(G, spec.D, times_A)
         report.zero_ratio_events += cur.G is not G
@@ -359,14 +369,14 @@ def second_order_check(G, spec):
     ``worst_margin``, and the check passes when that is >= -1e-8.  Dense in
     nk: O((nk)^2) memory, O((nk)^3) time.
 
-    Needs 1 <= k < n.  Raises at a clearly non-stationary point, a
-    ``kkt_residual`` above 1e-4 of ``scale_of(A, D)``; both tests are
-    unchanged by A, D -> cA, cD.
+    Needs G of shape (n, k) and 1 <= k < n.  Raises at a clearly
+    non-stationary point, a ``kkt_residual`` above 1e-4 of
+    ``scale_of(A, D)``; both tests are unchanged by A, D -> cA, cD.
     """
-    G = require_orthonormal(np.asarray(G, dtype=float), "G")
+    it = _at(G, spec)
+    G = require_orthonormal(it.G, "G")
     n, k = G.shape
     require_subspace_size(k, n)
-    it = _Iterate(G, spec.D, spec.A @ G)
     scale = scale_of(spec.A, spec.D)
     # the gradient of eta is exactly zero where tr(G^T D) = 0, though xi is undefined
     resid = kkt_residual(G, spec) if it.phi_d != 0.0 else 0.0

@@ -7,9 +7,9 @@ matrices inside the range of their views.  The problem is a two-view
 K = diag(sigma_1) V_1^T V_2 diag(sigma_2), from the thin SVDs
 S_i = U_i diag(sigma_i) V_i^T of ``reduce_views``; A, B and C are never
 formed.  The solver alternates trace-fractional solves in X and Y (the
-multiset engine with two views), with a joint realignment after every
-sweep.  Classical CCA (principal angles between the row spaces of the
-views) and QR post-orthogonalization are the baselines.
+multiset engine with two views), with the multiset realignment after
+every sweep.  Classical CCA (principal angles between the row spaces of
+the views) and QR post-orthogonalization are the baselines.
 """
 
 from __future__ import annotations
@@ -101,17 +101,19 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     the shared reduction ``prob.reduced()``: view i enters as its spectrum
     sigma_i and the cross block K = diag(sigma_1) V_1^T V_2 diag(sigma_2),
     so q < n needs nothing special.  The outer loop is ``multiset._run``:
-    each outer step is one Gauss-Seidel cycle (hatX, then hatY) followed
-    by the joint realignment ``pair_align``.  Stops when the gradient norm
-    is at most ``eps_alt`` (``grad_tol``) or at the outer-iteration cap
+    each outer step is one Gauss-Seidel cycle (hatX, then hatY) and its
+    realignment ``multiset._realign``.  Stops when the gradient norm is at
+    most ``eps_alt`` (``grad_tol``) or at the outer-iteration cap
     (``max_outer``); a small change of F alone does not stop it, since F
     can creep far from the fixed point.  F never decreases, X^T C Y =
     hatX^T K hatY is symmetric PSD after every step (``xcy_asyms`` over
-    ``scale_of(K)``), and X = U_1 hatX lies in the range of its view.  The start
-    is X0 (default: leading identity columns) projected onto the range and
-    orthonormalized, i.e. X0 itself at full rank; likewise for Y0.  Raises
-    ``RankDeficiencyError`` unless k is below the numerical rank of both
-    views, which ``reduce_views`` decides.
+    ``scale_of(K)``) and diagonal at the end, where one ``pair_align``
+    rotates the pair into its canonical basis, and X = U_1 hatX lies in
+    the range of its view.  The start is X0 (default: leading identity
+    columns) projected onto the range and orthonormalized, i.e. X0 itself
+    at full rank; likewise for Y0.  Raises ``RankDeficiencyError`` unless
+    k is below the numerical rank of both views, which ``reduce_views``
+    decides.
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
@@ -131,9 +133,6 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     report = OccaReport(X=X0, Y=Y0)
     k_scale = scale_of(K)
 
-    def realign(hat):
-        hat[:] = pair_align(hat[0], hat[1], K)
-
     def stop(hat, _):
         # X^T C Y = hatX^T K hatY
         W = hat[0].T @ K @ hat[1]
@@ -151,8 +150,9 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
         report.grad_norm_final = float(np.sqrt(np.linalg.norm(gx) ** 2 + np.linalg.norm(gy) ** 2))
         return "grad_tol" if report.grad_norm_final <= alt_cfg.eps_alt else None
 
-    record = _run(hat, rho, [(0, 1)], blocks, sigmas, "gauss_seidel", scf_cfg, alt_cfg.max_outer,
-                  stop, realign)
+    record = _run(hat, rho, [(0, 1)], blocks, sigmas, "gauss_seidel", scf_cfg,
+                  alt_cfg.max_outer, stop)
+    hat = pair_align(hat[0], hat[1], K)
     report.outer_iterations = record.cycles
     report.inner_iterations = [tuple(sweeps) for sweeps in record.per_cycle_subproblem_iters]
     if record.termination_reason != "max_cycles":

@@ -15,6 +15,7 @@ from occakit import (
     ScfConfig,
     SubproblemSpec,
     SyntheticSpec,
+    align,
     build_multiview,
     build_two_view,
     build_weights,
@@ -26,6 +27,7 @@ from occakit import (
     gen_synthetic,
     occa_alternate,
     orthonormalize,
+    pair_align,
     rcomcca,
     reduce_views,
     scf_solve,
@@ -33,6 +35,7 @@ from occakit import (
 )
 from cases import random_stiefel
 from occakit.errors import ViewError
+from occakit.linalg import scale_of
 from occakit.weighting import WeightMatrix
 
 
@@ -426,6 +429,9 @@ class TestRcomcca:
             sub = scf_solve(spec, G0=hats[s], cfg=cfg.scf_cfg)
             if sub.eta_trace[-1] >= eta(hats[s], spec):
                 hats[s] = sub.solution
+        # the realignment that ends every cycle, in view order
+        for s in range(len(hats)):
+            hats[s] = align(hats[s], compute_Ds(s, hats, w, reduced))
         for X, rv, hx in zip(rep.projections, reduced, hats):
             assert np.max(np.abs(X - rv.U @ hx)) <= 1e-12
         assert rep.g_trace[0] == pytest.approx(g_objective(hats, w, reduced), rel=1e-12)
@@ -531,6 +537,73 @@ def test_extrapolation_proposes_subspaces_only():
     for a, b, y in zip(z, z_rot, hatX):
         assert dist_tr(orthonormalize(a), orthonormalize(b)) <= 1e-12
         assert dist_tr(orthonormalize(a), y) > 1e-8  # the proposal is not y itself
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_realign_never_lowers_g(seed):
+    # each rotation raises view s's terms of g, 2 tr(hatX_s^T D_s) over a
+    # norm that rotations keep, to their nuclear norm; no subspace moves
+    views = three_views(seed=seed)
+    reduced = reduce_views(views)
+    sigmas = [rv.sigma for rv in reduced]
+    rng = np.random.default_rng(seed)
+    for weighting in ("uniform", "tree"):
+        w = build_weights(views, weighting)
+        pairs = w.selected_pairs()
+        blocks = multiset._cross_blocks(reduced, pairs)
+        hatX = [random_stiefel(rv.r, 2, rng) for rv in reduced]
+        start = list(hatX)
+        g = [multiset._g(hatX, w.rho, pairs, blocks, sigmas)]
+        for _ in range(2):
+            multiset._realign(hatX, w.rho, blocks, sigmas)
+            g.append(multiset._g(hatX, w.rho, pairs, blocks, sigmas))
+        assert g[1] > g[0]
+        assert g[2] >= g[1] - 1e-14 * abs(g[1])
+        for a, b in zip(start, hatX):
+            assert dist_tr(a, b) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_view_realign_is_pair_align_up_to_a_joint_rotation(seed):
+    views = three_views(seed=seed)[:2]
+    reduced = reduce_views(views)
+    sigmas = [rv.sigma for rv in reduced]
+    rho = np.array([[0.0, 1.0], [1.0, 0.0]])
+    blocks = multiset._cross_blocks(reduced, [(0, 1)])
+    K = blocks[0, 1]
+    rng = np.random.default_rng(seed)
+    hat = [random_stiefel(rv.r, 2, rng) for rv in reduced]
+    paired = list(pair_align(hat[0], hat[1], K))
+    multiset._realign(hat, rho, blocks, sigmas)
+    # hatX^T K hatY symmetric PSD, its trace its nuclear norm
+    W = hat[0].T @ K @ hat[1]
+    assert np.max(np.abs(W - W.T)) <= 1e-12 * scale_of(K)
+    assert np.linalg.eigvalsh(0.5 * (W + W.T))[0] >= -1e-12 * scale_of(K)
+    assert np.trace(W) == pytest.approx(np.linalg.norm(W, "nuc"), rel=1e-12)
+    # the same subspaces, one rotation Q for both views, the same g
+    Q = paired[0].T @ hat[0]
+    for a, b in zip(hat, paired):
+        assert dist_tr(a, b) <= 1e-12
+        assert np.max(np.abs(a - b @ Q)) <= 1e-12
+    g, g_pair = (multiset._g(h, rho, [(0, 1)], blocks, sigmas) for h in (hat, paired))
+    assert g == pytest.approx(g_pair, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    ("bad", "error"),
+    [("rows", ViewError), ("k", ViewError), ("zero variance", DegenerateViewError)],
+)
+def test_projection_errors_name_their_projection(bad, error):
+    # the CLI's eval names the --proj file from ``.view``
+    views = three_views(seed=30)
+    projections = [np.eye(8)[:, :2], np.eye(6)[:, :2], np.eye(7)[:, :2]]
+    projections[1] = {
+        "rows": np.eye(5)[:, :2], "k": np.eye(6)[:, :3], "zero variance": np.zeros((6, 2))
+    }[bad]
+    with pytest.raises(error) as exc:
+        total_correlation(projections, views, build_weights(views, "uniform"))
+    assert type(exc.value) is error
+    assert exc.value.view == 1
 
 
 def test_solver_path_computes_no_certificate(monkeypatch):

@@ -536,6 +536,21 @@ def test_input_checks_raise_their_documented_class(call, error):
         call()
 
 
+@pytest.mark.parametrize("function", [eta, grad_eta, build_E, kkt_residual, second_order_check],
+                         ids=lambda f: f.__name__)
+def test_point_functions_reject_a_G_of_another_shape(function):
+    # one check for every function of a point: a G with k - 1 or k + 1
+    # columns, another row count or a non-finite entry raises naming G
+    spec = random_spec(np.random.default_rng(56), 5, 2)
+    for G in (np.eye(5)[:, :1], np.eye(5)[:, :3], np.eye(4)[:, :2]):
+        with pytest.raises(ContractViolation, match="G must be 5x2"):
+            function(G, spec)
+    G = np.eye(5)[:, :2]
+    G[4, 1] = np.nan
+    with pytest.raises(ContractViolation, match="G contains non-finite"):
+        function(G, spec)
+
+
 @pytest.mark.parametrize("count", [2.5, float("nan"), True], ids=["fraction", "nan", "bool"])
 @pytest.mark.parametrize(
     ("config", "cap"),

@@ -27,6 +27,7 @@ from occakit import (
 
 import oracles
 from cases import rank_tail_views
+from occakit.linalg import scale_of
 
 
 def synthetic_problem(m=20, n=20, q=200, seed=0, lam=2e-4):
@@ -126,6 +127,18 @@ class TestOccaAlternate:
         c_scale = np.max(np.abs(prob.C))
         assert all(v >= -1e-9 * c_scale for v in rep.xcy_min_eigs)
         assert rep.f_final == pytest.approx(np.sqrt(rep.F_trace[-1]), rel=1e-10)
+
+    @pytest.mark.parametrize(("m", "n", "q", "seed"), [(20, 20, 200, 6), (30, 25, 20, 3)])
+    def test_returned_pair_in_the_canonical_basis(self, m, n, q, seed):
+        # every cycle leaves X^T C Y symmetric PSD; the returned pair is
+        # rotated once more, so that it is diagonal with nonnegative entries
+        prob = build_two_view(*synthetic_problem(m=m, n=n, q=q, seed=seed))
+        rep = occa_alternate(prob, k=3)
+        W = rep.X.T @ prob.C @ rep.Y
+        k_scale = scale_of(prob.blocks([(0, 1)])[0, 1])
+        assert np.max(np.abs(W - np.diag(np.diag(W)))) <= 1e-12 * k_scale
+        assert np.min(np.diag(W)) >= 0.0
+        assert max(rep.xcy_asyms) <= 1e-12
 
     def test_matches_multistart_gradient_ascent(self):
         s1, s2 = synthetic_problem(m=20, n=20, q=200, seed=7)
