@@ -163,8 +163,6 @@ def cmd_occa(args):
 def cmd_omcca(args):
     t0 = time.perf_counter()
     prob = multiset.build_multiview(_load_views(args, args.views))
-    # read before the solve: every weighting reports rho_hat, which checks the views' scale
-    rho_hat = prob.rho_hat.tolist()
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rep = multiset.rcomcca(
         prob,
@@ -184,7 +182,7 @@ def cmd_omcca(args):
         f"omcca: g={rep.g_trace[-1]:.12g} ({rep.termination_reason}, {rep.cycles} cycles)",
         k=args.k, objective_trace=rep.g_trace, grad_norms=[], gaps=[],
         iterations=rep.cycles, termination_reason=rep.termination_reason,
-        weight_matrix=w.rho.tolist(), rho_hat=rho_hat,
+        weight_matrix=w.rho.tolist(), rho_hat=prob.rho_hat.tolist(),
         loop_g_trace=rep.loop_g_trace, ds_terms_per_cycle=rep.ds_terms_per_cycle,
     )
 

@@ -190,14 +190,16 @@ class MultiViewProblem:
 
     @cached_property
     def rho_hat(self):
-        """Pair affinities in [0, 1], symmetric with zero diagonal."""
+        """Pair affinities in [0, 1], symmetric with zero diagonal.  Each
+        spectrum is first divided by the power of two of its largest value
+        (``np.frexp``), which changes no bit of the ratio and keeps it in
+        range at any data scale."""
         ell = len(self.views)
         pairs = list(itertools.combinations(range(ell), 2))
-        power = [float(np.sum(rv.sigma**2)) for rv in self.reduced()]
-        for i, j in pairs:
-            if not 0.0 < power[i] * power[j] < np.inf:
-                raise ViewError(f"view {i} leaves floating-point range; rescale the data", view=i)
-        blocks = self.blocks(pairs)
+        unit = [RangeReducedView(rv.U, np.ldexp(rv.sigma, -np.frexp(rv.sigma[0])[1]), rv.V)
+                for rv in self.reduced()]
+        power = [float(np.sum(rv.sigma**2)) for rv in unit]
+        blocks = _cross_blocks(unit, pairs)
         R = np.zeros((ell, ell))
         for i, j in pairs:
             R[i, j] = R[j, i] = np.linalg.norm(blocks[i, j], "nuc") / np.sqrt(power[i] * power[j])
@@ -267,8 +269,11 @@ def _search_space(G, directions):
     The directions are scaled to unit columns and deflated against G; the
     eigenvectors of their Gram matrix pick the part of their span that is
     not negligible (singular values above ``_DROP_TOL``), which a second
-    deflation and a QR make orthonormal and orthogonal to G."""
+    deflation and a QR make orthonormal and orthogonal to G.  Each column
+    is first divided by the power of two of its largest entry, which
+    changes no bit of the unit column and keeps its norm in range."""
     B = np.hstack(directions)
+    B = np.ldexp(B, -np.frexp(np.max(np.abs(B), axis=0))[1])
     norms = np.linalg.norm(B, axis=0)
     B = B[:, norms > 0.0] / norms[norms > 0.0]
     B -= G @ (G.T @ B)

@@ -86,28 +86,18 @@ def parse_scheme(scheme):
 
 
 def _mst_edges(rho_hat):
-    """Kruskal's algorithm on the complete graph with edge cost
-    1 - rho_hat, ties broken by (cost, i, j) so runs are reproducible."""
+    """Kruskal's rule on the complete graph with edge cost 1 - rho_hat,
+    edges taken in (cost, i, j) order so ties break reproducibly.  Each view
+    carries its component's label; an edge joining two labels is kept and
+    j's component takes i's label.  The edges come back in the order kept."""
     ell = rho_hat.shape[0]
-    edges = sorted(
-        (1.0 - rho_hat[i, j], i, j) for i in range(ell) for j in range(i + 1, ell)
-    )
-    parent = list(range(ell))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    edges = sorted((1.0 - rho_hat[i, j], i, j) for i in range(ell) for j in range(i + 1, ell))
+    label = np.arange(ell)
     tree = []
     for _, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        if label[i] != label[j]:
+            label[label == label[j]] = label[i]
             tree.append((i, j))
-            if len(tree) == ell - 1:
-                break
     return tree
 
 

@@ -33,7 +33,7 @@ from occakit import (
 )
 from occakit import multiset
 from occakit.linalg import scale_of
-from occakit.multiset import _cross_blocks, _cycle, _realign, _solve_view
+from occakit.multiset import _cross_blocks, _cycle, _realign, _search_space, _solve_view
 from oracles import view_spec
 
 
@@ -165,6 +165,19 @@ def test_search_space_of_k_columns_keeps_the_iterate():
     assert sweeps == 0
     assert X is before
     assert e == eta(before, view_spec(0, hat, rho, blocks, [sigma, sigma]))
+
+
+@pytest.mark.parametrize("power", [-500, 500])
+def test_search_space_is_unit_free(power):
+    # column magnitudes from 1e-6 to 1e6: scaled by 2^500 the largest
+    # squares overflow (a RuntimeWarning, which fails the test), scaled by
+    # 2^-500 the smallest underflow; the basis is the same bits either way
+    rng = np.random.default_rng(5)
+    G = orthonormalize(rng.standard_normal((40, 3)))
+    directions = [rng.standard_normal((40, 3)) * 10.0 ** rng.uniform(-6, 6, 3) for _ in range(3)]
+    W = _search_space(G, directions)
+    assert W.shape == (40, 12)
+    assert np.array_equal(_search_space(G, [np.ldexp(d, power) for d in directions]), W)
 
 
 def q_below_n_problem():
