@@ -18,13 +18,29 @@ non-ASCII digits.  ``nan``, ``inf`` and overflowing tokens parse but are
 rejected as non-finite.  The body is parsed in one call to that reader;
 the line/column scanner runs only after the reader rejects a file, to
 name the first offending line and column.
+
+Binary twins.  ``save_matrix`` also writes the matrix it formatted, when
+it is nonempty and finite, to ``<csv>.<digest>.npy`` beside the CSV,
+``<digest>`` being the first 32 hex digits of the SHA-256 of the CSV's
+bytes.  ``load_matrix`` (without a header) hashes the bytes it read and
+returns the twin of that digest when one loads as a nonempty, finite,
+2-d float64 array; any other file, a twin that does not load so, or a
+CSV with a byte changed since it was written is parsed as above.  The
+CSV stays the interface: a twin only saves the parse of a file occakit
+wrote, is never written for a file occakit only reads, and is safe to
+delete.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
+import glob
+import hashlib
 import json
 import math
+import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +49,10 @@ from .errors import ContractViolation, ParseError
 from .linalg import require_count
 
 SCHEMA_VERSION = 1
+
+# A twin is named by this many hex digits of its CSV's SHA-256.
+_TWIN_DIGITS = 32
+_TWIN_PATTERN = "." + "[0-9a-f]" * _TWIN_DIGITS + ".npy"
 
 
 @dataclass
@@ -138,11 +158,10 @@ def _locate_error(body, offset, path):
     raise ParseError("not a numeric CSV matrix", path=path)
 
 
-def _read_text(path):
-    """The file decoded as UTF-8 without a leading byte-order mark; a byte
-    that does not decode is a ParseError at its line and field."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _decode(raw, path):
+    """The bytes of file ``path`` decoded as UTF-8 without a leading
+    byte-order mark; a byte that does not decode is a ParseError at its
+    line and field."""
     try:
         return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -163,11 +182,22 @@ def load_matrix(path, header=False):
     """Parse a CSV matrix (one row per line, comma separated; the grammar
     is in the module docstring).
 
+    Without a header, the file's bytes are hashed first, and the binary
+    twin ``save_matrix`` wrote for exactly these bytes, if it loads, is
+    returned in place of the parse (see the module docstring); the
+    result is the same bit for bit.
+
     Raises ParseError with the offending line/column for ragged rows,
     non-numeric or non-finite tokens (``nan``, ``inf``, overflow such as
     ``1e400``), bytes that are not UTF-8, or an empty file.
     """
-    body = _read_text(path).splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not header:
+        M = _read_twin(_twin_path(path, hashlib.sha256(raw)))
+        if M is not None:
+            return M
+    body = _decode(raw, path).splitlines()
     offset = 1
     if header:
         body = body[1:]
@@ -192,13 +222,73 @@ def load_matrix(path, header=False):
     return M
 
 
+def _twin_path(path, digest):
+    """``<path>.<digest>.npy``, the twin of the CSV bytes hashed by ``digest``."""
+    return f"{os.fspath(path)}.{digest.hexdigest()[:_TWIN_DIGITS]}.npy"
+
+
+def _read_twin(twin):
+    """The matrix in the ``.npy`` file ``twin``, or None unless it holds a
+    nonempty, finite, 2-d, C-ordered float64 array, as the parse returns,
+    whose data fills the rest of the file exactly (a missing or cut-off
+    twin is None; nothing is unpickled)."""
+    fmt = np.lib.format
+    try:
+        with open(twin, "rb") as fh:
+            if fmt.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = fmt.read_array_header_1_0(fh)
+            count = math.prod(shape)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if fortran or dtype != np.float64 or len(shape) != 2 or not count \
+                    or size != count * dtype.itemsize:
+                return None
+            M = np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
+    except (OSError, ValueError):
+        return None
+    return M if np.isfinite(M).all() else None
+
+
+def _write_twin(M, twin):
+    """Write ``M`` to ``twin`` through a new temporary file beside it and
+    ``os.replace``; on an OSError nothing is left behind.  A twin cut
+    short by a crash fails ``_read_twin``'s size check, so no sync."""
+    tmp = f"{twin}.{secrets.token_hex(8)}.tmp"
+    try:
+        fh = open(tmp, "xb")
+    except OSError:
+        return
+    try:
+        with fh:
+            np.save(fh, np.ascontiguousarray(M), allow_pickle=False)
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def save_matrix(M, path):
     """Write a matrix as CSV with 17 significant digits (lossless for
-    IEEE doubles)."""
+    IEEE doubles), in the platform's line endings, as text mode writes.
+
+    Removes the binary twins of the CSV's earlier contents, then writes
+    the twin of the new bytes when ``M`` is nonempty and finite (see the
+    module docstring); a twin that cannot be written is left out and the
+    CSV still stands."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    row_format = ",".join(["%.17g"] * M.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(row_format % tuple(row.tolist()) for row in M)
+    path = os.fspath(path)
+    for old in glob.glob(glob.escape(path) + _TWIN_PATTERN):
+        with contextlib.suppress(OSError):
+            os.remove(old)
+    row_format = ",".join(["%.17g"] * M.shape[1]) + os.linesep
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for row in M:
+            line = (row_format % tuple(row.tolist())).encode("utf-8")
+            digest.update(line)
+            fh.write(line)
+    if M.size and np.isfinite(M).all():
+        _write_twin(M, _twin_path(path, digest))
 
 
 def write_report(payload, path):

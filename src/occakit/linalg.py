@@ -92,9 +92,9 @@ def orthonormalize(G):
     """Thin QR of ``G`` with the diagonal of R forced nonnegative.
 
     The sign fix makes the result deterministic and leaves an
-    already-orthonormal input unchanged.
+    already-orthonormal input unchanged.  ``G`` is checked by ``as_matrix``.
     """
-    Q, R = np.linalg.qr(G)
+    Q, R = np.linalg.qr(as_matrix(G, "G"))
     d = np.diag(R).copy()
     d[d == 0] = 1.0
     return Q * np.sign(d)
@@ -159,11 +159,12 @@ def align(G, D):
     ``G^T D`` is exactly zero there is nothing to align and ``G`` is
     returned unchanged.
 
-    Checks that ``G`` and ``D`` share a shape, then runs ``_align``, the
-    unchecked kernel that ``scf_solve`` calls on every sweep.
+    Checks ``G`` and ``D`` by ``as_matrix`` and that they share a shape,
+    then runs ``_align``, the unchecked kernel that ``scf_solve`` calls on
+    every sweep.
     """
-    G = np.asarray(G, dtype=float)
-    D = np.asarray(D, dtype=float)
+    G = as_matrix(G, "G")
+    D = as_matrix(D, "D")
     if G.shape != D.shape:
         raise ContractViolation(f"G and D must share a shape, got {G.shape} vs {D.shape}")
     return _align(G, D)
@@ -183,11 +184,12 @@ def pair_align(X, Y, C):
     """Jointly rotate ``X`` and ``Y`` so that ``X^T C Y`` becomes symmetric
     PSD with trace equal to its nuclear norm.
 
-    Returns ``(X @ U, Y @ V)`` from the SVD ``X^T C Y = U S V^T``.
+    Returns ``(X @ U, Y @ V)`` from the SVD ``X^T C Y = U S V^T``, once
+    ``as_matrix`` passes all three and their shapes fit.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    C = np.asarray(C, dtype=float)
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
+    C = as_matrix(C, "C")
     if C.shape != (X.shape[0], Y.shape[0]) or X.shape[1] != Y.shape[1]:
         raise ContractViolation(
             f"shape mismatch: X {X.shape}, Y {Y.shape}, C {C.shape}"
@@ -217,10 +219,10 @@ def dist_tr(G1, G2):
     Zero iff the spans coincide; equals k for orthogonal subspaces.  The
     sines are taken as the singular values of (I - G1 G1^T) G2, which is
     exact near zero angles where the arccos-of-cosine route loses half
-    the working precision.
+    the working precision.  Both are checked by ``as_matrix``.
     """
-    G1 = np.asarray(G1, dtype=float)
-    G2 = np.asarray(G2, dtype=float)
+    G1 = as_matrix(G1, "G1")
+    G2 = as_matrix(G2, "G2")
     if G1.shape != G2.shape:
         raise ContractViolation(f"dimension mismatch: {G1.shape} vs {G2.shape}")
     P = G2 - G1 @ (G1.T @ G2)
@@ -230,7 +232,9 @@ def dist_tr(G1, G2):
 
 def sample_tangent(G, rng):
     """Draw a random tangent direction at ``G``: H = G K + (I - G G^T) J
-    with K random skew-symmetric and J Gaussian.  ``H^T G`` is skew."""
+    with K random skew-symmetric and J Gaussian.  ``H^T G`` is skew.
+    ``G`` is checked by ``as_matrix``."""
+    G = as_matrix(G, "G")
     rng = np.random.default_rng(rng)
     n, k = G.shape
     Z = rng.standard_normal((k, k))

@@ -151,15 +151,23 @@ def reduce_views(views, rank_tol=None):
     return out
 
 
-def _cross_blocks(reduced, pairs):
+def _product(reduced, i, j):
+    """V_i^T V_j, the one product of a cross block whose size depends on
+    the sample count q."""
+    return reduced[i].V.T @ reduced[j].V
+
+
+def _cross_blocks(reduced, pairs, products=None):
     """Reduced cross blocks K_ij = diag(sigma_i) V_i^T V_j diag(sigma_j)
     for the unordered ``pairs`` (i < j), keyed by both orders; K_ji is
-    stored as the transpose of K_ij.  This is the only work whose size
-    depends on the sample count q."""
+    stored as the transpose of K_ij.  Each V_i^T V_j is read from the
+    dict ``products`` where it is there and added to it where not."""
+    products = {} if products is None else products
     blocks = {}
     for i, j in pairs:
-        ri, rj = reduced[i], reduced[j]
-        blocks[i, j] = ri.sigma[:, None] * (ri.V.T @ rj.V) * rj.sigma
+        if (i, j) not in products:
+            products[i, j] = _product(reduced, i, j)
+        blocks[i, j] = reduced[i].sigma[:, None] * products[i, j] * reduced[j].sigma
         blocks[j, i] = blocks[i, j].T
     return blocks
 
@@ -170,11 +178,13 @@ class MultiViewProblem:
     weights, solvers and evaluators.  Computed on first use and kept:
     ``reduced(rank_tol)``; ``blocks(pairs)``, the K_ij of the default
     reduction; ``rho_hat``, the affinities ||K_ij||_* / sqrt(sum sigma_i^2
-    sum sigma_j^2) = nuclear(S_i S_j^T) / sqrt(tr(S_i S_i^T) tr(S_j S_j^T))."""
+    sum sigma_j^2) = nuclear(S_i S_j^T) / sqrt(tr(S_i S_i^T) tr(S_j S_j^T)).
+    Both scale one V_i^T V_j per pair, formed once."""
 
     views: list
     _reductions: dict = field(default_factory=dict, init=False, repr=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False)
 
     def reduced(self, rank_tol=None):
         """Thin-SVD factors of every view, truncated by ``reduce_views``' rule."""
@@ -185,7 +195,7 @@ class MultiViewProblem:
     def blocks(self, pairs):
         """The ``_cross_blocks`` dict, extended by the ``pairs`` not yet in it."""
         missing = [p for p in pairs if p not in self._blocks]
-        self._blocks.update(_cross_blocks(self.reduced(), missing))
+        self._blocks.update(_cross_blocks(self.reduced(), missing, self._products))
         return self._blocks
 
     @cached_property
@@ -199,7 +209,7 @@ class MultiViewProblem:
         unit = [RangeReducedView(rv.U, np.ldexp(rv.sigma, -np.frexp(rv.sigma[0])[1]), rv.V)
                 for rv in self.reduced()]
         power = [float(np.sum(rv.sigma**2)) for rv in unit]
-        blocks = _cross_blocks(unit, pairs)
+        blocks = _cross_blocks(unit, pairs, self._products)
         R = np.zeros((ell, ell))
         for i, j in pairs:
             R[i, j] = R[j, i] = np.linalg.norm(blocks[i, j], "nuc") / np.sqrt(power[i] * power[j])
@@ -330,6 +340,25 @@ def _selected_pairs(weights, ell):
     return weights.selected_pairs()
 
 
+def _checked_points(points, rows, what):
+    """``points`` as float arrays, once each is finite with ``rows[i]``
+    rows and all share one k.  A bad one raises a ``ViewError`` whose
+    ``.view`` is its position, naming it "<what> i"."""
+    if len(points) != len(rows):
+        raise ContractViolation(f"{len(points)} {what}s for {len(rows)} views")
+    checked = []
+    for idx, (X, n) in enumerate(zip(points, rows)):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != n:
+            raise ViewError(f"{what} {idx} has shape {X.shape}, expected ({n}, k)", view=idx)
+        if checked and X.shape[1] != checked[0].shape[1]:
+            raise ViewError(f"{what}s disagree on k", view=idx)
+        if not np.isfinite(X).all():
+            raise ViewError(f"{what} {idx} contains non-finite entries", view=idx)
+        checked.append(X)
+    return checked
+
+
 def compute_Ds(s, hatX, weights, reduced):
     """Weighted pull of the other views on view ``s`` in reduced
     coordinates:
@@ -340,37 +369,33 @@ def compute_Ds(s, hatX, weights, reduced):
     Pairs with zero weight are skipped entirely, so sparse weightings pay
     only for their selected edges.  Builds the blocks of view ``s`` on
     every call; ``rcomcca`` reads them from its problem, built once.
+    Every iterate hatX_i must be finite, r_i x k with one k.
     """
     pairs = [p for p in _selected_pairs(weights, len(reduced)) if s in p]
+    hatX = _checked_points(hatX, [rv.r for rv in reduced], "iterate")
     sigmas = [rv.sigma for rv in reduced]
     return _pull(s, hatX, weights.rho, _cross_blocks(reduced, pairs), sigmas)
 
 
 def g_objective(hatX, weights, reduced):
     """Total correlation in reduced coordinates; equals the original-
-    coordinate objective through X_i = U_i hatX_i."""
+    coordinate objective through X_i = U_i hatX_i.  Every iterate hatX_i
+    must be finite, r_i x k with one k."""
     pairs = _selected_pairs(weights, len(reduced))
+    hatX = _checked_points(hatX, [rv.r for rv in reduced], "iterate")
     sigmas = [rv.sigma for rv in reduced]
     return _g(hatX, weights.rho, pairs, _cross_blocks(reduced, pairs), sigmas)
 
 
 def _unit_scores(projections, views):
     """The projected samples S_i^T X_i of every view (a list or a problem),
-    each scaled to unit Frobenius norm, after checking the projections.
-    A bad projection raises a ``ViewError`` whose ``.view`` is the
-    position of that projection (and of its view)."""
+    each scaled to unit Frobenius norm, after checking the projections
+    (finite, n_i x k with one k).  A bad projection raises a ``ViewError``
+    whose ``.view`` is the position of that projection (and of its view)."""
     views = build_multiview(views).views
-    if len(projections) != len(views):
-        raise ContractViolation(f"{len(projections)} projections for {len(views)} views")
+    projections = _checked_points(projections, [S.shape[0] for S in views], "projection")
     Z = []
     for idx, (S, X) in enumerate(zip(views, projections)):
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[0] != S.shape[0]:
-            raise ViewError(
-                f"projection {idx} has shape {X.shape}, expected ({S.shape[0]}, k)", view=idx
-            )
-        if X.shape[1] != np.shape(projections[0])[1]:
-            raise ViewError("projections disagree on k", view=idx)
         z = S.T @ X
         den = float(np.sum(z * z))
         if den <= 0.0:

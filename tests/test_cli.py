@@ -11,7 +11,7 @@ import pytest
 
 import occakit
 from occakit import AltConfig, OmccaConfig, ScfConfig, SyntheticSpec, load_matrix, save_matrix
-from occakit import weighting
+from occakit import multiset, weighting
 from occakit.cli import build_parser, main
 from occakit.data import read_report
 
@@ -161,6 +161,22 @@ class TestOmcca:
                    "--max-iter-scf", 12, "--out", out) in (0, 3)
         config = read_report(f"{out}_report.json")["config"]
         assert config["eps_scf"] == 1e-7 and config["max_iter_scf"] == 12
+
+    @pytest.mark.parametrize("weights, n_views, products", [("uniform", 2, 1), ("tree", 3, 3)])
+    def test_each_pair_product_is_formed_once(self, tmp_path, monkeypatch, weights, n_views,
+                                              products):
+        # the report's rho_hat reads every pair's V_i^T V_j and the solve
+        # the selected pairs'; both scale the one product of a pair
+        x, y = gen_pair(tmp_path, m=8, n=7, q=50)
+        z = tmp_path / "z.csv"
+        save_matrix(load_matrix(x)[:5] + load_matrix(y)[:5], z)
+        formed = []
+        product = multiset._product
+        monkeypatch.setattr(multiset, "_product", lambda *a: formed.append(a[1:]) or product(*a))
+        views = [x, y, z][:n_views]
+        assert run("omcca", "--views", *views, "--k", 1, "--weights", weights,
+                   "--out", tmp_path / "run") in (0, 3)
+        assert len(formed) == len(set(formed)) == products
 
     def test_k_equal_to_rank_names_view(self, tmp_path, capsys):
         # 6 samples, centered: both views have rank 5

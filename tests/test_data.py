@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -293,3 +294,153 @@ class TestReports:
         write_report(payload, a)
         write_report(dict(reversed(list(payload.items()))), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _twins(p):
+    """The binary twins beside CSV ``p``."""
+    return sorted(p.parent.glob(p.name + "." + "[0-9a-f]" * 32 + ".npy"))
+
+
+def _twin_of(p):
+    """The one twin of ``p``, named by the SHA-256 of its bytes."""
+    (twin,) = _twins(p)
+    assert twin.name == f"{p.name}.{hashlib.sha256(p.read_bytes()).hexdigest()[:32]}.npy"
+    return twin
+
+
+def _parsed(p):
+    """``load_matrix(p)`` by the parse path alone: its twins are moved away."""
+    hidden = []
+    for twin in _twins(p):
+        hidden.append((twin, twin.with_name(twin.name + ".away")))
+        twin.rename(hidden[-1][1])
+    try:
+        return load_matrix(p)
+    finally:
+        for twin, away in hidden:
+            away.rename(twin)
+
+
+class TestBinaryTwin:
+    EXTREMES = np.array([
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300],
+        [-1e300, 1e-300, -1e-300, 1.7976931348623157e308, np.pi, -0.0],
+    ])
+
+    @pytest.mark.parametrize("M", [EXTREMES, EXTREMES.T, EXTREMES[:1]], ids=["2x6", "6x2", "1x6"])
+    def test_twin_and_parse_agree_bit_for_bit(self, tmp_path, M):
+        # the 6x2 matrix is a Fortran-ordered view; both paths return C order
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        _twin_of(p)
+        by_twin, by_parse = load_matrix(p), _parsed(p)
+        for A in (by_twin, by_parse):
+            assert A.dtype == np.float64 and A.shape == M.shape and A.flags.c_contiguous
+            assert np.array_equal(A, M) and np.array_equal(np.signbit(A), np.signbit(M))
+            assert np.array_equal(A.view(np.uint64), M.view(np.uint64))
+
+    def test_twin_hit_never_parses(self, tmp_path, monkeypatch):
+        M = np.random.default_rng(3).standard_normal((4, 5))
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+
+        def refusing(lines):
+            raise AssertionError("parsed a file whose twin loads")
+
+        monkeypatch.setattr(data_module, "_parse", refusing)
+        assert np.array_equal(load_matrix(p), M)
+
+    def test_csv_edited_in_place_at_the_same_length_is_parsed(self, tmp_path):
+        p = tmp_path / "m.csv"
+        save_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), p)
+        twin = _twin_of(p)
+        p.write_bytes(p.read_bytes().replace(b"3,4", b"3,5"))
+        assert twin.exists()
+        assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("fault", ["missing", "truncated", "header-only", "float32", "int64",
+                                       "nan", "1-d", "empty", "fortran", "not-npy", "directory"])
+    def test_a_twin_that_does_not_load_falls_back_to_the_parse(self, tmp_path, monkeypatch, fault):
+        M = np.random.default_rng(4).standard_normal((3, 4))
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        twin = _twin_of(p)
+        twin.unlink()
+        if fault == "truncated":
+            np.save(twin, M)
+            twin.write_bytes(twin.read_bytes()[:-8])
+        elif fault == "header-only":
+            np.save(twin, M)
+            twin.write_bytes(twin.read_bytes()[:20])
+        elif fault == "not-npy":
+            twin.write_bytes(b"1,2\n")
+        elif fault == "directory":
+            twin.mkdir()
+        elif fault != "missing":
+            wrong = {"float32": (M + 1).astype(np.float32), "int64": np.ones((3, 4), np.int64),
+                     "nan": np.full((3, 4), np.nan), "1-d": M.ravel() + 1,
+                     "empty": np.zeros((0, 4)), "fortran": np.asfortranarray(M)}[fault]
+            np.save(twin, wrong)
+        parsed = []
+        parse = data_module._parse
+        monkeypatch.setattr(data_module, "_parse", lambda lines: parsed.append(1) or parse(lines))
+        assert np.array_equal(load_matrix(p), M)
+        assert parsed
+
+    def test_header_load_ignores_the_twin(self, tmp_path):
+        p = tmp_path / "m.csv"
+        save_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), p)
+        _twin_of(p)
+        assert np.array_equal(load_matrix(p, header=True), [[3.0, 4.0]])
+
+    def test_copied_csv_with_a_ragged_row_is_parsed_beside_its_old_twin(self, tmp_path):
+        p, copy = tmp_path / "m.csv", tmp_path / "c.csv"
+        save_matrix(np.arange(6.0).reshape(3, 2), p)
+        twin = _twin_of(p)
+        copy.write_bytes(p.read_bytes() + b"7\n")
+        twin.with_name(twin.name.replace("m.csv", "c.csv")).write_bytes(twin.read_bytes())
+        with pytest.raises(ParseError) as exc:
+            load_matrix(copy)
+        assert (exc.value.line, exc.value.column) == (4, None) and str(copy) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        ("M", "line", "column", "message"),
+        [
+            pytest.param([[1.0, 2.0], [3.0, np.nan]], 2, 2, "non-finite value 'nan'", id="nan"),
+            pytest.param([[1.0, -np.inf]], 1, 2, "non-finite value '-inf'", id="inf"),
+            pytest.param(np.zeros((0, 3)), 1, None, "empty file", id="no-rows"),
+            pytest.param(np.zeros((2, 0)), 1, 1, "non-numeric token ''", id="no-columns"),
+        ],
+    )
+    def test_no_twin_for_a_non_finite_or_empty_matrix(self, tmp_path, M, line, column, message):
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        assert not _twins(p)
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p)
+        assert (exc.value.line, exc.value.column) == (line, column) and message in str(exc.value)
+
+    def test_rewriting_a_csv_removes_its_stale_twin(self, tmp_path):
+        p, other = tmp_path / "m.csv", tmp_path / "m.csv.x.csv"
+        save_matrix(np.ones((2, 2)), p)
+        save_matrix(np.ones((2, 2)), other)
+        stale, kept = _twin_of(p), _twin_of(other)
+        save_matrix(2.0 * np.ones((2, 2)), p)
+        assert not stale.exists() and _twin_of(p) != stale and kept.exists()
+        save_matrix([[np.nan]], p)
+        assert not _twins(p) and kept.exists()
+
+    @pytest.mark.parametrize("failing", ["save", "replace"])
+    def test_a_failed_twin_write_leaves_the_csv_and_no_twin(self, tmp_path, monkeypatch, failing):
+        def fail(*args, **kwargs):
+            if failing == "save":
+                args[0].write(b"\x93NUMPY")  # a partial twin
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np if failing == "save" else data_module.os, failing, fail)
+        M = np.random.default_rng(5).standard_normal((3, 2))
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
+        assert np.array_equal(load_matrix(p), M)

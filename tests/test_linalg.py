@@ -341,6 +341,35 @@ def test_input_checks_raise_contract_violation(call):
         call()
 
 
+_HELPERS = {
+    "align": (align, ("G", "D")),
+    "pair_align": (pair_align, ("X", "Y", "C")),
+    "dist_tr": (dist_tr, ("G1", "G2")),
+    "orthonormalize": (orthonormalize, ("G",)),
+    "sample_tangent": (lambda G: sample_tangent(G, 0), ("G",)),
+}
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "1-d"])
+@pytest.mark.parametrize(
+    "helper, arg",
+    [(name, arg) for name, (_, args) in _HELPERS.items() for arg in args],
+)
+def test_public_helpers_check_their_matrices_by_name(helper, arg, fault):
+    fn, names = _HELPERS[helper]
+    good = {"X": np.eye(3, 2), "Y": np.eye(4, 2), "C": np.ones((3, 4))}
+    args = {name: good.get(name, np.eye(3, 2)) for name in names}
+    if fault == "1-d":
+        args[arg] = args[arg][:, 0].copy()
+        message = f"{arg} must be 2-d"
+    else:
+        args[arg] = args[arg].copy()
+        args[arg][0, 0] = float(fault)
+        message = f"{arg} contains non-finite entries"
+    with pytest.raises(ContractViolation, match=message):
+        fn(*args.values())
+
+
 @pytest.mark.parametrize("c", [1e-150, 1e-6, 1e-3, 1.0, 1e4, 1e8, 1e150])
 def test_every_check_decides_as_at_unit_scale(c):
     # each tolerance is relative to scale_of its operands, so multiplying

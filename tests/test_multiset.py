@@ -25,6 +25,8 @@ from occakit import (
     eta,
     g_objective,
     gen_synthetic,
+    objective_F,
+    objective_f,
     occa_alternate,
     orthonormalize,
     pair_align,
@@ -187,6 +189,24 @@ class TestComputeDs:
                 acc += w.rho[s, j] * (rj.V @ SX) / np.sqrt(np.sum(SX * SX))
             expected = rv.sigma[:, None] * (rv.V.T @ acc)
             assert np.allclose(compute_Ds(s, hats, w, reduced), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("power", [0, -300, 300])
+@pytest.mark.parametrize("first", ["rho_hat", "blocks"])
+def test_shared_pair_products_change_no_bit(power, first):
+    # rho_hat (unit spectra) and blocks() (raw spectra) scale one
+    # V_i^T V_j per pair, read in either order, at any data scale
+    views = [np.ldexp(v, power) for v in three_views(seed=44)]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    ref_rho = build_multiview(views).rho_hat
+    prob = build_multiview(views)
+    ref_blocks = multiset._cross_blocks(prob.reduced(), pairs)
+    if first == "rho_hat":
+        rho, blocks = prob.rho_hat, prob.blocks(pairs)
+    else:
+        blocks, rho = prob.blocks(pairs), prob.rho_hat
+    assert np.array_equal(rho, ref_rho)
+    assert all(np.array_equal(blocks[key], ref_blocks[key]) for key in ref_blocks)
 
 
 class TestGObjective:
@@ -471,6 +491,64 @@ def test_evaluators_reject_weights_for_another_view_count(evaluator, n_weights):
     }[evaluator]
     with pytest.raises(ContractViolation, match=f"{n_weights} views, got {5 - n_weights}"):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("evaluator", ["total_correlation", "objective_f", "objective_F"])
+def test_projection_evaluators_reject_a_non_finite_projection(evaluator, position, bad):
+    views = three_views(seed=28) if evaluator == "total_correlation" else three_views(seed=28)[:2]
+    position = min(position, len(views) - 1)
+    reduced = reduce_views(views)
+    projs = [rv.U @ h for rv, h in zip(reduced, identity_hats(reduced, 2))]
+    projs[position] = projs[position].copy()
+    projs[position][1, 1] = bad
+    w = build_weights(views, "uniform")
+    call = {
+        "total_correlation": lambda: total_correlation(projs, views, w),
+        "objective_f": lambda: objective_f(*projs, build_two_view(*views)),
+        "objective_F": lambda: objective_F(*projs, build_two_view(*views)),
+    }[evaluator]
+    with pytest.raises(ViewError, match=f"projection {position} contains non-finite") as exc:
+        call()
+    assert exc.value.view == position
+
+
+def _bad_iterates(reduced, fault):
+    hats = identity_hats(reduced, 2)
+    if fault == "rows":
+        hats[1] = np.eye(reduced[1].r - 2, 2)
+    elif fault == "k":
+        hats[1] = np.eye(reduced[1].r, 3)
+    else:
+        hats[1] = hats[1].copy()
+        hats[1][0, 0] = fault
+    return hats
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("rows", r"iterate 1 has shape \(\d+, 2\), expected \(\d+, k\)"),
+     ("k", "iterates disagree on k"),
+     (np.nan, "iterate 1 contains non-finite"),
+     (np.inf, "iterate 1 contains non-finite")],
+    ids=["rows", "k", "nan", "inf"],
+)
+@pytest.mark.parametrize("evaluator", ["g_objective", "compute_Ds"])
+def test_iterate_evaluators_check_every_iterate(evaluator, fault, message):
+    # the pull on view 0 reads iterate 1; the pull on view 2 under a path
+    # 0-1, 1-2 also reads it, and the objective reads all of them
+    views = three_views(sizes=(14, 12, 13), seed=29)
+    reduced = reduce_views(views)
+    hats = _bad_iterates(reduced, fault)
+    w = build_weights(views, "uniform")
+    call = {
+        "g_objective": lambda: g_objective(hats, w, reduced),
+        "compute_Ds": lambda: compute_Ds(0, hats, w, reduced),
+    }[evaluator]
+    with pytest.raises(ViewError, match=message) as exc:
+        call()
+    assert exc.value.view == 1
 
 
 @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
