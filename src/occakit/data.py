@@ -22,13 +22,17 @@ name the first offending line and column.
 Binary twins.  ``save_matrix`` also writes the matrix it formatted, when
 it is nonempty and finite, to ``<csv>.<digest>.npy`` beside the CSV,
 ``<digest>`` being the first 32 hex digits of the SHA-256 of the CSV's
-bytes.  ``load_matrix`` (without a header) hashes the bytes it read and
-returns the twin of that digest when one loads as a nonempty, finite,
-2-d float64 array; any other file, a twin that does not load so, or a
-CSV with a byte changed since it was written is parsed as above.  The
-CSV stays the interface: a twin only saves the parse of a file occakit
-wrote, is never written for a file occakit only reads, and is safe to
-delete.
+bytes.  ``load_matrix`` (without a header) looks for twins of the CSV
+first; only when one is there does it hash the bytes it read, and it
+returns the twin of that digest when that loads as a nonempty, finite,
+2-d float64 array whose shape, first row and last row, formatted as
+``save_matrix`` formats them, match the CSV's bytes.  Any other file, a
+twin that does not load or match so, or a CSV with a byte changed since
+it was written is parsed as above.  The CSV stays the interface: a twin
+only saves the parse of a file occakit wrote, is never written for a
+file occakit only reads, and is safe to delete.  A twin is not the data:
+one edited in a middle row is read in place of the CSV, so delete a
+twin rather than edit it.
 """
 
 from __future__ import annotations
@@ -182,10 +186,11 @@ def load_matrix(path, header=False):
     """Parse a CSV matrix (one row per line, comma separated; the grammar
     is in the module docstring).
 
-    Without a header, the file's bytes are hashed first, and the binary
-    twin ``save_matrix`` wrote for exactly these bytes, if it loads, is
-    returned in place of the parse (see the module docstring); the
-    result is the same bit for bit.
+    Without a header, when the file has binary twins its bytes are
+    hashed, and the twin ``save_matrix`` wrote for exactly these bytes,
+    if it loads and matches them, is returned in place of the parse (see
+    the module docstring); the result is the same bit for bit.  A file
+    without twins is parsed without hashing.
 
     Raises ParseError with the offending line/column for ragged rows,
     non-numeric or non-finite tokens (``nan``, ``inf``, overflow such as
@@ -193,8 +198,8 @@ def load_matrix(path, header=False):
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not header:
-        M = _read_twin(_twin_path(path, hashlib.sha256(raw)))
+    if not header and glob.glob(glob.escape(os.fspath(path)) + _TWIN_PATTERN):
+        M = _read_twin(_twin_path(path, hashlib.sha256(raw)), raw)
         if M is not None:
             return M
     body = _decode(raw, path).splitlines()
@@ -227,32 +232,31 @@ def _twin_path(path, digest):
     return f"{os.fspath(path)}.{digest.hexdigest()[:_TWIN_DIGITS]}.npy"
 
 
-def _read_twin(twin):
+def _read_twin(twin, raw):
     """The matrix in the ``.npy`` file ``twin``, or None unless it holds a
-    nonempty, finite, 2-d, C-ordered float64 array, as the parse returns,
-    whose data fills the rest of the file exactly (a missing or cut-off
-    twin is None; nothing is unpickled)."""
-    fmt = np.lib.format
+    nonempty, finite, 2-d, C-ordered float64 array, as the parse returns
+    and ``save_matrix`` writes, with one row per line of the CSV bytes
+    ``raw``, which begin with its first row and end with its last as
+    ``save_matrix`` formats them (a missing or cut-off twin is None;
+    nothing is unpickled)."""
     try:
         with open(twin, "rb") as fh:
-            if fmt.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran, dtype = fmt.read_array_header_1_0(fh)
-            count = math.prod(shape)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if fortran or dtype != np.float64 or len(shape) != 2 or not count \
-                    or size != count * dtype.itemsize:
-                return None
-            M = np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
-    except (OSError, ValueError):
+            M = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, MemoryError):
         return None
-    return M if np.isfinite(M).all() else None
+    if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2 and M.size
+            and M.flags.c_contiguous and raw.count(b"\n") == M.shape[0]
+            and np.isfinite(M).all()):
+        return None
+    row_format = _row_format(M.shape[1])
+    first, last = _row_bytes(row_format, M[0]), _row_bytes(row_format, M[-1])
+    return M if raw.startswith(first) and raw.endswith(last) else None
 
 
 def _write_twin(M, twin):
     """Write ``M`` to ``twin`` through a new temporary file beside it and
     ``os.replace``; on an OSError nothing is left behind.  A twin cut
-    short by a crash fails ``_read_twin``'s size check, so no sync."""
+    short by a crash does not load in ``_read_twin``, so no sync."""
     tmp = f"{twin}.{secrets.token_hex(8)}.tmp"
     try:
         fh = open(tmp, "xb")
@@ -265,6 +269,16 @@ def _write_twin(M, twin):
     except OSError:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+
+
+def _row_format(columns):
+    """The ``%`` format of one CSV row of ``columns`` values: 17
+    significant digits, in the platform's line ending."""
+    return ",".join(["%.17g"] * columns) + os.linesep
+
+
+def _row_bytes(row_format, row):
+    return (row_format % tuple(row.tolist())).encode("utf-8")
 
 
 def save_matrix(M, path):
@@ -280,11 +294,11 @@ def save_matrix(M, path):
     for old in glob.glob(glob.escape(path) + _TWIN_PATTERN):
         with contextlib.suppress(OSError):
             os.remove(old)
-    row_format = ",".join(["%.17g"] * M.shape[1]) + os.linesep
+    row_format = _row_format(M.shape[1])
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for row in M:
-            line = (row_format % tuple(row.tolist())).encode("utf-8")
+            line = _row_bytes(row_format, row)
             digest.update(line)
             fh.write(line)
     if M.size and np.isfinite(M).all():

@@ -359,8 +359,13 @@ class TestBinaryTwin:
         assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 5.0]])
 
     @pytest.mark.parametrize("fault", ["missing", "truncated", "header-only", "float32", "int64",
-                                       "nan", "1-d", "empty", "fortran", "not-npy", "directory"])
-    def test_a_twin_that_does_not_load_falls_back_to_the_parse(self, tmp_path, monkeypatch, fault):
+                                       "nan", "1-d", "empty", "fortran", "not-npy", "directory",
+                                       "huge-header", "first-row", "last-row", "one-row-more",
+                                       "reshaped"])
+    def test_a_twin_that_does_not_load_or_match_falls_back_to_the_parse(self, tmp_path, monkeypatch,
+                                                                         fault):
+        # the last four are float64 twins rewritten as if they were the data:
+        # each is bound to its CSV by its shape and its first and last rows
         M = np.random.default_rng(4).standard_normal((3, 4))
         p = tmp_path / "m.csv"
         save_matrix(M, p)
@@ -376,16 +381,34 @@ class TestBinaryTwin:
             twin.write_bytes(b"1,2\n")
         elif fault == "directory":
             twin.mkdir()
+        elif fault == "huge-header":  # numpy cannot allocate the 728 TiB it names
+            with open(twin, "wb") as fh:
+                header = {"descr": "<f8", "fortran_order": False, "shape": (10**7, 10**7)}
+                np.lib.format.write_array_header_1_0(fh, header)
+                fh.write(M.tobytes())
         elif fault != "missing":
             wrong = {"float32": (M + 1).astype(np.float32), "int64": np.ones((3, 4), np.int64),
                      "nan": np.full((3, 4), np.nan), "1-d": M.ravel() + 1,
-                     "empty": np.zeros((0, 4)), "fortran": np.asfortranarray(M)}[fault]
+                     "empty": np.zeros((0, 4)), "fortran": np.asfortranarray(M),
+                     "first-row": M + [[1e-12], [0], [0]], "last-row": M * [[1], [1], [-1]],
+                     "one-row-more": np.vstack([M, M[-1:]]), "reshaped": M.reshape(4, 3)}[fault]
             np.save(twin, wrong)
         parsed = []
         parse = data_module._parse
         monkeypatch.setattr(data_module, "_parse", lambda lines: parsed.append(1) or parse(lines))
         assert np.array_equal(load_matrix(p), M)
         assert parsed
+
+    def test_a_csv_without_twins_is_not_hashed(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"1,2\n3,4\n")
+        (tmp_path / "n.csv.0123456789abcdef0123456789abcdef.npy").write_bytes(b"")
+
+        def refusing(*args):
+            raise AssertionError("hashed a file that has no twin")
+
+        monkeypatch.setattr(data_module.hashlib, "sha256", refusing)
+        assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_load_ignores_the_twin(self, tmp_path):
         p = tmp_path / "m.csv"
