@@ -135,19 +135,19 @@ def k_smallest_eigenbasis(E, k):
     """
     E = symmetric_matrix(E, "E")
     require_subspace_size(k, E.shape[0])
-    return _k_smallest(E, k)
+    basis, gap, vals = _k_smallest(E, k)
+    return EigenResult(basis=basis, values=vals[:k].copy(), gap=gap)
 
 
 def _k_smallest(E, k):
     """The ``dsyevd`` kernel of ``k_smallest_eigenbasis`` (the gufunc
     ``np.linalg.eigh`` runs) for a finite, exactly symmetric n x n ``E``
-    and ``1 <= k < n``.  numpy reports a LAPACK error as NaN outputs and
-    a ``RuntimeWarning``; a NaN eigenvalue raises ``SolverFailure``."""
+    and ``1 <= k < n``: (basis, gap, all eigenvalues).  numpy reports a
+    LAPACK error as NaN outputs; a NaN eigenvalue raises ``SolverFailure``."""
     vals, vecs = eigh_lo(E, signature="d->dd")
     if not math.isfinite(vals[0]):
         raise SolverFailure(f"dsyevd failed on a {E.shape[0]} x {E.shape[0]} matrix")
-    gap = max(float(vals[k] - vals[k - 1]), 0.0)
-    return EigenResult(basis=vecs[:, :k], values=vals[:k].copy(), gap=gap)
+    return vecs[:, :k], max(vals.item(k) - vals.item(k - 1), 0.0), vals
 
 
 def align(G, D):
@@ -174,7 +174,7 @@ def _align(G, D):
     """The kernel of ``align`` for float arrays of one shape:
     ``G^T D``, its ``dgesdd`` factors, ``G U V^T``."""
     W = G.T @ D
-    if not W.any():
+    if not np.count_nonzero(W):
         return G.copy()
     U, Vt = _svd_factors(W)
     return G @ (U @ Vt)

@@ -533,7 +533,8 @@ def rcomcca(views, k, weights, cfg=None, threads=1):
     a plain realigned cycle's output, at the cap too.  ``threads`` must be
     a positive integer and has no effect: every cycle runs on the calling
     thread.  Raises ``RankDeficiencyError`` (0-based ``.view``) unless k
-    is below the numerical rank of every view.
+    is below the numerical rank of every view.  Pass the problem that
+    ``build_weights`` read: a bare list is reduced again, in each call.
     """
     cfg = cfg or OmccaConfig()
     prob = build_multiview(views)

@@ -14,10 +14,11 @@ after the first satisfies D^T G >= 0 (positive semidefinite).
 A sweep pays only for its arithmetic.  The data are checked once, where a
 ``SubproblemSpec`` is made: A by ``linalg.symmetric_matrix``, D finite
 with A's row count.  Every E(G) is then exactly symmetric by
-construction, so a sweep checks only that LAPACK succeeded, and calls
-the unchecked kernels behind ``build_E``, ``k_smallest_eigenbasis`` and
-``align``; ``_Iterate`` checks xi(G) where it forms it.  Every public
-function of a point G checks G once, by ``_at``: finite, of shape (n, k).
+construction, so a sweep, one pass over plain arrays, checks only that
+LAPACK succeeded and that xi(G) is finite (``_xi``).  It calls the
+unchecked kernels of ``k_smallest_eigenbasis`` and ``align`` and, as
+``_Iterate`` does, ``_grad``.  Every public function of a point G checks
+G once, by ``_at``: finite, of shape (n, k).
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
 ``_settled``, moves such a G to tr(G^T D) > 0: ``scf_solve`` applies it
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import ContractViolation, UndefinedRatioError
 from .linalg import (
@@ -150,42 +152,26 @@ class _Iterate:
     """One iterate G of a subproblem (A, D) with the products that every
     quantity at G is built from, each computed once: A G (given, so a
     caller with a diagonal A never forms it densely), G^T D,
-    phi_d = tr(G^T D) and phi_a = tr(G^T A G)."""
+    phi_d = tr(G^T D) and phi_a = tr(G^T A G), from which eta and xi
+    (checked by ``_xi``) are formed where they are read."""
+
+    __slots__ = ("G", "D", "AG", "GtD", "phi_d", "phi_a")
 
     def __init__(self, G, D, AG):
         self.G = G
         self.D = D
         self.AG = AG
         self.GtD = G.T @ D
-        self.phi_d = float(self.GtD.trace())
-        self.phi_a = float(np.einsum("ij,ij->", G, self.AG))
+        # ndarray.trace's and np.einsum's reductions, without their wrappers
+        self.phi_d = float(np.add.reduce(self.GtD.diagonal()))
+        self.phi_a = float(c_einsum("ij,ij->", G, AG))
 
     @property
     def eta(self):
         return _square(self.phi_d, "tr(G^T D)") / self.phi_a
 
-    @cached_property
-    def xi(self):
-        """phi_a / phi_d, formed and checked on first read."""
-        if self.phi_d == 0.0:
-            raise UndefinedRatioError("tr(G^T D) = 0: xi(G) undefined")
-        xi = self.phi_a / self.phi_d
-        if not math.isfinite(xi):
-            raise ContractViolation(f"xi(G) = {xi!r} is not finite; rescale D")
-        return xi
-
-    def stationarity(self):
-        """A G - xi D - G M(G) with M(G) = sym(G^T A G - xi G^T D)."""
-        R = self.AG - self.xi * self.D
-        M = self.G.T @ R
-        M = 0.5 * (M + M.T)
-        return R - self.G @ M
-
     def grad(self):
-        xi2 = _square(self.xi, "xi(G)")
-        if xi2 == 0.0 or not math.isfinite(2.0 / xi2):
-            raise ContractViolation(f"xi(G) = {self.xi:.3e}: 2/xi^2 overflows; rescale D")
-        return (-2.0 / xi2) * self.stationarity()
+        return _grad(self.G, self.AG, self.D, _xi(self.phi_a, self.phi_d))
 
 
 def _square(x, what):
@@ -198,6 +184,32 @@ def _square(x, what):
             f"{what} = {x:.3e} overflows when squared; rescale D "
             "(the maximizer does not depend on the scale of D)"
         ) from None
+
+
+def _xi(phi_a, phi_d):
+    """xi(G) = phi_a / phi_d, once phi_d = tr(G^T D) is nonzero and it is finite."""
+    if phi_d == 0.0:
+        raise UndefinedRatioError("tr(G^T D) = 0: xi(G) undefined")
+    xi = phi_a / phi_d
+    if not math.isfinite(xi):
+        raise ContractViolation(f"xi(G) = {xi!r} is not finite; rescale D")
+    return xi
+
+
+def _stationarity(G, AG, D, xi):
+    """A G - xi D - G M(G) with M(G) = sym(G^T A G - xi G^T D)."""
+    R = AG - xi * D
+    M = G.T @ R
+    M = 0.5 * (M + M.T)
+    return R - G @ M
+
+
+def _grad(G, AG, D, xi):
+    """The Riemannian gradient of eta at G, -(2/xi^2) times ``_stationarity``."""
+    xi2 = _square(xi, "xi(G)")
+    if xi2 == 0.0 or not math.isfinite(2.0 / xi2):
+        raise ContractViolation(f"xi(G) = {xi:.3e}: 2/xi^2 overflows; rescale D")
+    return (-2.0 / xi2) * _stationarity(G, AG, D, xi)
 
 
 def _at(G, spec):
@@ -224,13 +236,8 @@ def build_E(G, spec):
     """The eigenvector-dependent operator E(G) = A - xi(G)(D G^T + G D^T),
     exactly symmetric when A is."""
     it = _at(G, spec)
-    return _build_E(it.G, spec, it.xi)
-
-
-def _build_E(G, spec, xi):
-    """``build_E``'s unchecked kernel, run by every ``scf_solve`` sweep."""
-    S = spec.D @ G.T
-    return spec.A - xi * (S + S.T)
+    S = spec.D @ it.G.T
+    return spec.A - _xi(it.phi_a, it.phi_d) * (S + S.T)
 
 
 def kkt_residual(G, spec):
@@ -238,20 +245,9 @@ def kkt_residual(G, spec):
     max|A G - xi D - G M(G)| and the symmetry residual max|G^T D - D^T G|.
     The first block equals (xi^2/2) * grad_eta(G) entrywise."""
     it = _at(G, spec)
-    r_stat = float(np.max(np.abs(it.stationarity())))
+    r_stat = float(np.max(np.abs(_stationarity(it.G, it.AG, it.D, _xi(it.phi_a, it.phi_d)))))
     r_sym = float(np.max(np.abs(it.GtD - it.GtD.T)))
     return max(r_stat, r_sym)
-
-
-def _scaled_grad_norm(it, norm_a1, norm_d1):
-    """Entrywise-1-norm gradient at the iterate ``it`` scaled by
-    xi^2 (|A|_1 + |D|_1), inf where that scale is 0 or not finite; this
-    is the left-hand side of the gradient stopping test."""
-    g1 = float(abs(it.grad()).sum())
-    denom = _square(it.xi, "xi(G)") * (norm_a1 + norm_d1)
-    if denom == 0.0 or not math.isfinite(denom):
-        return math.inf
-    return g1 / denom
 
 
 def _settled(G, D, times_A):
@@ -282,9 +278,10 @@ def scf_solve(spec, G0=None, cfg=None):
 
     Each sweep builds E at the current iterate, takes the eigenbasis of
     its k smallest eigenvalues and realigns it against D.  Stops when the
-    scaled gradient norm (inf where xi^2 (|A|_1 + |D|_1) is 0 or not
-    finite) drops below ``eps_scf``, when the relative objective change
-    drops below ``eps_scf**1.5``, or after ``max_iter`` sweeps.
+    scaled gradient norm, the entrywise 1-norm of the gradient over
+    xi^2 (|A|_1 + |D|_1) (inf where that scale is 0 or not finite), drops
+    below ``eps_scf``, when the relative objective change drops below
+    ``eps_scf**1.5``, or after ``max_iter`` sweeps.
 
     The start defaults to the leading identity columns and is used as
     given.  An unaligned start matters: the sign of tr(G^T D) is the sign
@@ -299,14 +296,12 @@ def scf_solve(spec, G0=None, cfg=None):
     ``G0``.  Checked on every sweep, whose kernels are unchecked (see the
     module docstring): that LAPACK returned no NaN (``SolverFailure``; an
     E that overflows despite a finite xi fails there).  Data whose xi(G)
-    is not finite (checked where ``_Iterate`` forms it), or whose
-    tr(G^T D) or xi(G) overflows when squared, raises
-    ``ContractViolation``: the maximizer does not depend on the scale of
-    D, so rescaling D avoids it.
+    is not finite (``_xi``), or whose tr(G^T D) or xi(G) overflows when
+    squared, raises ``ContractViolation``: the maximizer does not depend
+    on the scale of D, so rescaling D avoids it.
     """
     cfg = cfg or ScfConfig()
-    k = spec.k
-    n = spec.n
+    n, k = spec.n, spec.k
     require_subspace_size(k, n)
     if G0 is None:
         G = np.eye(n, k)
@@ -315,35 +310,45 @@ def scf_solve(spec, G0=None, cfg=None):
         if G.shape != (n, k):
             raise ContractViolation(f"G0 must be {n}x{k}, got {G.shape}")
 
-    norm_a1 = float(abs(spec.A).sum())
-    norm_d1 = float(abs(spec.D).sum())
-    rel_tol = cfg.eps_scf**1.5
+    A, D = spec.A, spec.D
+    norm_1 = float(abs(A).sum()) + float(abs(D).sum())
+    eps, rel_tol = cfg.eps_scf, cfg.eps_scf**1.5
+    times_A = A.__matmul__
+    cur = _settled(G, D, times_A)
+    zero_ratio_events = int(cur.G is not G)
+    G, AG, phi_d, phi_a = cur.G, cur.AG, cur.phi_d, cur.phi_a
+    e, xi = cur.eta, _xi(phi_a, phi_d)
+    eta_trace, grad_norms, gaps, iterates = [e], [], [], [G]
+    reason = "max_iter"
+    for _ in range(cfg.max_iter):
+        S = D @ G.T
+        basis, gap, _vals = _k_smallest(A - xi * (S + S.T), k)
+        G = _align(basis, D)
+        AG = A @ G
+        phi_d = float(np.add.reduce((G.T @ D).diagonal()))
+        if phi_d == 0.0:
+            cur = _settled(G, D, times_A)
+            zero_ratio_events += 1
+            G, AG, phi_d = cur.G, cur.AG, cur.phi_d
+        phi_a = float(c_einsum("ij,ij->", G, AG))
+        e_prev, e = e, _square(phi_d, "tr(G^T D)") / phi_a
+        xi = _xi(phi_a, phi_d)
+        g1 = float(np.add.reduce(abs(_grad(G, AG, D, xi)), None))
+        scale = _square(xi, "xi(G)") * norm_1
+        grad_norm = g1 / scale if scale != 0.0 and math.isfinite(scale) else math.inf
+        eta_trace.append(e)
+        gaps.append(gap)
+        grad_norms.append(grad_norm)
+        iterates.append(G)
+        if grad_norm <= eps:
+            reason = "grad_tol"
+            break
+        if e != 0.0 and abs((e - e_prev) / e) <= rel_tol:
+            reason = "rel_change_tol"
+            break
 
-    times_A = partial(np.matmul, spec.A)
-    report = ScfReport(solution=G, D=spec.D)
-    cur = _settled(G, spec.D, times_A)
-    report.zero_ratio_events += cur.G is not G
-    report.eta_trace.append(cur.eta)
-    report.iterates.append(cur.G)
-
-    while report.termination_reason == "max_iter" and report.iterations < cfg.max_iter:
-        eig = _k_smallest(_build_E(cur.G, spec, cur.xi), k)
-        G = _align(eig.basis, spec.D)
-        cur = _settled(G, spec.D, times_A)
-        report.zero_ratio_events += cur.G is not G
-        e_prev, e_new = report.eta_trace[-1], cur.eta
-        scaled = _scaled_grad_norm(cur, norm_a1, norm_d1)
-        report.eta_trace.append(e_new)
-        report.gaps.append(eig.gap)
-        report.grad_norms.append(scaled)
-        report.iterates.append(cur.G)
-        if scaled <= cfg.eps_scf:
-            report.termination_reason = "grad_tol"
-        elif e_new != 0.0 and abs((e_new - e_prev) / e_new) <= rel_tol:
-            report.termination_reason = "rel_change_tol"
-
-    report.solution = cur.G
-    return report
+    return ScfReport(G, eta_trace, grad_norms, gaps, reason, zero_ratio_events,
+                     iterates=iterates, D=D)
 
 
 @dataclass

@@ -152,7 +152,10 @@ def softmax_normalize(edges, size, bandwidth=BANDWIDTH, scheme="custom"):
 
 def build_weights(views, scheme="uniform", bandwidth=BANDWIDTH):
     """Affinities -> selection -> soft-max, end to end, for a list of views
-    or a problem.  Uniform selection reads no affinity, so reduces no view."""
+    or a problem.  Uniform selection reads no affinity, so reduces no view;
+    any other scheme reduces them, once per problem.  A bare list gets a
+    problem of its own in each call: pass one ``build_multiview`` problem
+    here and to ``rcomcca``, as the README quickstart and the CLI do."""
     prob = build_multiview(views)
     ell = len(prob.views)
     R = np.zeros((ell, ell)) if parse_scheme(scheme)[0] == "uniform" else prob.rho_hat

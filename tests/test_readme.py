@@ -91,3 +91,24 @@ def test_quickstart_answers_do_not_depend_on_units():
     for f, g in answers[1:]:
         assert f == pytest.approx(answers[0][0], rel=1e-12)
         assert g == pytest.approx(answers[0][1], rel=1e-12)
+
+
+def test_library_quickstart_reduces_each_view_once(monkeypatch):
+    # build_weights and rcomcca read the one problem the example makes, so
+    # its three views are reduced once between them, after the two views
+    # of occa_alternate's problem; a bare list handed to each would be
+    # wrapped, and reduced, by each
+    import occakit.multiset as multiset
+
+    calls = []
+    reduce = multiset.reduce_views
+
+    def counting_reduce(views, *args, **kwargs):
+        calls.append(len(views))
+        return reduce(views, *args, **kwargs)
+
+    monkeypatch.setattr(multiset, "reduce_views", counting_reduce)
+    code, _ = _quickstart()
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
+    assert calls == [2, 3]

@@ -512,6 +512,134 @@ def test_unevaluable_gradient_test_never_stops_the_solve():
     assert np.allclose(rep.solution, x / np.linalg.norm(x), atol=1e-4)
 
 
+def _small_tight_spec(k=2):
+    """The first full-space subproblem of the small_tight benchmark
+    workload: view 0 (rank 9) of a criterion-8 instance pulled by view 1,
+    both at the identity start, as _solve_view states it."""
+    reduced = reduce_views(correlated_views((9, 7), q=50, seed=6000))
+    hat = [np.eye(rv.r)[:, :k] for rv in reduced]
+    rho = np.array([[0.0, 1.0], [1.0, 0.0]])
+    blocks = _cross_blocks(reduced, [(0, 1)])
+    return view_spec(0, hat, rho, blocks, [rv.sigma for rv in reduced])
+
+
+def _replay(spec, cfg, G0=None):
+    """scf_solve replayed from the public functions: the zero-ratio rule
+    (align, after a 1e-3 step along D/||D||_F where G^T D = 0) on the
+    start and on each iterate, sweeps of k_smallest_eigenbasis and align,
+    and the two stopping tests, until one holds or the cap."""
+    from occakit import align, k_smallest_eigenbasis, orthonormalize
+
+    D = spec.D
+    moved = 0
+
+    def settled(G):
+        nonlocal moved
+        if np.trace(G.T @ D) != 0.0:
+            return G
+        moved += 1
+        if not np.any(G.T @ D):
+            G = orthonormalize(G + (1e-3 / float(np.linalg.norm(D))) * D)
+        return align(G, D)
+
+    norm_1 = float(np.sum(np.abs(spec.A))) + float(np.sum(np.abs(D)))
+    G = settled(np.eye(spec.n)[:, :spec.k] if G0 is None else G0)
+    eta_trace, grad_norms, gaps, reason = [eta(G, spec)], [], [], "max_iter"
+    for _ in range(cfg.max_iter):
+        eig = k_smallest_eigenbasis(build_E(G, spec), spec.k)
+        G = settled(align(eig.basis, D))
+        eta_trace.append(eta(G, spec))
+        xi = float(np.einsum("ij,ij->", G, spec.A @ G)) / float(np.trace(G.T @ D))
+        scale = xi**2 * norm_1
+        g1 = float(np.sum(np.abs(grad_eta(G, spec))))
+        grad_norms.append(g1 / scale if scale != 0.0 and np.isfinite(scale) else np.inf)
+        gaps.append(eig.gap)
+        e_prev, e = eta_trace[-2:]
+        if grad_norms[-1] <= cfg.eps_scf:
+            reason = "grad_tol"
+            break
+        if e != 0.0 and abs((e - e_prev) / e) <= cfg.eps_scf**1.5:
+            reason = "rel_change_tol"
+            break
+    return G, eta_trace, grad_norms, gaps, reason, moved
+
+
+@pytest.mark.parametrize("case", ["grad_tol", "inf_grad_norms", "zero_ratio_start", "cap"])
+def test_matches_replay_at_every_exit(case):
+    # each exit of the sweep loop, and the zero-ratio rule at the start,
+    # against _replay bit for bit, the stopping decision included
+    G0 = None
+    if case == "grad_tol":
+        # the spec of test_fixed_point_terminates_fast_by_gradient
+        spec = random_spec(np.random.default_rng(25), 10, 2)
+        cfg, reason = ScfConfig(eps_scf=1e-5, max_iter=200), "grad_tol"
+    elif case == "inf_grad_norms":
+        # the spec of test_unevaluable_gradient_test_never_stops_the_solve:
+        # every scaled gradient norm is inf, only the relative change stops
+        A = 1e10 * np.diag([1.0, 2.0, 3.0])
+        spec = SubproblemSpec(A, 1e-140 * np.array([[1.0], [0.5], [0.0]]))
+        cfg, reason = ScfConfig(), "rel_change_tol"
+    elif case == "zero_ratio_start":
+        # the k = 2 case of test_zero_ratio_start_recovers
+        spec = SubproblemSpec(np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)[:, :2])
+        G0 = np.eye(4)[:, 2:]
+        cfg, reason = ScfConfig(eps_scf=1e-8, max_iter=100), "rel_change_tol"
+    else:
+        spec = _small_tight_spec()
+        cfg, reason = ScfConfig(eps_scf=1e-12, max_iter=50), "max_iter"
+    rep = scf_solve(spec, G0=G0, cfg=cfg)
+    G, eta_trace, grad_norms, gaps, ref_reason, moved = _replay(spec, cfg, G0)
+    assert rep.termination_reason == ref_reason == reason
+    assert rep.eta_trace == eta_trace
+    assert rep.grad_norms == grad_norms
+    assert rep.gaps == gaps
+    assert np.array_equal(rep.solution, G)
+    assert rep.zero_ratio_events == moved == (case == "zero_ratio_start")
+    if case == "inf_grad_norms":
+        assert all(g == np.inf for g in grad_norms)
+
+
+def test_lapack_svd_failure_in_a_sweep_raises(monkeypatch):
+    def failing_svd_f(a, signature):
+        # numpy reports a LAPACK error by filling every output with NaN
+        n = a.shape[0]
+        return np.full((n, n), np.nan), np.full(n, np.nan), np.full((n, n), np.nan)
+
+    # tr(G^T D) != 0 at the start, so the first SVD is the first sweep's
+    spec = SubproblemSpec(*TestScfSolveChecks.data(), validate=False)
+    assert eta(np.eye(6)[:, :2], spec) > 0.0
+    monkeypatch.setattr(linalg_module, "svd_f", failing_svd_f)
+    with pytest.raises(SolverFailure, match="dgesdd"):
+        scf_solve(spec, cfg=TestScfSolveChecks.CFG)
+
+
+def test_a_sweep_pays_only_for_its_arithmetic(monkeypatch):
+    # the checks run once per solve and never per sweep: one sweep and
+    # fifty make the same calls to every checker, wherever it is bound
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spec = _small_tight_spec()
+    for module, name in [(linalg_module, "as_matrix"), (linalg_module, "symmetric_matrix"),
+                         (scf_module, "as_matrix"), (scf_module, "symmetric_matrix"),
+                         (scf_module, "_at")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    counts = []
+    for max_iter in (1, 50):
+        calls.clear()
+        rep = scf_solve(spec, G0=np.eye(spec.n, spec.k),
+                        cfg=ScfConfig(eps_scf=1e-12, max_iter=max_iter))
+        assert rep.iterations == max_iter
+        counts.append(sorted(calls))
+    # G0 is checked, once
+    assert counts[0] == counts[1] == ["as_matrix"]
+
+
 def _spec_3x1(A=np.diag([1.0, 2.0, 3.0]), D=np.ones((3, 1))):
     return SubproblemSpec(A, D, validate=False)
 
