@@ -1,18 +1,18 @@
 """Command-line entry point.
 
 Commands: ``gen`` (synthetic two-view data), ``occa`` (two-view solver),
-``omcca`` (multiset solver), ``cca-baseline`` (classical CCA) and
-``eval`` (re-score stored projections).  Exit codes: 0 success, 2 I/O or
-parse failure (including non-finite CSV values), 3 finished at the
-iteration cap (outputs still written), 4 domain error (rank deficiency,
-degenerate, isolated or, under ``--no-center``, uncentered views, views
-on different sample counts, bad shapes, a tolerance that is not positive
-and finite, a non-finite bandwidth, a rank tolerance outside [0, 1), a
-negative seed or a noise scale that is negative, not finite or so
-large that ``gen``'s views overflow).  Flag defaults are those of the
-solver configs and ``weighting``.  Messages call the i-th data file
-"view i", counting from 0; ``omcca`` writes view i's projection to
-``<out>_view{i+1}_proj.csv``, counting from 1.
+``omcca`` (multiset solver), ``cca-baseline`` (classical CCA) and ``eval``
+(re-score stored projections).  Exit codes: 0 success, 2 I/O or parse failure
+(including non-finite CSV values), 3 finished at the iteration cap (outputs
+still written), 4 domain error (rank deficiency, degenerate, isolated or,
+under ``--no-center``, uncentered views, views on different sample counts, bad
+shapes, a tolerance that is not positive and finite, a non-finite bandwidth, a
+rank tolerance outside [0, 1), a negative seed, a noise scale that is
+negative, not finite or so large that ``gen``'s views overflow, or data that
+leave the floating-point range: "rescale the data" or "rescale D") or a LAPACK
+failure.  Flag defaults are those of the solver configs and ``weighting``.
+Messages call the i-th data file "view i", counting from 0; ``omcca`` writes
+view i's projection to ``<out>_view{i+1}_proj.csv``, counting from 1.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def cmd_gen(args):
 def cmd_occa(args):
     t0 = time.perf_counter()
     rep = twoview.occa_alternate(
-        twoview.build_two_view(*_load_views(args, [args.x, args.y])),
+        multiset.build_multiview(_load_views(args, [args.x, args.y])),
         args.k,
         alt_cfg=twoview.AltConfig(eps_alt=args.eps_alt, max_outer=args.max_outer),
         scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
@@ -189,7 +189,7 @@ def cmd_omcca(args):
 
 def cmd_cca_baseline(args):
     t0 = time.perf_counter()
-    prob = twoview.build_two_view(*_load_views(args, [args.x, args.y]))
+    prob = multiset.build_multiview(_load_views(args, [args.x, args.y]))
     X1, X2, corr = twoview.classical_cca(prob, args.k, rank_tol=args.rank_tol)
     return _write_outputs(
         args, t0, {"x": X1, "y": X2}, ("rank_tol", "center"),

@@ -176,21 +176,21 @@ def _cross_blocks(reduced, pairs, products=None):
 class MultiViewProblem:
     """Views on one sample count, made by ``build_multiview``, shared by the
     weights, solvers and evaluators.  Computed on first use and kept:
-    ``reduced(rank_tol)``; ``blocks(pairs)``, the K_ij of the default
-    reduction; ``rho_hat``, the affinities ||K_ij||_* / sqrt(sum sigma_i^2
+    ``reduced()``, the one reduction; ``blocks(pairs)``, its K_ij;
+    ``rho_hat``, the affinities ||K_ij||_* / sqrt(sum sigma_i^2
     sum sigma_j^2) = nuclear(S_i S_j^T) / sqrt(tr(S_i S_i^T) tr(S_j S_j^T)).
     Both scale one V_i^T V_j per pair, formed once."""
 
     views: list
-    _reductions: dict = field(default_factory=dict, init=False, repr=False)
+    _reduced: list = field(default=None, init=False, repr=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False)
     _products: dict = field(default_factory=dict, init=False, repr=False)
 
-    def reduced(self, rank_tol=None):
-        """Thin-SVD factors of every view, truncated by ``reduce_views``' rule."""
-        if rank_tol not in self._reductions:
-            self._reductions[rank_tol] = reduce_views(self.views, rank_tol=rank_tol)
-        return self._reductions[rank_tol]
+    def reduced(self):
+        """Thin-SVD factors of every view, truncated by ``reduce_views``' default rule."""
+        if self._reduced is None:
+            self._reduced = reduce_views(self.views)
+        return self._reduced
 
     def blocks(self, pairs):
         """The ``_cross_blocks`` dict, extended by the ``pairs`` not yet in it."""

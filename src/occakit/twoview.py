@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import multiset
 from .errors import ContractViolation, RankDeficiencyError
 from .linalg import as_matrix, fix_svd_signs, orthonormalize, pair_align
 from .linalg import require_count, require_orthonormal, require_stop_rule, scale_of
@@ -26,21 +27,19 @@ from .multiset import MultiViewProblem, _pull, _run, _unit_scores, build_multivi
 from .scf import ScfConfig, _Iterate
 
 class TwoViewProblem(MultiViewProblem):
-    """A centered two-view dataset S1 (n x q), S2 (m x q), made by
-    ``build_two_view``.  The covariance blocks A = S1 S1^T, B = S2 S2^T and
-    C = S1 S2^T are formed only when read; no solver or evaluator reads
-    them.
+    """What ``build_two_view`` returns: centered views S1 (n x q) and
+    S2 (m x q), with the sizes n, m and q and the covariance blocks
+    A = S1 S1^T, B = S2 S2^T and C = S1 S2^T, formed only when read.  No
+    solver or evaluator reads them; each takes any two-view problem.
     """
 
-    S1 = property(lambda self: self.views[0])
-    S2 = property(lambda self: self.views[1])
-    n = property(lambda self: self.S1.shape[0])
-    m = property(lambda self: self.S2.shape[0])
-    q = property(lambda self: self.S1.shape[1])
+    n = property(lambda self: self.views[0].shape[0])
+    m = property(lambda self: self.views[1].shape[0])
+    q = property(lambda self: self.views[0].shape[1])
 
-    A = cached_property(lambda self: self.S1 @ self.S1.T)
-    B = cached_property(lambda self: self.S2 @ self.S2.T)
-    C = cached_property(lambda self: self.S1 @ self.S2.T)
+    A = cached_property(lambda self: self.views[0] @ self.views[0].T)
+    B = cached_property(lambda self: self.views[1] @ self.views[1].T)
+    C = cached_property(lambda self: self.views[0] @ self.views[1].T)
 
 
 def build_two_view(S1, S2):
@@ -97,8 +96,8 @@ class OccaReport:
 
 
 def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
-    """Alternating maximization of F as the two-view multiset problem on
-    the shared reduction ``prob.reduced()``: view i enters as its spectrum
+    """Alternating maximization of F on any two-view ``MultiViewProblem``,
+    in its one reduction ``prob.reduced()``: view i enters as its spectrum
     sigma_i and the cross block K = diag(sigma_1) V_1^T V_2 diag(sigma_2),
     so q < n needs nothing special.  The outer loop is ``multiset._run``:
     each outer step is one Gauss-Seidel cycle (hatX, then hatY) and its
@@ -117,12 +116,14 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
+    if len(prob.views) != 2:
+        raise ContractViolation(f"occa_alternate needs two views, got {len(prob.views)}")
     prob.require_rank_above(k)
-    X0 = np.eye(prob.n)[:, :k] if X0 is None else require_orthonormal(np.array(X0, dtype=float), "X0")
-    Y0 = np.eye(prob.m)[:, :k] if Y0 is None else require_orthonormal(np.array(Y0, dtype=float), "Y0")
-    if X0.shape != (prob.n, k) or Y0.shape != (prob.m, k):
-        want = f"{prob.n}x{k}, {prob.m}x{k}"
-        raise ContractViolation(f"X0, Y0 must be {want}; got {X0.shape}, {Y0.shape}")
+    n, m = (S.shape[0] for S in prob.views)
+    X0 = np.eye(n)[:, :k] if X0 is None else require_orthonormal(np.array(X0, dtype=float), "X0")
+    Y0 = np.eye(m)[:, :k] if Y0 is None else require_orthonormal(np.array(Y0, dtype=float), "Y0")
+    if X0.shape != (n, k) or Y0.shape != (m, k):
+        raise ContractViolation(f"X0, Y0 must be {n}x{k}, {m}x{k}; got {X0.shape}, {Y0.shape}")
     reduced = prob.reduced()
     sigmas = [rv.sigma for rv in reduced]
     blocks = prob.blocks([(0, 1)])
@@ -164,18 +165,20 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
 
 def classical_cca(prob, k, rank_tol=None):
     """Classical CCA baseline from the principal angles between the row
-    spaces of the views (Bjorck & Golub, Math. Comp. 27, 1973).
+    spaces of the two views (Bjorck & Golub, Math. Comp. 27, 1973).
 
-    With S_i = U_i diag(sigma_i) V_i^T from ``prob.reduced(rank_tol)``
-    (``rank_tol``: keep singular values above it times the largest), the
-    SVD V_1^T V_2 = P diag(c) Q^T gives the correlations c as cosines,
-    without squaring the condition number.  Returns (X1, X2, c[:k]) with
-    X1 = U_1 diag(1/sigma_1) P_k and X2 = U_2 diag(1/sigma_2) Q_k, so
-    X1^T A X1 = X2^T B X2 = I.  Raises ``RankDeficiencyError`` when k
-    exceeds the numerical rank of a view.
+    With S_i = U_i diag(sigma_i) V_i^T from ``prob.reduced()`` (given
+    ``rank_tol``, from ``reduce_views`` keeping singular values above it
+    times the largest), the SVD V_1^T V_2 = P diag(c) Q^T gives the
+    correlations c as cosines, without squaring the condition number.
+    Returns (X1, X2, c[:k]) with X1 = U_1 diag(1/sigma_1) P_k and
+    X2 = U_2 diag(1/sigma_2) Q_k, so X1^T A X1 = X2^T B X2 = I.  Raises
+    ``RankDeficiencyError`` when k exceeds the numerical rank of a view.
     """
+    if len(prob.views) != 2:
+        raise ContractViolation(f"classical_cca needs two views, got {len(prob.views)}")
     require_count("k", k)
-    reduced = prob.reduced(rank_tol)
+    reduced = prob.reduced() if rank_tol is None else multiset.reduce_views(prob.views, rank_tol)
     for view, rv in enumerate(reduced):
         if k > rv.r:
             raise RankDeficiencyError(

@@ -10,6 +10,7 @@ from occakit import (
     RankDeficiencyError,
     ScfConfig,
     SyntheticSpec,
+    build_multiview,
     build_two_view,
     center,
     classical_cca,
@@ -27,6 +28,7 @@ from occakit import (
 
 import oracles
 from cases import rank_tail_views
+from occakit import multiset
 from occakit.linalg import scale_of
 
 
@@ -375,6 +377,66 @@ class TestOneRankRule:
         first = prob.reduced()
         classical_cca(prob, k=2)
         assert prob.reduced() is first
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """The rank_tol of every ``multiset.reduce_views`` call from here on,
+    counted at the module attribute, where the benchmark's tracer wraps it."""
+    calls = []
+    reduce = multiset.reduce_views
+
+    def counting_reduce(views, rank_tol=None):
+        calls.append(rank_tol)
+        return reduce(views, rank_tol)
+
+    monkeypatch.setattr(multiset, "reduce_views", counting_reduce)
+    return calls
+
+
+class TestOneProblemType:
+    """The two-view solvers take any two-view MultiViewProblem, as rcomcca
+    and build_weights do, and refuse other view counts by name."""
+
+    def test_every_two_view_entry_point_takes_one_multiview_problem(self, reduce_calls):
+        # the README quickstart's two views
+        sx, sy = gen_synthetic(SyntheticSpec(m=20, n=15, q=500, seed=7))
+        a, b = center(sx), center(sy)
+        ref = build_two_view(a, b)
+        X1_ref, X2_ref, corr_ref = classical_cca(ref, 3)
+        occa_ref = occa_alternate(ref, 3)
+        multi_ref = rcomcca(ref, 3, build_weights(ref, "uniform"))
+
+        reduce_calls.clear()
+        prob = build_multiview([a, b])
+        X1, X2, corr = classical_cca(prob, 3)
+        rep = occa_alternate(prob, 3)
+        multi = rcomcca(prob, 3, build_weights(prob, "uniform"))
+        assert reduce_calls == [None]
+
+        for got, want in [(X1, X1_ref), (X2, X2_ref), (corr, corr_ref),
+                          (rep.X, occa_ref.X), (rep.Y, occa_ref.Y),
+                          (rep.F_trace, occa_ref.F_trace), (multi.g_trace, multi_ref.g_trace),
+                          *zip(multi.projections, multi_ref.projections)]:
+            assert np.array_equal(got, want)
+
+    def test_rank_tol_reduces_apart_from_the_problem(self, reduce_calls):
+        # a threshold is reduced at each call and never kept; the problem
+        # keeps its one reduction, which occa_alternate then reads
+        prob = build_multiview(rank_tail_views(0))
+        classical_cca(prob, 3, rank_tol=1e-8)
+        classical_cca(prob, 4)
+        classical_cca(prob, 3, rank_tol=1e-8)
+        occa_alternate(prob, 3)
+        assert reduce_calls == [1e-8, None, 1e-8]
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    @pytest.mark.parametrize("solve", [occa_alternate, classical_cca])
+    def test_other_view_counts_rejected(self, solve, ell):
+        rng = np.random.default_rng(16)
+        prob = build_multiview([center(rng.standard_normal((4, 30))) for _ in range(ell)])
+        with pytest.raises(ContractViolation, match=f"needs two views, got {ell}"):
+            solve(prob, 2)
 
 
 class TestPostOrthogonalize:
