@@ -13,6 +13,10 @@ leave the floating-point range: "rescale the data" or "rescale D") or a LAPACK
 failure.  Flag defaults are those of the solver configs and ``weighting``.
 Messages call the i-th data file "view i", counting from 0; ``omcca`` writes
 view i's projection to ``<out>_view{i+1}_proj.csv``, counting from 1.
+``occa``, ``omcca``, ``cca-baseline`` and ``eval`` share each view's range
+reduction through its reduction twin (see ``data``): a command that reduces
+a view without one writes it after its solve, beside a CSV with a binary
+twin, and the next command on that view reads it.
 """
 
 from __future__ import annotations
@@ -114,6 +118,40 @@ def _load_views(args, paths):
     return [center(dio.load_matrix(path, header=args.header)) for path in paths]
 
 
+class _SharedProblem(multiset.MultiViewProblem):
+    """The problem of the views loaded from the CSVs ``paths`` (None after
+    a ``--header`` load, which shares nothing).  Its one reduction takes
+    each view's factors from the view's reduction twin where that holds
+    them and reduces the other views in one ``reduce_views`` call;
+    ``save_reductions`` writes the factors so computed to their twins."""
+
+    def __init__(self, views, paths):
+        super().__init__(views)
+        self.paths, self.fresh = paths, []
+
+    def reduced(self):
+        if self._reduced is None and self.paths is not None:
+            cached = [dio.read_reduction(p, S) for p, S in zip(self.paths, self.views)]
+            self.fresh = [i for i, factors in enumerate(cached) if factors is None]
+            computed = iter(multiset.reduce_views([self.views[i] for i in self.fresh])
+                            if self.fresh else ())
+            self._reduced = [next(computed) if factors is None
+                             else multiset.RangeReducedView(*factors) for factors in cached]
+        return super().reduced()
+
+    def save_reductions(self):
+        for i in self.fresh:
+            rv = self._reduced[i]
+            dio.write_reduction(self.paths[i], self.views[i], rv.U, rv.sigma, rv.V)
+
+
+def _problem(args, paths, views=None):
+    """The checked problem of the data files ``paths``, given their
+    ``views`` when already loaded (see ``_SharedProblem``)."""
+    views = _load_views(args, paths) if views is None else views
+    return _SharedProblem(multiset.build_multiview(views).views, None if args.header else paths)
+
+
 def _write_outputs(args, t0, projections, config, line, /, kind="report", **payload):
     """Save each projection as ``<out>_{key}_proj.csv``; write ``payload``,
     stamped with the solver, schema version, seed, the ``config`` options
@@ -144,12 +182,14 @@ def cmd_gen(args):
 
 def cmd_occa(args):
     t0 = time.perf_counter()
+    prob = _problem(args, [args.x, args.y])
     rep = twoview.occa_alternate(
-        multiset.build_multiview(_load_views(args, [args.x, args.y])),
+        prob,
         args.k,
         alt_cfg=twoview.AltConfig(eps_alt=args.eps_alt, max_outer=args.max_outer),
         scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
     )
+    prob.save_reductions()
     return _write_outputs(
         args, t0, {"x": rep.X, "y": rep.Y},
         ("eps_alt", "max_outer", "eps_scf", "max_iter_scf", "center"),
@@ -162,7 +202,7 @@ def cmd_occa(args):
 
 def cmd_omcca(args):
     t0 = time.perf_counter()
-    prob = multiset.build_multiview(_load_views(args, args.views))
+    prob = _problem(args, args.views)
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rep = multiset.rcomcca(
         prob,
@@ -175,6 +215,7 @@ def cmd_omcca(args):
             scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
         ),
     )
+    prob.save_reductions()
     return _write_outputs(
         args, t0, {f"view{i}": X for i, X in enumerate(rep.projections, start=1)},
         ("scheme", "weights", "bandwidth", "eps_outer", "max_cycles", "eps_scf",
@@ -189,8 +230,9 @@ def cmd_omcca(args):
 
 def cmd_cca_baseline(args):
     t0 = time.perf_counter()
-    prob = multiset.build_multiview(_load_views(args, [args.x, args.y]))
+    prob = _problem(args, [args.x, args.y])
     X1, X2, corr = twoview.classical_cca(prob, args.k, rank_tol=args.rank_tol)
+    prob.save_reductions()
     return _write_outputs(
         args, t0, {"x": X1, "y": X2}, ("rank_tol", "center"),
         f"cca-baseline: top correlation {corr[0]:.12g}",
@@ -207,7 +249,7 @@ def cmd_eval(args):
         raise ContractViolation(
             f"{len(projs)} projections supplied for {len(views)} data files"
         )
-    prob = multiset.build_multiview(views)
+    prob = _problem(args, args.data, views)
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rank_deficient = False
     try:
@@ -223,6 +265,7 @@ def cmd_eval(args):
     except ViewError as exc:
         # the index names a projection here, so the --proj file is at fault
         raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
+    prob.save_reductions()
 
     # every scheme weighs the one pair of two views exactly 1, so f is objective_f
     pair = {"f": total / 2, "F": (total / 2) ** 2} if len(views) == 2 else {}

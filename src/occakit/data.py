@@ -33,6 +33,22 @@ only saves the parse of a file occakit wrote, is never written for a
 file occakit only reads, and is safe to delete.  A twin is not the data:
 one edited in a middle row is read in place of the CSV, so delete a
 twin rather than edit it.
+
+Reduction twins.  A command that reduces a view loaded from a CSV with
+a binary twin writes, by ``write_reduction``, the view's thin-SVD
+factors at the default rank rule to ``<csv>.<digest>.svd.npy``,
+``<digest>`` being the first 32 hex digits of the SHA-256 of the view's
+shape and float64 bytes as reduced (so a centered and an uncentered load
+of one CSV have twins of their own): one ``.npy`` of the
+(n + 1 + q) x r float64 stack [U; sigma; V] of an n x q view of rank r.
+``read_reduction`` returns them, in the layout ``reduce_views`` returns,
+only when the CSV has reduction twins and the one of the view's digest
+loads as a finite 2-d float64 array of that row count with 1 <= r <=
+min(n, q) columns and sigma positive and nonincreasing; anything else is
+ignored and the view is reduced again.  ``save_matrix`` removes a CSV's
+reduction twins with its binary twins.  Like a binary twin, a reduction
+twin is safe to delete and not to edit: one whose factors are changed
+but still pass these checks is used as they stand.
 """
 
 from __future__ import annotations
@@ -57,6 +73,7 @@ SCHEMA_VERSION = 1
 # A twin is named by this many hex digits of its CSV's SHA-256.
 _TWIN_DIGITS = 32
 _TWIN_PATTERN = "." + "[0-9a-f]" * _TWIN_DIGITS + ".npy"
+_REDUCTION_PATTERN = "." + "[0-9a-f]" * _TWIN_DIGITS + ".svd.npy"
 
 
 @dataclass
@@ -232,21 +249,26 @@ def _twin_path(path, digest):
     return f"{os.fspath(path)}.{digest.hexdigest()[:_TWIN_DIGITS]}.npy"
 
 
+def _load_2d(npy):
+    """The 2-d float64 array in the ``.npy`` file ``npy``, or None (a
+    missing, empty or cut-off file is None; nothing is unpickled)."""
+    try:
+        with open(npy, "rb") as fh:
+            M = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError, MemoryError):
+        return None
+    return M if isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2 else None
+
+
 def _read_twin(twin, raw):
     """The matrix in the ``.npy`` file ``twin``, or None unless it holds a
     nonempty, finite, 2-d, C-ordered float64 array, as the parse returns
     and ``save_matrix`` writes, with one row per line of the CSV bytes
     ``raw``, which begin with its first row and end with its last as
-    ``save_matrix`` formats them (a missing or cut-off twin is None;
-    nothing is unpickled)."""
-    try:
-        with open(twin, "rb") as fh:
-            M = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, MemoryError):
-        return None
-    if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2 and M.size
-            and M.flags.c_contiguous and raw.count(b"\n") == M.shape[0]
-            and np.isfinite(M).all()):
+    ``save_matrix`` formats them."""
+    M = _load_2d(twin)
+    if not (M is not None and M.size and M.flags.c_contiguous
+            and raw.count(b"\n") == M.shape[0] and np.isfinite(M).all()):
         return None
     row_format = _row_format(M.shape[1])
     first, last = _row_bytes(row_format, M[0]), _row_bytes(row_format, M[-1])
@@ -271,6 +293,41 @@ def _write_twin(M, twin):
             os.remove(tmp)
 
 
+def _reduction_twin(path, S):
+    """``<path>.<digest>.svd.npy``, the reduction twin of the view ``S``
+    loaded from the CSV ``path``, ``<digest>`` hashing S's shape and bytes."""
+    digest = hashlib.sha256(b"%d,%d;" % S.shape)
+    digest.update(np.ascontiguousarray(S))
+    return f"{os.fspath(path)}.{digest.hexdigest()[:_TWIN_DIGITS]}.svd.npy"
+
+
+def read_reduction(path, S):
+    """The thin-SVD factors (U, sigma, V) of the n x q view ``S`` loaded
+    from the CSV ``path``, as its reduction twin holds them, or None (see
+    the module docstring).  They come in the layout ``reduce_views``
+    returns: U and sigma C-ordered, V the transpose of a C-ordered V^T.
+    ``S`` is hashed only when the CSV has reduction twins."""
+    if not glob.glob(glob.escape(os.fspath(path)) + _REDUCTION_PATTERN):
+        return None
+    M = _load_2d(_reduction_twin(path, S))
+    n, q = S.shape
+    if not (M is not None and M.shape[0] == n + 1 + q and 1 <= M.shape[1] <= min(n, q)
+            and np.isfinite(M).all()):
+        return None
+    sigma = M[n].copy()
+    if not (sigma[-1] > 0.0 and (sigma[:-1] >= sigma[1:]).all()):
+        return None
+    return M[:n].copy(), sigma, M[n + 1:].T.copy().T
+
+
+def write_reduction(path, S, U, sigma, V):
+    """Write the factors of the view ``S`` loaded from the CSV ``path`` to
+    its reduction twin, only when the CSV has a binary twin, through
+    ``_write_twin``; a twin that cannot be written is left out."""
+    if glob.glob(glob.escape(os.fspath(path)) + _TWIN_PATTERN):
+        _write_twin(np.vstack([U, sigma, V]), _reduction_twin(path, S))
+
+
 def _row_format(columns):
     """The ``%`` format of one CSV row of ``columns`` values: 17
     significant digits, in the platform's line ending."""
@@ -285,15 +342,16 @@ def save_matrix(M, path):
     """Write a matrix as CSV with 17 significant digits (lossless for
     IEEE doubles), in the platform's line endings, as text mode writes.
 
-    Removes the binary twins of the CSV's earlier contents, then writes
-    the twin of the new bytes when ``M`` is nonempty and finite (see the
-    module docstring); a twin that cannot be written is left out and the
-    CSV still stands."""
+    Removes the binary and reduction twins of the CSV's earlier contents,
+    then writes the twin of the new bytes when ``M`` is nonempty and
+    finite (see the module docstring); a twin that cannot be written is
+    left out and the CSV still stands."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     path = os.fspath(path)
-    for old in glob.glob(glob.escape(path) + _TWIN_PATTERN):
-        with contextlib.suppress(OSError):
-            os.remove(old)
+    for pattern in (_TWIN_PATTERN, _REDUCTION_PATTERN):
+        for old in glob.glob(glob.escape(path) + pattern):
+            with contextlib.suppress(OSError):
+                os.remove(old)
     row_format = _row_format(M.shape[1])
     digest = hashlib.sha256()
     with open(path, "wb") as fh:

@@ -96,8 +96,9 @@ class OccaReport:
 
 
 def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
-    """Alternating maximization of F on any two-view ``MultiViewProblem``,
-    in its one reduction ``prob.reduced()``: view i enters as its spectrum
+    """Alternating maximization of F on two centered views, a list or a
+    ``MultiViewProblem`` (see ``build_multiview``), in the problem's one
+    reduction ``prob.reduced()``: view i enters as its spectrum
     sigma_i and the cross block K = diag(sigma_1) V_1^T V_2 diag(sigma_2),
     so q < n needs nothing special.  The outer loop is ``multiset._run``:
     each outer step is one Gauss-Seidel cycle (hatX, then hatY) and its
@@ -116,6 +117,7 @@ def occa_alternate(prob, k, X0=None, Y0=None, alt_cfg=None, scf_cfg=None):
     """
     alt_cfg = alt_cfg or AltConfig()
     scf_cfg = scf_cfg or ScfConfig()
+    prob = build_multiview(prob)
     if len(prob.views) != 2:
         raise ContractViolation(f"occa_alternate needs two views, got {len(prob.views)}")
     prob.require_rank_above(k)
@@ -167,6 +169,7 @@ def classical_cca(prob, k, rank_tol=None):
     """Classical CCA baseline from the principal angles between the row
     spaces of the two views (Bjorck & Golub, Math. Comp. 27, 1973).
 
+    ``prob`` is two centered views, a list or a ``MultiViewProblem``.
     With S_i = U_i diag(sigma_i) V_i^T from ``prob.reduced()`` (given
     ``rank_tol``, from ``reduce_views`` keeping singular values above it
     times the largest), the SVD V_1^T V_2 = P diag(c) Q^T gives the
@@ -175,6 +178,7 @@ def classical_cca(prob, k, rank_tol=None):
     X2 = U_2 diag(1/sigma_2) Q_k, so X1^T A X1 = X2^T B X2 = I.  Raises
     ``RankDeficiencyError`` when k exceeds the numerical rank of a view.
     """
+    prob = build_multiview(prob)
     if len(prob.views) != 2:
         raise ContractViolation(f"classical_cca needs two views, got {len(prob.views)}")
     require_count("k", k)

@@ -279,7 +279,7 @@ def test_criterion8_cross_solver_consistency():
     # agreement being tested
     inner = ScfConfig(eps_scf=1e-12, max_iter=50)
     t0 = time.perf_counter()
-    worst = 0.0
+    dists = {}
     for seed in range(10):
         views = correlated_views((9, 7), q=50, seed=6000 + seed)
         w = build_weights(views, "uniform")
@@ -297,11 +297,15 @@ def test_criterion8_cross_solver_consistency():
         alt = occa_alternate(
             prob, 2, alt_cfg=AltConfig(eps_alt=1e-15, max_outer=80), scf_cfg=inner
         )
-        d0 = dist_tr(reduced[0].U.T @ rep.projections[0], alt.X)
-        d1 = dist_tr(reduced[1].U.T @ rep.projections[1], alt.Y)
-        worst = max(worst, d0, d1)
-        assert d0 <= 1e-4 and d1 <= 1e-4
+        dists[6000 + seed] = (dist_tr(reduced[0].U.T @ rep.projections[0], alt.X),
+                              dist_tr(reduced[1].U.T @ rep.projections[1], alt.Y))
     elapsed = time.perf_counter() - t0
+    # every instance is solved before any is judged, so a failure names all
+    # the instances over the bound and the true worst
+    worst = max(max(d) for d in dists.values())
+    over = {seed: f"{d0:.1e}, {d1:.1e}" for seed, (d0, d1) in dists.items()
+            if not (d0 <= 1e-4 and d1 <= 1e-4)}
+    assert not over, f"per-view subspace distances above 1e-4 at seeds {over}; worst {worst:.1e}"
     report("8", f"10 two-view instances, worst per-view subspace distance {worst:.1e} in {elapsed:.0f}s")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -722,3 +723,207 @@ class TestRuntimeWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         # occa stops at its 30-step cap here (exit 3), with outputs written
         assert proc.stdout.strip().splitlines()[-1] == "[0, 3, 0, 0, 0]"
+
+
+@pytest.fixture
+def reduced_views(monkeypatch):
+    """(view count, rank_tol) of every ``multiset.reduce_views`` call from
+    here on, counted at the module attribute the benchmark's tracer wraps."""
+    calls = []
+    reduce = multiset.reduce_views
+
+    def counting_reduce(views, rank_tol=None):
+        calls.append((len(views), rank_tol))
+        return reduce(views, rank_tol)
+
+    monkeypatch.setattr(multiset, "reduce_views", counting_reduce)
+    return calls
+
+
+def _svd_twins(d):
+    return sorted(d.glob("*." + "[0-9a-f]" * 32 + ".svd.npy"))
+
+
+def _view_digest(S):
+    """The name a reduction twin gives the view ``S``: its shape and bytes."""
+    return hashlib.sha256(b"%d,%d;" % S.shape + S.tobytes()).hexdigest()[:32]
+
+
+class TestReductionTwin:
+    """occa, omcca, cca-baseline and eval share each view's reduction
+    through its reduction twin (``occakit.data``), and every output is the
+    same bit for bit as when each command reduces the views itself."""
+
+    COMMANDS = {
+        "occa": ["occa", "--x", "d_x.csv", "--y", "d_y.csv", "--k", 2],
+        "multi": ["omcca", "--views", "d_x.csv", "d_y.csv", "--k", 2],
+        "jac": ["omcca", "--views", "d_x.csv", "d_y.csv", "--k", 2, "--weights", "tree",
+                "--scheme", "jacobi"],
+        "base": ["cca-baseline", "--x", "d_x.csv", "--y", "d_y.csv", "--k", 2],
+        "ev": ["eval", "--data", "d_x.csv", "d_y.csv", "--proj", "base_x_proj.csv",
+               "base_y_proj.csv", "--weights", "tree"],
+    }
+
+    @classmethod
+    def run_all(cls, d, monkeypatch):
+        """Run every command in ``d``; its projections and reports, the
+        reports with the wall time masked."""
+        monkeypatch.chdir(d)
+        for out, argv in cls.COMMANDS.items():
+            assert run(*argv, "--out", out) in (0, 3)
+        return cls.outputs(d)
+
+    @classmethod
+    def outputs(cls, d):
+        return {f.name: mask_wall_time(f) if f.suffix == ".json" else f.read_bytes()
+                for f in sorted(d.iterdir())
+                if f.name.split("_")[0] in cls.COMMANDS and f.suffix in (".csv", ".json")}
+
+    @staticmethod
+    def data(tmp_path, monkeypatch, copy=None):
+        """``gen``'s d pair in a new directory ``work`` (with binary twins)
+        and, when ``copy`` is given, the same matrices written by
+        ``np.savetxt`` (without) in the directory ``copy``."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run("gen", "--m", 10, "--n", 8, "--q", 60, "--seed", 7, "--out", "d") == 0
+        if copy is not None:
+            (tmp_path / copy).mkdir()
+            for v in "xy":
+                np.savetxt(tmp_path / copy / f"d_{v}.csv", load_matrix(work / f"d_{v}.csv"),
+                           delimiter=",", fmt="%.17g")
+        return work
+
+    def test_pipeline_reduces_each_view_once(self, tmp_path, monkeypatch, reduced_views):
+        work = self.data(tmp_path, monkeypatch)
+        for out in ("occa", "multi", "base"):
+            assert run(*self.COMMANDS[out], "--out", out) in (0, 3)
+        # occa reduces both views and writes their twins; omcca and
+        # cca-baseline read them
+        assert reduced_views == [(2, None)]
+        assert [t.name[:7] for t in _svd_twins(work)] == ["d_x.csv", "d_y.csv"]
+
+    @pytest.mark.parametrize("fault", ["present", "deleted", "empty", "truncated", "wrong-shape",
+                                       "non-finite", "object", "float32", "sigma-increasing"])
+    def test_outputs_are_the_same_whatever_the_twins_hold(self, tmp_path, monkeypatch,
+                                                          reduced_views, fault):
+        work = self.data(tmp_path, monkeypatch, copy="plain")
+        want = self.run_all(tmp_path / "plain", monkeypatch)
+        assert not _svd_twins(tmp_path / "plain")  # no binary twin, no reduction twin
+        monkeypatch.chdir(work)
+        assert run(*self.COMMANDS["occa"], "--out", "first") in (0, 3)
+        twins = _svd_twins(work)
+        assert len(twins) == 2
+        for twin in twins:
+            n = load_matrix(work / twin.name[:7]).shape[0]
+            M = np.load(twin)
+            if fault == "deleted":
+                twin.unlink()
+            elif fault in ("empty", "truncated"):
+                twin.write_bytes(twin.read_bytes()[:-8] if fault == "truncated" else b"")
+            elif fault != "present":
+                if fault == "sigma-increasing":
+                    M[n] = M[n][::-1]
+                elif fault == "non-finite":
+                    M[0, 0] = np.nan
+                M = {"wrong-shape": M[:-1], "object": M.astype(object),
+                     "float32": M.astype(np.float32)}.get(fault, M)
+                np.save(twin, M, allow_pickle=True)
+        reduced_views.clear()
+        assert self.run_all(work, monkeypatch) == want
+        # a twin that is not used is written anew, and then read
+        assert reduced_views == ([] if fault == "present" else [(2, None)])
+        assert _svd_twins(work) == twins
+        reduced_views.clear()
+        assert run(*self.COMMANDS["multi"], "--out", "again") in (0, 3)
+        assert reduced_views == []
+
+    def test_centered_and_uncentered_loads_have_twins_of_their_own(self, tmp_path, monkeypatch,
+                                                                   reduced_views):
+        work = self.data(tmp_path, monkeypatch)
+        raw = {}
+        for v in "xy":
+            save_matrix(occakit.center(load_matrix(f"d_{v}.csv")), f"c_{v}.csv")
+            raw[v] = load_matrix(f"c_{v}.csv")
+            assert not np.array_equal(raw[v], occakit.center(raw[v]))
+        runs = {"un": ("--no-center",), "ce": ()}
+        for out, flags in runs.items():
+            assert run("occa", "--x", "c_x.csv", "--y", "c_y.csv", "--k", 2, *flags,
+                       "--out", out) in (0, 3)
+        assert reduced_views == [(2, None), (2, None)]
+        for v in "xy":
+            names = {t.name for t in _svd_twins(work) if t.name.startswith(f"c_{v}.csv.")}
+            assert names == {f"c_{v}.csv.{_view_digest(S)}.svd.npy"
+                             for S in (raw[v], occakit.center(raw[v]))}
+        reduced_views.clear()
+        for out, flags in runs.items():
+            assert run("occa", "--x", "c_x.csv", "--y", "c_y.csv", "--k", 2, *flags,
+                       "--out", f"{out}2") in (0, 3)
+            for v in "xy":
+                assert (work / f"{out}2_{v}_proj.csv").read_bytes() == (
+                    work / f"{out}_{v}_proj.csv").read_bytes()
+        assert reduced_views == []
+
+    def test_header_loads_neither_read_nor_write_twins(self, tmp_path, monkeypatch,
+                                                       reduced_views):
+        work = self.data(tmp_path, monkeypatch)
+        assert run(*self.COMMANDS["occa"], "--header", "--out", "h") in (0, 3)
+        assert run(*self.COMMANDS["multi"], "--header", "--out", "h2") in (0, 3)
+        assert not _svd_twins(work)
+        assert run(*self.COMMANDS["occa"], "--out", "o") in (0, 3)
+        twins = {t: t.read_bytes() for t in _svd_twins(work)}
+        reduced_views.clear()
+        assert run(*self.COMMANDS["multi"], "--header", "--out", "h3") in (0, 3)
+        assert reduced_views == [(2, None)]
+        assert {t: t.read_bytes() for t in _svd_twins(work)} == twins
+
+    def test_rank_tol_neither_reads_nor_writes_twins(self, tmp_path, monkeypatch):
+        work = self.data(tmp_path, monkeypatch)
+        argv = [*self.COMMANDS["base"], "--rank-tol", 1e-8]
+        assert run(*argv, "--out", "t1") == 0
+        assert not _svd_twins(work)
+        assert run(*self.COMMANDS["occa"], "--out", "o") in (0, 3)
+        # factors that pass every check but are not the view's: a command
+        # that read them would write other projections
+        for twin in _svd_twins(work):
+            M = np.load(twin)
+            M[load_matrix(work / twin.name[:7]).shape[0]] *= 2.0
+            np.save(twin, M)
+        assert run(*argv, "--out", "t2") == 0
+        for v in "xy":
+            assert (work / f"t2_{v}_proj.csv").read_bytes() == (
+                work / f"t1_{v}_proj.csv").read_bytes()
+        assert run(*self.COMMANDS["base"], "--out", "b") == 0
+        assert (work / "b_x_proj.csv").read_bytes() != (work / "t1_x_proj.csv").read_bytes()
+
+    @pytest.mark.parametrize("twins", [False, True], ids=["without-twins", "with-twins"])
+    def test_read_only_data_directory(self, tmp_path, monkeypatch, twins):
+        work = self.data(tmp_path, monkeypatch, copy="plain")
+        want = self.run_all(tmp_path / "plain", monkeypatch)
+        monkeypatch.chdir(work)
+        if twins:
+            assert run(*self.COMMANDS["occa"], "--out", "first") in (0, 3)
+        before = sorted(work.iterdir())
+        out = tmp_path / "out"
+        out.mkdir()
+        # chmod does not bind a superuser, so data's own writes into the
+        # directory fail as they would there
+        opener = open
+
+        def read_only_open(file, mode="r", *args, **kwargs):
+            if Path(file).resolve().parent == work and set(mode) & set("wxa+"):
+                raise PermissionError(13, "Permission denied", str(file))
+            return opener(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(occakit.data, "open", read_only_open, raising=False)
+        work.chmod(0o555)
+        try:
+            for name, argv in self.COMMANDS.items():
+                argv = [a.replace("base_", str(out / "base_")) if isinstance(a, str) else a
+                        for a in argv]
+                assert run(*argv, "--out", out / name) in (0, 3)
+        finally:
+            work.chmod(0o755)
+        assert sorted(work.iterdir()) == before
+        assert self.outputs(out) == want

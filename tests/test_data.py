@@ -399,6 +399,14 @@ class TestBinaryTwin:
         assert np.array_equal(load_matrix(p), M)
         assert parsed
 
+    def test_an_empty_twin_falls_back_to_the_parse(self, tmp_path):
+        # numpy raises EOFError, not ValueError, for a file with no bytes
+        M = np.random.default_rng(6).standard_normal((3, 4))
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        _twin_of(p).write_bytes(b"")
+        assert np.array_equal(load_matrix(p), M)
+
     def test_a_csv_without_twins_is_not_hashed(self, tmp_path, monkeypatch):
         p = tmp_path / "m.csv"
         p.write_bytes(b"1,2\n3,4\n")
@@ -467,3 +475,59 @@ class TestBinaryTwin:
         monkeypatch.undo()
         assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
         assert np.array_equal(load_matrix(p), M)
+
+
+def _reductions(p):
+    """The reduction twins beside CSV ``p``."""
+    return sorted(p.parent.glob(p.name + "." + "[0-9a-f]" * 32 + ".svd.npy"))
+
+
+class TestReductionTwin:
+    """A view's thin-SVD factors, kept beside the CSV occakit wrote and
+    bound to the view's shape and bytes."""
+
+    @staticmethod
+    def saved_view(tmp_path, shape=(6, 9), seed=8):
+        p = tmp_path / "v.csv"
+        save_matrix(np.random.default_rng(seed).standard_normal(shape), p)
+        return p, center(load_matrix(p))
+
+    def test_factors_come_back_bit_for_bit_in_the_reduction_layout(self, tmp_path):
+        from occakit.multiset import reduce_views
+
+        p, S = self.saved_view(tmp_path)
+        (rv,) = reduce_views([S])
+        data_module.write_reduction(p, S, rv.U, rv.sigma, rv.V)
+        (twin,) = _reductions(p)
+        digest = hashlib.sha256(b"6,9;" + S.tobytes()).hexdigest()[:32]
+        assert twin.name == f"v.csv.{digest}.svd.npy"
+        U, sigma, V = data_module.read_reduction(p, S)
+        for got, want in ((U, rv.U), (sigma, rv.sigma), (V, rv.V), (V.T, rv.V.T)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # another view of the CSV, and a CSV without twins, read nothing
+        assert data_module.read_reduction(p, S[:, ::-1].copy()) is None
+        assert data_module.read_reduction(tmp_path / "none.csv", S) is None
+
+    def test_written_only_beside_a_csv_with_a_binary_twin(self, tmp_path):
+        S = center(np.random.default_rng(9).standard_normal((3, 7)))
+        p = tmp_path / "plain.csv"
+        np.savetxt(p, S, delimiter=",", fmt="%.17g")
+        data_module.write_reduction(p, S, np.eye(3), np.ones(3), np.zeros((7, 3)))
+        assert [f.name for f in tmp_path.iterdir()] == ["plain.csv"]
+
+    def test_rewriting_a_csv_removes_its_reduction_twins(self, tmp_path):
+        from occakit.multiset import reduce_views
+
+        p, S = self.saved_view(tmp_path)
+        other, T = tmp_path / "v.csv.x.csv", S.copy()
+        save_matrix(S, other)
+        for path, view in ((p, S), (p, 2.0 * S), (other, T)):
+            (rv,) = reduce_views([view])
+            data_module.write_reduction(path, view, rv.U, rv.sigma, rv.V)
+        assert len(_reductions(p)) == 2 and len(_reductions(other)) == 1
+        save_matrix(S, p)
+        assert not _reductions(p) and len(_reductions(other)) == 1
+        assert data_module.read_reduction(p, S) is None

@@ -430,6 +430,19 @@ class TestOneProblemType:
         occa_alternate(prob, 3)
         assert reduce_calls == [1e-8, None, 1e-8]
 
+    @pytest.mark.parametrize("solve", [occa_alternate, classical_cca])
+    def test_a_list_of_two_views_is_its_problem(self, solve):
+        sx, sy = gen_synthetic(SyntheticSpec(m=20, n=15, q=200, seed=1))
+        views = [center(sx), center(sy)]
+        got, want = solve(views, 2), solve(build_multiview(views), 2)
+        if solve is occa_alternate:
+            got, want = (got.X, got.Y, got.F_trace), (want.X, want.Y, want.F_trace)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        rng = np.random.default_rng(17)
+        with pytest.raises(ContractViolation, match="needs two views, got 3"):
+            solve([center(rng.standard_normal((4, 30))) for _ in range(3)], 2)
+
     @pytest.mark.parametrize("ell", [3, 4])
     @pytest.mark.parametrize("solve", [occa_alternate, classical_cca])
     def test_other_view_counts_rejected(self, solve, ell):
