@@ -13,10 +13,11 @@ leave the floating-point range: "rescale the data" or "rescale D") or a LAPACK
 failure.  Flag defaults are those of the solver configs and ``weighting``.
 Messages call the i-th data file "view i", counting from 0; ``omcca`` writes
 view i's projection to ``<out>_view{i+1}_proj.csv``, counting from 1.
-``occa``, ``omcca``, ``cca-baseline`` and ``eval`` share each view's range
-reduction through its reduction twin (see ``data``): a command that reduces
-a view without one writes it after its solve, beside a CSV with a binary
-twin, and the next command on that view reads it.
+``occa``, ``omcca``, ``cca-baseline`` and ``eval`` build one problem from
+their data files, which shares each view's range reduction through its
+reduction twin (see ``data``): the reduction writes the twins it lacks
+beside CSVs with a binary twin, so even a command that fails later leaves
+them for the next command on those views.
 """
 
 from __future__ import annotations
@@ -112,43 +113,42 @@ def build_parser():
     return top
 
 
-def _load_views(args, paths):
-    """The data files in order, each centered on load unless ``--no-center``."""
-    center = dio.center if args.center else (lambda M: M)
-    return [center(dio.load_matrix(path, header=args.header)) for path in paths]
+def _data_files(args):
+    """The command's data files in view order: ``--x`` and ``--y``,
+    ``omcca --views`` or ``eval --data`` (none for ``gen``)."""
+    opts = vars(args)
+    return opts.get("views") or opts.get("data") or [opts[v] for v in ("x", "y") if v in opts]
 
 
 class _SharedProblem(multiset.MultiViewProblem):
     """The problem of the views loaded from the CSVs ``paths`` (None after
     a ``--header`` load, which shares nothing).  Its one reduction takes
     each view's factors from the view's reduction twin where that holds
-    them and reduces the other views in one ``reduce_views`` call;
-    ``save_reductions`` writes the factors so computed to their twins."""
+    them, reduces the other views in one ``reduce_views`` call and writes
+    their twins."""
 
     def __init__(self, views, paths):
         super().__init__(views)
-        self.paths, self.fresh = paths, []
+        self.paths = paths
 
     def reduced(self):
         if self._reduced is None and self.paths is not None:
             cached = [dio.read_reduction(p, S) for p, S in zip(self.paths, self.views)]
-            self.fresh = [i for i, factors in enumerate(cached) if factors is None]
-            computed = iter(multiset.reduce_views([self.views[i] for i in self.fresh])
-                            if self.fresh else ())
-            self._reduced = [next(computed) if factors is None
-                             else multiset.RangeReducedView(*factors) for factors in cached]
+            fresh = [i for i, factors in enumerate(cached) if factors is None]
+            computed = multiset.reduce_views([self.views[i] for i in fresh]) if fresh else []
+            for i, rv in zip(fresh, computed):
+                dio.write_reduction(self.paths[i], self.views[i], rv.U, rv.sigma, rv.V)
+                cached[i] = rv.U, rv.sigma, rv.V
+            self._reduced = [multiset.RangeReducedView(*factors) for factors in cached]
         return super().reduced()
 
-    def save_reductions(self):
-        for i in self.fresh:
-            rv = self._reduced[i]
-            dio.write_reduction(self.paths[i], self.views[i], rv.U, rv.sigma, rv.V)
 
-
-def _problem(args, paths, views=None):
-    """The checked problem of the data files ``paths``, given their
-    ``views`` when already loaded (see ``_SharedProblem``)."""
-    views = _load_views(args, paths) if views is None else views
+def _problem(args):
+    """The checked problem of the command's ``_data_files``, each centered
+    on load unless ``--no-center`` (see ``_SharedProblem``)."""
+    paths = _data_files(args)
+    center = dio.center if args.center else (lambda M: M)
+    views = [center(dio.load_matrix(path, header=args.header)) for path in paths]
     return _SharedProblem(multiset.build_multiview(views).views, None if args.header else paths)
 
 
@@ -182,14 +182,13 @@ def cmd_gen(args):
 
 def cmd_occa(args):
     t0 = time.perf_counter()
-    prob = _problem(args, [args.x, args.y])
+    prob = _problem(args)
     rep = twoview.occa_alternate(
         prob,
         args.k,
         alt_cfg=twoview.AltConfig(eps_alt=args.eps_alt, max_outer=args.max_outer),
         scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
     )
-    prob.save_reductions()
     return _write_outputs(
         args, t0, {"x": rep.X, "y": rep.Y},
         ("eps_alt", "max_outer", "eps_scf", "max_iter_scf", "center"),
@@ -202,7 +201,7 @@ def cmd_occa(args):
 
 def cmd_omcca(args):
     t0 = time.perf_counter()
-    prob = _problem(args, args.views)
+    prob = _problem(args)
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rep = multiset.rcomcca(
         prob,
@@ -215,7 +214,6 @@ def cmd_omcca(args):
             scf_cfg=ScfConfig(eps_scf=args.eps_scf, max_iter=args.max_iter_scf),
         ),
     )
-    prob.save_reductions()
     return _write_outputs(
         args, t0, {f"view{i}": X for i, X in enumerate(rep.projections, start=1)},
         ("scheme", "weights", "bandwidth", "eps_outer", "max_cycles", "eps_scf",
@@ -230,9 +228,8 @@ def cmd_omcca(args):
 
 def cmd_cca_baseline(args):
     t0 = time.perf_counter()
-    prob = _problem(args, [args.x, args.y])
+    prob = _problem(args)
     X1, X2, corr = twoview.classical_cca(prob, args.k, rank_tol=args.rank_tol)
-    prob.save_reductions()
     return _write_outputs(
         args, t0, {"x": X1, "y": X2}, ("rank_tol", "center"),
         f"cca-baseline: top correlation {corr[0]:.12g}",
@@ -243,13 +240,12 @@ def cmd_cca_baseline(args):
 
 def cmd_eval(args):
     t0 = time.perf_counter()
-    views = _load_views(args, args.data)
+    prob = _problem(args)
     projs = [dio.load_matrix(p) for p in args.proj]
-    if len(views) != len(projs):
+    if len(prob.views) != len(projs):
         raise ContractViolation(
-            f"{len(projs)} projections supplied for {len(views)} data files"
+            f"{len(projs)} projections supplied for {len(prob.views)} data files"
         )
-    prob = _problem(args, args.data, views)
     w = weighting.build_weights(prob, scheme=args.weights, bandwidth=args.bandwidth)
     rank_deficient = False
     try:
@@ -265,10 +261,9 @@ def cmd_eval(args):
     except ViewError as exc:
         # the index names a projection here, so the --proj file is at fault
         raise type(exc)(f"{args.proj[exc.view]}: {exc}") from exc
-    prob.save_reductions()
 
     # every scheme weighs the one pair of two views exactly 1, so f is objective_f
-    pair = {"f": total / 2, "F": (total / 2) ** 2} if len(views) == 2 else {}
+    pair = {"f": total / 2, "F": (total / 2) ** 2} if len(prob.views) == 2 else {}
     return _write_outputs(
         args, t0, {}, ("weights", "bandwidth"), f"eval: total_correlation={total:.12g}",
         kind="metrics", k=int(projs[0].shape[1]), rank_deficient=rank_deficient,
@@ -293,10 +288,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ContractViolation, SolverFailure) as exc:
-        # --x/--y, omcca --views and eval --data files are views 0, 1, ... in order
-        opts = vars(args)
-        files = opts.get("views") or opts.get("data") or [opts.get("x"), opts.get("y")]
-        if isinstance(exc, ViewError) and exc.view is not None and files[exc.view]:
+        files = _data_files(args)
+        if isinstance(exc, ViewError) and exc.view is not None and exc.view < len(files):
             exc = f"{files[exc.view]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

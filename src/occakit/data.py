@@ -35,8 +35,9 @@ one edited in a middle row is read in place of the CSV, so delete a
 twin rather than edit it.
 
 Reduction twins.  A command that reduces a view loaded from a CSV with
-a binary twin writes, by ``write_reduction``, the view's thin-SVD
-factors at the default rank rule to ``<csv>.<digest>.svd.npy``,
+a binary twin writes, by ``write_reduction`` and as it reduces the view
+(so before anything that may fail after), the view's thin-SVD factors
+at the default rank rule to ``<csv>.<digest>.svd.npy``,
 ``<digest>`` being the first 32 hex digits of the SHA-256 of the view's
 shape and float64 bytes as reduced (so a centered and an uncentered load
 of one CSV have twins of their own): one ``.npy`` of the

@@ -37,6 +37,14 @@ def scale_of(*arrays):
     return max(float(np.max(np.abs(a))) for a in arrays) or 1.0
 
 
+def exponent_scaled(M, axis=None):
+    """``M`` divided by the power of two (``np.frexp``) of its largest
+    magnitude, over ``axis`` (None: all of ``M``); zeros stay as they are.
+    Exact, so no bit of a ratio of its entries changes, and its squares
+    stay in floating-point range at any scale."""
+    return np.ldexp(M, -np.frexp(np.max(np.abs(M), axis=axis))[1])
+
+
 def symmetric_matrix(M, what):
     """``M`` checked finite and square; an asymmetry up to 1e-10 of
     ``scale_of(M)`` is averaged away, a larger one raises.  A symmetric

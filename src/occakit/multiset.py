@@ -33,7 +33,7 @@ from .errors import (
     ViewError,
 )
 from .linalg import align, as_matrix, fix_svd_signs, orthonormalize
-from .linalg import require_count, require_stop_rule, scale_of
+from .linalg import exponent_scaled, require_count, require_stop_rule, scale_of
 from .scf import ScfConfig, SubproblemSpec, _Iterate, _settled, scf_solve
 
 # The switch to the projected step: a view's subproblem is solved in a
@@ -51,6 +51,8 @@ _CENTER_TOL = 1e-10
 # The Jacobi extrapolation mixes the last this-many-plus-one (snapshot,
 # committed) pairs of cycles, that is this many differences.
 _ANDERSON_DEPTH = 3
+# The largest singular value whose square is finite: the solvers form sigma^2.
+_MAX_SIGMA = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass
@@ -193,21 +195,27 @@ class MultiViewProblem:
         return self._reduced
 
     def blocks(self, pairs):
-        """The ``_cross_blocks`` dict, extended by the ``pairs`` not yet in it."""
+        """The ``_cross_blocks`` dict, extended by the ``pairs`` not yet in
+        it.  The solvers that read it form sigma_i^2 and sigma_i sigma_j,
+        so first a view whose largest sigma_i^2 overflows raises
+        ``ViewError`` (0-based ``.view``)."""
+        reduced = self.reduced()
+        for view, rv in enumerate(reduced):
+            if rv.sigma[0] > _MAX_SIGMA:
+                raise ViewError(f"view {view} leaves floating-point range; rescale the data",
+                                view=view)
         missing = [p for p in pairs if p not in self._blocks]
-        self._blocks.update(_cross_blocks(self.reduced(), missing, self._products))
+        self._blocks.update(_cross_blocks(reduced, missing, self._products))
         return self._blocks
 
     @cached_property
     def rho_hat(self):
-        """Pair affinities in [0, 1], symmetric with zero diagonal.  Each
-        spectrum is first divided by the power of two of its largest value
-        (``np.frexp``), which changes no bit of the ratio and keeps it in
-        range at any data scale."""
+        """Pair affinities in [0, 1], symmetric with zero diagonal, formed
+        on each spectrum as ``exponent_scaled`` returns it, which changes no
+        bit of the ratio and keeps it in range at any data scale."""
         ell = len(self.views)
         pairs = list(itertools.combinations(range(ell), 2))
-        unit = [RangeReducedView(rv.U, np.ldexp(rv.sigma, -np.frexp(rv.sigma[0])[1]), rv.V)
-                for rv in self.reduced()]
+        unit = [RangeReducedView(rv.U, exponent_scaled(rv.sigma), rv.V) for rv in self.reduced()]
         power = [float(np.sum(rv.sigma**2)) for rv in unit]
         blocks = _cross_blocks(unit, pairs, self._products)
         R = np.zeros((ell, ell))
@@ -280,10 +288,9 @@ def _search_space(G, directions):
     eigenvectors of their Gram matrix pick the part of their span that is
     not negligible (singular values above ``_DROP_TOL``), which a second
     deflation and a QR make orthonormal and orthogonal to G.  Each column
-    is first divided by the power of two of its largest entry, which
-    changes no bit of the unit column and keeps its norm in range."""
-    B = np.hstack(directions)
-    B = np.ldexp(B, -np.frexp(np.max(np.abs(B), axis=0))[1])
+    is first ``exponent_scaled``, which changes no bit of the unit column
+    and keeps its norm in range."""
+    B = exponent_scaled(np.hstack(directions), axis=0)
     norms = np.linalg.norm(B, axis=0)
     B = B[:, norms > 0.0] / norms[norms > 0.0]
     B -= G @ (G.T @ B)
@@ -390,13 +397,15 @@ def g_objective(hatX, weights, reduced):
 def _unit_scores(projections, views):
     """The projected samples S_i^T X_i of every view (a list or a problem),
     each scaled to unit Frobenius norm, after checking the projections
-    (finite, n_i x k with one k).  A bad projection raises a ``ViewError``
-    whose ``.view`` is the position of that projection (and of its view)."""
+    (finite, n_i x k with one k).  Each is ``exponent_scaled`` before it is
+    squared, so the scores do not depend on the data's units.  A bad
+    projection raises a ``ViewError`` whose ``.view`` is the position of
+    that projection (and of its view)."""
     views = build_multiview(views).views
     projections = _checked_points(projections, [S.shape[0] for S in views], "projection")
     Z = []
     for idx, (S, X) in enumerate(zip(views, projections)):
-        z = S.T @ X
+        z = exponent_scaled(S.T @ X)
         den = float(np.sum(z * z))
         if den <= 0.0:
             raise DegenerateViewError(f"projection {idx} captured zero variance", view=idx)

@@ -338,8 +338,10 @@ def test_two_view_commands_name_bad_y_file(tmp_path, capsys, command, bad_y, mes
 def test_scale_overflow_names_first_view_file(tmp_path, capsys, command):
     # at 1e-160 the subproblem's xi(G) is so small that 2/xi^2 overflows
     # in the solve of either command; at 1e-170 occa's partner view has a
-    # projected variance that underflows to 0
-    for scale in (1e-160, 1e-170):
+    # projected variance that underflows to 0; from 1e155 the square of the
+    # largest singular value overflows, and the data are refused before any
+    # arithmetic warns
+    for scale in (1e-160, 1e-170, 1e155, 1e160, 1e200):
         paths = gen_pair(tmp_path, m=20, n=15, q=300, seed=1)
         for path in paths:
             save_matrix(scale * load_matrix(path), path)
@@ -365,6 +367,26 @@ def test_tiny_views_solve_with_unit_free_affinities(tmp_path, weights):
     rho_hat = read_report(tmp_path / "o_report.json")["rho_hat"]
     ref = read_report(tmp_path / "ref_report.json")["rho_hat"]
     np.testing.assert_allclose(rho_hat, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200])
+def test_evaluator_does_not_depend_on_units(tmp_path, scale):
+    # the projected samples are divided by a power of two before they are
+    # squared, so the same projections score the same total at any scale
+    x, y = gen_pair(tmp_path, m=12, n=10, q=80, seed=1)
+    assert run("occa", "--x", x, "--y", y, "--k", 2, "--out", tmp_path / "p") in (0, 3)
+    proj = [tmp_path / f"p_{v}_proj.csv" for v in "xy"]
+    assert run("eval", "--data", x, y, "--proj", *proj, "--out", tmp_path / "ref") == 0
+    ref = read_report(tmp_path / "ref_metrics.json")["total_correlation"]
+    scaled = [tmp_path / f"s_{v}.csv" for v in "xy"]
+    for path, out in zip((x, y), scaled):
+        save_matrix(scale * load_matrix(path), out)
+    assert run("eval", "--data", *scaled, "--proj", *proj, "--out", tmp_path / "s") == 0
+    assert read_report(tmp_path / "s_metrics.json")["total_correlation"] == pytest.approx(
+        ref, rel=1e-12)
+    prob = occakit.build_two_view(*(occakit.center(load_matrix(p)) for p in scaled))
+    f = occakit.objective_f(*(load_matrix(p) for p in proj), prob)
+    assert 2 * f == pytest.approx(ref, rel=1e-12)
 
 
 def test_solver_flag_defaults_are_the_config_defaults():
@@ -598,6 +620,16 @@ class TestEval:
         p = tmp_path / "p.csv"
         save_matrix(np.eye(6)[:, :2], p)
         assert run("eval", "--data", x, y, x, "--proj", p, p, "--out", tmp_path / "ev") == 4
+
+    def test_data_views_are_checked_before_projections_load(self, tmp_path, capsys):
+        x, _ = gen_pair(tmp_path, m=6, n=5, q=40)
+        y = tmp_path / "const.csv"
+        save_matrix(np.full((5, 40), 2.5), y)
+        p = tmp_path / "p.csv"
+        save_matrix(np.eye(6)[:, :2], p)
+        missing = tmp_path / "missing.csv"
+        assert run("eval", "--data", x, y, "--proj", p, missing, "--out", tmp_path / "ev") == 4
+        assert capsys.readouterr().err.startswith(f"error: {y}: view 1 is identically zero")
 
     def test_zero_variance_projection_named_by_file(self, tmp_path, capsys):
         x, y = gen_pair(tmp_path, m=6, n=5, q=40)
@@ -838,6 +870,25 @@ class TestReductionTwin:
         reduced_views.clear()
         assert run(*self.COMMANDS["multi"], "--out", "again") in (0, 3)
         assert reduced_views == []
+
+    def test_a_command_that_fails_after_reducing_leaves_its_twins(self, tmp_path, monkeypatch,
+                                                                   reduced_views):
+        work = self.data(tmp_path, monkeypatch, copy="plain")
+        monkeypatch.chdir(tmp_path / "plain")
+        assert run(*self.COMMANDS["multi"], "--out", "multi") in (0, 3)
+        assert not _svd_twins(tmp_path / "plain")
+        monkeypatch.chdir(work)
+        # k = 8 is not below the rank 8 of view 1: occa reduces both views,
+        # then exits 4
+        assert run("occa", "--x", "d_x.csv", "--y", "d_y.csv", "--k", 8, "--out", "o") == 4
+        assert not list(work.glob("o_*"))
+        assert [t.name[:7] for t in _svd_twins(work)] == ["d_x.csv", "d_y.csv"]
+        reduced_views.clear()
+        assert run(*self.COMMANDS["multi"], "--out", "multi") in (0, 3)
+        assert reduced_views == []
+        for v in (1, 2):
+            name = f"multi_view{v}_proj.csv"
+            assert (work / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_centered_and_uncentered_loads_have_twins_of_their_own(self, tmp_path, monkeypatch,
                                                                    reduced_views):
