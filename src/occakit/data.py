@@ -5,6 +5,17 @@ Matrices are stored features-by-samples, matching every formula in the
 solvers.  CSV files carry one matrix row per line with 17-significant-
 digit decimals, so save/load round-trips are exact for double precision.
 
+The bytes ``save_matrix`` writes are those of ``'%.17g' % v`` for every
+value v (Python's correctly rounded conversion), joined by commas, each
+row ended by ``os.linesep``.  They are produced a block of values at a
+time in numpy: the 17 digits of v come from v times a power of two,
+multiplied by a stored power of ten as an error-free (Dekker) product,
+exact where that power is exact in binary (ties round half to even);
+elsewhere a value within 1e-9 of a tie (rare: none in a
+``gen_synthetic`` view at scale 1, 1e-300 or 1e300) is rounded by exact
+integer arithmetic on ``float.as_integer_ratio()``.  The digits are then
+laid out in fixed slots, and the unused slots are deleted.
+
 The CSV grammar ``load_matrix`` accepts: UTF-8 text (a byte that does
 not decode is reported at its line and field), with or without a
 leading byte-order mark, split into lines as ``str.splitlines`` does
@@ -56,6 +67,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import functools
 import glob
 import hashlib
 import json
@@ -271,9 +283,9 @@ def _read_twin(twin, raw):
     if not (M is not None and M.size and M.flags.c_contiguous
             and raw.count(b"\n") == M.shape[0] and np.isfinite(M).all()):
         return None
-    row_format = _row_format(M.shape[1])
-    first, last = _row_bytes(row_format, M[0]), _row_bytes(row_format, M[-1])
-    return M if raw.startswith(first) and raw.endswith(last) else None
+    ends = b"".join(_csv_chunks(M[[0, -1]]))  # the first row, then the last
+    cut = ends.index(os.linesep.encode()) + len(os.linesep)
+    return M if raw.startswith(ends[:cut]) and raw.endswith(ends[cut:]) else None
 
 
 def _write_twin(M, twin):
@@ -329,14 +341,167 @@ def write_reduction(path, S, U, sigma, V):
         _write_twin(np.vstack([U, sigma, V]), _reduction_twin(path, S))
 
 
-def _row_format(columns):
-    """The ``%`` format of one CSV row of ``columns`` values: 17
-    significant digits, in the platform's line ending."""
-    return ",".join(["%.17g"] * columns) + os.linesep
+# Values formatted per piece of a CSV, so memory stays flat in the size.
+_CHUNK = 1 << 15
+# Veltkamp's splitter for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+# Slots of one value in ``_csv_chunk``: sign, the "0.000" of a decimal
+# exponent in [-4, -1], 17 digits each followed by a point slot, "e+XXX",
+# then the separator.
+_PREFIX, _BODY, _EXP, _SEP = 1, 6, 40, 45
 
 
-def _row_bytes(row_format, row):
-    return (row_format % tuple(row.tolist())).encode("utf-8")
+@functools.cache
+def _decade(e):
+    """(T, H, Hh, Hl, L, t) of the decimal exponent ``e``: T is the least
+    double not below 10**e, and 10**(16 - e) = (H + L) * 2**t, H an integer
+    in [2**52, 2**53] split into halves Hh + Hl by Veltkamp's rule and L
+    the remainder rounded to a double (0 where the power is exact)."""
+    if e > 308:
+        T = math.inf
+    else:
+        T = float(10**e) if e >= 0 else 1 / 10**-e  # correctly rounded
+        num, den = T.as_integer_ratio()
+        if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
+            T = math.nextafter(T, math.inf)
+    p = 16 - e
+    t = ((10**p).bit_length() - 53) if p >= 0 else -(10**-p).bit_length() - 52
+    num = 10 ** max(p, 0) << max(-t, 0)
+    den = 10 ** max(-p, 0) << max(t, 0)
+    H, rem = divmod(num, den)
+    if 2 * rem >= den:
+        H, rem = H + 1, rem - den
+    H = float(H)
+    c = _SPLIT * H
+    Hh = c - (c - H)
+    return T, H, Hh, H - Hh, rem / den, t
+
+
+def _exact_digits(a, e):
+    """round-half-even(a * 10**(16 - e)) of the double ``a`` > 0, by integers."""
+    num, den = a.as_integer_ratio()
+    if e <= 16:
+        num *= 10 ** (16 - e)
+    else:
+        den *= 10 ** (e - 16)
+    D, rem = divmod(num, den)
+    return D + (2 * rem > den or (2 * rem == den and D & 1))
+
+
+def _digits(a):
+    """The 17 significant digits D (int64) and decimal exponent e of each
+    finite positive ``a``, correctly rounded, half to even, as ``%.17e``
+    gives them: a = D * 10**(e - 16) to within half a unit of D.
+
+    e is floor(log10 a), moved by one where ``a`` falls below or reaches a
+    threshold T of ``_decade``.  With s = a * 2**t exact, D rounds
+    a * 10**(16 - e) = s*H + s*L, where s*H is Dekker's error-free
+    product P + E (P an even integer, as it passes 2**53) and s*L is off
+    by less than 1e-14.  Where L = 0 the sum is exact and ``rint`` rounds
+    half to even; elsewhere a fraction within 1e-9 of one half, a tie
+    such as 3 * 2**-24's or a near one, is settled by ``_exact_digits``.
+    A D of 10**17 becomes 10**16 at the next exponent."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    lo = int(e.min()) - 1
+    T, H, Hh, Hl, L, t = np.array([_decade(d) for d in range(lo, int(e.max()) + 2)]).T
+    k = e - lo
+    k += (a >= T[k + 1]).view(np.int8) - (a < T[k]).view(np.int8)
+    e = k + lo
+    s = np.ldexp(a, t.astype(np.int64)[k])
+    c = _SPLIT * s
+    sh = c - (c - s)
+    sl = s - sh
+    hh, hl, l = Hh[k], Hl[k], L[k]
+    P = s * H[k]
+    f = (((sh * hh - P) + sh * hl + sl * hh) + sl * hl) + s * l
+    r = np.rint(f)
+    D = P.astype(np.int64) + r.astype(np.int64)
+    for i in np.flatnonzero(np.abs(f - r) > 0.5 - 1e-9):
+        if l[i]:
+            D[i] = _exact_digits(float(a[i]), int(e[i]))
+    carry = D == 10**17
+    D[carry] = 10**16
+    return D, e + carry
+
+
+@functools.cache
+def _digit_groups():
+    """The ASCII of 0000 ... 9999, each as one uint32."""
+    groups = np.array([b"%04d" % g for g in range(10000)]).view(np.uint32)
+    groups.flags.writeable = False
+    return groups
+
+
+def _csv_chunk(x, ends):
+    """The CSV bytes of the values ``x``, each followed by ``os.linesep``
+    where ``ends`` is true and by a comma elsewhere: every value as
+    ``'%.17g' % v`` writes it.
+
+    Each value fills fixed slots of a uint8 array (see ``_PREFIX`` ...),
+    0 in a slot it does not use, and the zeros are deleted at the end.
+    The 17 digits of ``_digits`` are written with 4-digit groups; the
+    point follows digit e for e in [0, 15], and trailing zeros after the
+    point are dropped with the point itself where none is left, as ``%g``
+    does.  Decimal exponents in [-4, 16] are written without "e"."""
+    n = x.size
+    sep = os.linesep.encode()
+    ordinary = np.isfinite(x) & (x != 0)
+    a = np.where(ordinary, np.abs(x), 1.0)
+    D, e = _digits(a)
+    hi, lo = np.divmod(D, 10**8)
+    hi, lo = hi.astype(np.uint32), lo.astype(np.uint32)
+    g = np.empty((n, 5), np.uint32)
+    g[:, 0], rest = np.divmod(hi, 10**8)
+    g[:, 1], g[:, 2] = np.divmod(rest, 10**4)
+    g[:, 3], g[:, 4] = np.divmod(lo, 10**4)
+    digits = _digit_groups()[g].view(np.uint8).reshape(n, 20)[:, 3:]
+    significant = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    fixed = (e >= -4) & (e < 17)
+    whole = np.where(fixed, e, 0)  # index of the last digit before the point
+    slots = np.zeros((n, _SEP + len(sep)), np.uint8)
+    slots[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    pairs = slots[:, _BODY:_EXP].reshape(n, 17, 2)
+    column = np.arange(17, dtype=np.uint8)
+    shown = np.maximum(significant, whole + 1).astype(np.uint8)
+    pairs[:, :, 0] = digits * (column < shown[:, None])
+    point = np.where((significant > whole + 1) & (whole >= 0), whole, 17).astype(np.uint8)
+    pairs[:, :, 1] = (column == point[:, None]) * np.uint8(ord("."))
+    small = fixed & (e < 0)
+    if small.any():
+        for i, char in enumerate(b"0.000"):
+            slots[:, _PREFIX + i] = (small & (e < 1 - i)) * np.uint8(char)
+    scientific = ~fixed
+    if scientific.any():
+        size = np.abs(e)
+        slots[:, _EXP] = scientific * ord("e")
+        slots[:, _EXP + 1] = scientific * np.where(e < 0, ord("-"), ord("+"))
+        slots[:, _EXP + 2] = (scientific & (size >= 100)) * (ord("0") + size // 100)
+        slots[:, _EXP + 3] = scientific * (ord("0") + size // 10 % 10)
+        slots[:, _EXP + 4] = scientific * (ord("0") + size % 10)
+    if not ordinary.all():
+        slots[~ordinary, _PREFIX:_SEP] = 0
+        slots[x == 0, _BODY] = ord("0")
+        nan = np.isnan(x)
+        slots[nan, 0] = 0
+        slots[nan, _BODY:_BODY + 6:2] = np.frombuffer(b"nan", np.uint8)
+        slots[np.isinf(x), _BODY:_BODY + 6:2] = np.frombuffer(b"inf", np.uint8)
+    slots[:, _SEP] = ord(",")
+    slots[ends, _SEP:] = np.frombuffer(sep, np.uint8)
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _csv_chunks(M):
+    """The bytes of the rows of the 2-d float64 ``M`` as ``save_matrix``
+    writes them, ``','.join('%.17g' % v for v in row) + os.linesep`` each,
+    in pieces of at most ``_CHUNK`` values."""
+    rows, cols = M.shape
+    if not cols:
+        yield os.linesep.encode() * rows
+        return
+    x = M.reshape(-1)
+    for start in range(0, x.size, _CHUNK):
+        piece = x[start:start + _CHUNK]
+        yield _csv_chunk(piece, np.arange(start + 1, start + 1 + piece.size) % cols == 0)
 
 
 def save_matrix(M, path):
@@ -353,13 +518,11 @@ def save_matrix(M, path):
         for old in glob.glob(glob.escape(path) + pattern):
             with contextlib.suppress(OSError):
                 os.remove(old)
-    row_format = _row_format(M.shape[1])
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for row in M:
-            line = _row_bytes(row_format, row)
-            digest.update(line)
-            fh.write(line)
+        for chunk in _csv_chunks(M):
+            digest.update(chunk)
+            fh.write(chunk)
     if M.size and np.isfinite(M).all():
         _write_twin(M, _twin_path(path, digest))
 

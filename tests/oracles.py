@@ -112,6 +112,30 @@ def subspace_distance(G1, G2):
     return float(np.sum(np.sin(sla.subspace_angles(G1, G2))))
 
 
+def flat_spectrum_views(m, n, q, scales=(4.0, 0.25), seed=0):
+    """Two centered views with S_i S_i^T = c_i I, every singular value of
+    a view equal (n <= m < q/2), and the cosines of the principal angles
+    between their row spaces, largest first.
+
+    View 1's rows are sqrt(c_1) times m orthonormal directions u_j of
+    sample space orthogonal to the ones vector; view 2's are sqrt(c_2)
+    times cos(theta_j) u_j + sin(theta_j) w_j, j < n, with the w_j
+    orthonormal and orthogonal to the u_j and to the ones vector.  The
+    row spaces share part of each direction, and the cosines are the
+    cos(theta_j).  Each view's rows are then turned by a random
+    orthogonal matrix, which keeps its row space and its S_i S_i^T."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((q, m + n))
+    Q, _ = np.linalg.qr(G - G.mean(axis=0))
+    U, W = Q[:, :m], Q[:, m:]
+    cosines = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+    V = U[:, :n] * cosines + W * np.sqrt(1.0 - cosines**2)
+    O1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    O2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c1, c2 = scales
+    return np.sqrt(c1) * (U @ O1).T, np.sqrt(c2) * (V @ O2).T, cosines
+
+
 def gev_cca_correlations(S1, S2, k):
     """Canonical correlations from the stacked symmetric generalized
     eigenproblem [[0, C], [C^T, 0]] w = lambda [[A, 0], [0, B]] w."""

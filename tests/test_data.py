@@ -1,4 +1,6 @@
 import hashlib
+import math
+import os
 import warnings
 
 import numpy as np
@@ -265,6 +267,86 @@ class TestMatrixIo:
         assert p.read_bytes() == expected.encode("utf-8")
         by_float = [[float(tok) for tok in line.split(",")] for line in expected.splitlines()]
         assert np.array_equal(load_matrix(p), by_float) and np.array_equal(by_float, M)
+
+
+def _per_element(M):
+    """The CSV bytes of ``M`` by one ``%.17g`` per element, the format
+    ``save_matrix`` writes."""
+    return "".join(",".join(f"{x:.17g}" for x in row) + os.linesep for row in M.tolist()).encode()
+
+
+def _near_ties():
+    """Doubles whose 17 digits round a value within 1e-9 of a tie where
+    10**(16 - e) is not exact in binary, so exact arithmetic settles them:
+    x * 1e23 = M * 5**23 / 2**m with fraction 1/2 + 2**-50 (m = 50) and
+    1/2 - 2**-51 (m = 51), x near 5e-7 and 3e-7 (the scaled product alone
+    rounds the second the wrong way); x / 1e13 with fraction
+    1/2 +- 2**12 / 1e13, x near 1.6e29; and the true tie 3 * 2**-24, whose
+    x * 1e23 is 3 * 5**23 / 2."""
+    ties = []
+    for m, sign in ((50, 1), (51, -1)):
+        M = (2 ** (m - 1) + sign) * pow(5**23, -1, 2**m) % 2**m
+        M += (2**52 - M + 2**m - 1) // 2**m * 2**m
+        ties.append(math.ldexp(M, -23 - m))
+    for sign in (1, -1):
+        M = (5**13 + sign) // 2 * pow(2**32, -1, 5**13) % 5**13
+        M += (2**52 - M + 5**13 - 1) // 5**13 * 5**13
+        ties.append(float(M << 45))
+    return ties + [3 * 2.0**-24]
+
+
+class TestWriterBytes:
+    """``save_matrix`` writes the bytes of one ``%.17g`` per element, whatever
+    the values; ``_per_element`` is the reference."""
+
+    def _saved(self, tmp_path, M):
+        p = tmp_path / "m.csv"
+        save_matrix(M, p)
+        return p.read_bytes()
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(11).integers(0, 2**64, 40_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        M = values[np.isfinite(values)][:39_000].reshape(78, 500)
+        assert self._saved(tmp_path, M) == _per_element(M)
+
+    def test_magnitudes_from_1e_minus_300_to_1e300(self, tmp_path):
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((60, 500)) * 10.0 ** rng.uniform(-300, 300, (60, 500))
+        assert self._saved(tmp_path, M) == _per_element(M)
+
+    def test_ties_powers_of_ten_and_extremes(self, tmp_path, monkeypatch):
+        # 1234567890123456.25 and .75 are true ties, rounded half to even
+        special = [1234567890123456.25, 1234567890123456.75, 5e-324, 1.7976931348623157e308,
+                   0.0, -0.0, np.nan, np.inf, -np.inf]
+        powers = [10.0**p for p in range(-323, 309)]
+        nearby = [np.nextafter(x, toward) for x in powers for toward in (0.0, np.inf)]
+        values = np.array(special + powers + nearby + _near_ties())
+        M = np.concatenate([values, -values]).reshape(-1, 2)
+        calls = []
+        exact = data_module._exact_digits
+        monkeypatch.setattr(data_module, "_exact_digits", lambda *a: calls.append(a) or exact(*a))
+        assert self._saved(tmp_path, M) == _per_element(M)
+        # each of them, of either sign, is settled by the exact rule
+        assert len(calls) == 2 * len(_near_ties())
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 3), (1, 1), (17, 1)],
+                             ids=["1x0", "0x3", "1x1", "17x1"])
+    def test_shapes(self, tmp_path, shape):
+        M = np.random.default_rng(13).standard_normal(shape)
+        assert self._saved(tmp_path, M) == _per_element(M)
+
+    def test_ordinary_data_at_any_scale_never_takes_the_exact_rule(self, tmp_path, monkeypatch):
+        calls = []
+        exact = data_module._exact_digits
+        monkeypatch.setattr(data_module, "_exact_digits", lambda *a: calls.append(a) or exact(*a))
+        S, _ = gen_synthetic(SyntheticSpec(m=50, n=40, q=400, seed=1))
+        counts = {}
+        for scale in (1.0, 1e-300, 1e300):
+            before = len(calls)
+            assert self._saved(tmp_path, scale * S) == _per_element(scale * S)
+            counts[scale] = len(calls) - before
+        assert counts == {1.0: 0, 1e-300: 0, 1e300: 0}
 
 
 class TestReports:
