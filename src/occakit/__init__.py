@@ -16,15 +16,7 @@ from .errors import (
     SolverFailure,
     UndefinedRatioError,
 )
-from .linalg import (
-    EigenResult,
-    align,
-    dist_tr,
-    k_smallest_eigenbasis,
-    orthonormalize,
-    pair_align,
-    sample_tangent,
-)
+from .linalg import align, dist_tr, orthonormalize, pair_align
 from .multiset import (
     MultiViewProblem,
     OmccaConfig,
@@ -74,7 +66,6 @@ __all__ = [
     "AltConfig",
     "ContractViolation",
     "DegenerateViewError",
-    "EigenResult",
     "IsolatedViewError",
     "MultiViewProblem",
     "OccaKitError",
@@ -105,7 +96,6 @@ __all__ = [
     "g_objective",
     "gen_synthetic",
     "grad_eta",
-    "k_smallest_eigenbasis",
     "kkt_residual",
     "load_matrix",
     "objective_F",
@@ -118,7 +108,6 @@ __all__ = [
     "rcomcca",
     "reduce_views",
     "rho_hat_matrix",
-    "sample_tangent",
     "save_matrix",
     "scf_solve",
     "second_order_check",

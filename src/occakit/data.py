@@ -511,8 +511,11 @@ def save_matrix(M, path):
     Removes the binary and reduction twins of the CSV's earlier contents,
     then writes the twin of the new bytes when ``M`` is nonempty and
     finite (see the module docstring); a twin that cannot be written is
-    left out and the CSV still stands."""
+    left out and the CSV still stands.  An ``M`` of more than two
+    dimensions raises ``ContractViolation`` before any file is touched."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.ndim != 2:
+        raise ContractViolation(f"a CSV holds a 2-d matrix, got shape {M.shape}")
     path = os.fspath(path)
     for pattern in (_TWIN_PATTERN, _REDUCTION_PATTERN):
         for old in glob.glob(glob.escape(path) + pattern):

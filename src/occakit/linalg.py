@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, svd_f
@@ -120,38 +119,15 @@ def fix_svd_signs(U, Vt):
     return U * signs, Vt * signs[:, None]
 
 
-@dataclass
-class EigenResult:
-    """Orthonormal basis of the invariant subspace for the k smallest
-    eigenvalues of a symmetric matrix, with the eigengap above it."""
-
-    basis: np.ndarray      # n x k, orthonormal columns
-    values: np.ndarray     # k eigenvalues, ascending
-    gap: float             # lambda_{k+1} - lambda_k, >= 0
-
-
-def k_smallest_eigenbasis(E, k):
-    """Eigenbasis for the ``k`` algebraically smallest eigenvalues of ``E``.
-
-    Checks ``E`` by ``symmetric_matrix`` and ``1 <= k < n``, then runs
-    ``_k_smallest``, the unchecked kernel that ``scf_solve`` calls on
-    every sweep.  LAPACK ``dsyevd``, called as ``np.linalg.eigh`` calls
-    it, computes all eigenpairs in ascending order; the first k are kept
-    and the next one gives the gap.  A zero ``gap`` flags a degenerate
-    eigenvalue at position k; the returned subspace is then only
-    determined up to the tie.
-    """
-    E = symmetric_matrix(E, "E")
-    require_subspace_size(k, E.shape[0])
-    basis, gap, vals = _k_smallest(E, k)
-    return EigenResult(basis=basis, values=vals[:k].copy(), gap=gap)
-
-
 def _k_smallest(E, k):
-    """The ``dsyevd`` kernel of ``k_smallest_eigenbasis`` (the gufunc
-    ``np.linalg.eigh`` runs) for a finite, exactly symmetric n x n ``E``
-    and ``1 <= k < n``: (basis, gap, all eigenvalues).  numpy reports a
-    LAPACK error as NaN outputs; a NaN eigenvalue raises ``SolverFailure``."""
+    """Eigenbasis of the ``k`` algebraically smallest eigenvalues of a
+    finite, exactly symmetric n x n ``E``, for ``1 <= k < n``, unchecked:
+    (basis, gap, all eigenvalues).  LAPACK ``dsyevd``, called as
+    ``np.linalg.eigh`` calls it, computes every eigenpair in ascending
+    order; the first k vectors are kept and eigenvalue k + 1 gives the
+    gap.  A zero gap flags a tie at position k; the subspace is then
+    only determined up to it.  numpy reports a LAPACK error as NaN
+    outputs; a NaN eigenvalue raises ``SolverFailure``."""
     vals, vecs = eigh_lo(E, signature="d->dd")
     if not math.isfinite(vals[0]):
         raise SolverFailure(f"dsyevd failed on a {E.shape[0]} x {E.shape[0]} matrix")
@@ -237,15 +213,3 @@ def dist_tr(G1, G2):
     sin = np.clip(np.linalg.svd(P, compute_uv=False), 0.0, 1.0)
     return float(np.sum(sin))
 
-
-def sample_tangent(G, rng):
-    """Draw a random tangent direction at ``G``: H = G K + (I - G G^T) J
-    with K random skew-symmetric and J Gaussian.  ``H^T G`` is skew.
-    ``G`` is checked by ``as_matrix``."""
-    G = as_matrix(G, "G")
-    rng = np.random.default_rng(rng)
-    n, k = G.shape
-    Z = rng.standard_normal((k, k))
-    K = 0.5 * (Z - Z.T)
-    J = rng.standard_normal((n, k))
-    return G @ K + J - G @ (G.T @ J)

@@ -11,9 +11,11 @@ solve ends lower; cycles follow either a Jacobi scheme (all updates read
 the previous cycle's iterates) or a Gauss-Seidel scheme (updates consume
 fresh iterates; the total correlation then never decreases).  Both run
 on the calling thread.  ``_run`` is the one outer loop, for both schemes
-and for the two-view solver; it realigns every cycle by ``_realign``, and
-after each Jacobi cycle but the last it tries an Anderson extrapolation
-of the cycle map, kept only where it raises the total correlation.
+and for the two-view solver; it realigns every cycle by ``_realign``, the
+one rule that fixes each view's basis, and after each Jacobi cycle but
+the last it tries an Anderson extrapolation of the cycle map on the
+realigned iterates as they stand, kept only where it raises the total
+correlation.
 """
 
 from __future__ import annotations
@@ -438,30 +440,22 @@ class _Extrapolation:
     (Walker & Ni, SINUM 49, 2011) over the last ``_ANDERSON_DEPTH + 1``
     (snapshot, committed) pairs.
 
-    ``propose(x, y)`` records the pair of the cycle just run and, once two
-    are stored, rotates every stored block of view s onto y_s by
-    orthogonal Procrustes, so the proposal depends on the stored subspaces
-    alone.  With the views flattened and f_i = y_i - x_i it solves
-    min ||f_c - dF gamma|| by least squares and returns the blocks of
-    z = y_c - dY gamma, not yet retracted onto the constraint set."""
+    ``propose(x, y)`` records the pair of the cycle just run, each list
+    of blocks flattened as it stands: ``_run`` has realigned every
+    committed iterate, so no stored basis is rotated again.  Once two
+    pairs are stored, with f_i = y_i - x_i, it solves min ||f_c - dF
+    gamma|| by least squares and returns the blocks of z = y_c - dY
+    gamma, not yet retracted onto the constraint set."""
 
     def __init__(self):
         self.pairs = collections.deque(maxlen=_ANDERSON_DEPTH + 1)
 
     def propose(self, x, y):
-        self.pairs.append((list(x), list(y)))
+        self.pairs.append([np.concatenate([b.ravel() for b in blocks]) for blocks in (x, y)])
         if len(self.pairs) < 2:
             return None
-        # per view, one batched SVD gives the polar factor of every stored
-        # block's M^T y_s; rows alternate x_0, y_0, x_1, y_1, ...
-        rows = []
-        for s, ref in enumerate(y):
-            M = np.stack([blocks[s] for pair in self.pairs for blocks in pair])
-            U, _, Vt = np.linalg.svd(M.transpose(0, 2, 1) @ ref)
-            rows.append((M @ (U @ Vt)).reshape(len(M), -1))
-        XY = np.hstack(rows).T
-        Y = XY[:, 1::2]
-        F = Y - XY[:, 0::2]
+        X, Y = (np.array(col).T for col in zip(*self.pairs))
+        F = Y - X
         gamma = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
         z = Y[:, -1] - np.diff(Y, axis=1) @ gamma
         ends = np.cumsum([b.size for b in y])
@@ -498,9 +492,10 @@ def _run(hatX, rho, pairs, blocks, sigmas, scheme, scf_cfg, max_cycles, stop):
     in place, then ``_realign``; its loop_g, g and sweeps go into an
     ``OmccaReport`` without projections, returned once ``stop(hatX,
     record)`` gives a reason, or at the cap (reason ``max_cycles``).  After
-    a Jacobi cycle that does neither, the ``_Extrapolation`` candidate,
-    orthonormalized view by view and realigned by ``_realign``, replaces
-    the committed iterates when its total correlation is strictly higher."""
+    a Jacobi cycle that does neither, the ``_Extrapolation`` candidate
+    from the snapshot and the realigned iterates, orthonormalized view by
+    view and realigned by ``_realign`` in turn, replaces the committed
+    iterates when its total correlation is strictly higher."""
     record = OmccaReport(projections=[])
     extrapolation = _Extrapolation()
     for cycle in range(1, max_cycles + 1):

@@ -16,9 +16,9 @@ A sweep pays only for its arithmetic.  The data are checked once, where a
 with A's row count.  Every E(G) is then exactly symmetric by
 construction, so a sweep, one pass over plain arrays, checks only that
 LAPACK succeeded and that xi(G) is finite (``_xi``).  It calls the
-unchecked kernels of ``k_smallest_eigenbasis`` and ``align`` and, as
-``_Iterate`` does, ``_grad``.  Every public function of a point G checks
-G once, by ``_at``: finite, of shape (n, k).
+unchecked kernels ``linalg._k_smallest``, the one eigensolve, and
+``linalg._align`` and, as ``_Iterate`` does, ``_grad``.  Every public
+function of a point G checks G once, by ``_at``: finite, of shape (n, k).
 
 xi(G) is undefined where tr(G^T D) = 0.  One deterministic rule,
 ``_settled``, moves such a G to tr(G^T D) > 0: ``scf_solve`` applies it

@@ -223,6 +223,18 @@ def fd_directional_eta(A, D, G, H, h=1e-6):
     return (eta_at(retract(h)) - eta_at(retract(-h))) / (2 * h)
 
 
+def sample_tangent(G, rng):
+    """A random tangent direction at the Stiefel point ``G``:
+    H = G K + (I - G G^T) J with K random skew-symmetric and J Gaussian,
+    so ``H^T G`` is skew."""
+    rng = np.random.default_rng(rng)
+    n, k = G.shape
+    Z = rng.standard_normal((k, k))
+    K = 0.5 * (Z - Z.T)
+    J = rng.standard_normal((n, k))
+    return G @ K + J - G @ (G.T @ J)
+
+
 def view_spec(s, hatX, rho, blocks, sigmas):
     """Subproblem of view ``s`` as a dense spec: A = diag(sigma_s^2) and
     D = its pull.  The solvers state it as (sigma_s^2, pull) instead."""

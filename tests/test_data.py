@@ -543,6 +543,16 @@ class TestBinaryTwin:
         save_matrix([[np.nan]], p)
         assert not _twins(p) and kept.exists()
 
+    def test_an_array_of_three_dimensions_is_refused_before_any_file_changes(self, tmp_path):
+        p = tmp_path / "m.csv"
+        save_matrix(np.arange(6.0).reshape(2, 3), p)
+        before, twin = p.read_bytes(), _twin_of(p)
+        twin_bytes = twin.read_bytes()
+        with pytest.raises(ContractViolation, match="2-d"):
+            save_matrix(np.ones((2, 2, 2)), p)
+        assert p.read_bytes() == before
+        assert _twin_of(p) == twin and twin.read_bytes() == twin_bytes
+
     @pytest.mark.parametrize("failing", ["save", "replace"])
     def test_a_failed_twin_write_leaves_the_csv_and_no_twin(self, tmp_path, monkeypatch, failing):
         def fail(*args, **kwargs):
